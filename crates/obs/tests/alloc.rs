@@ -5,20 +5,29 @@
 //! must never allocate — otherwise "zero-overhead instrumentation" would
 //! silently break the estimation stack's allocation-free warm loops.
 //! A counting global allocator proves it.
+//!
+//! The allocator counts per thread: the test harness runs each test on
+//! its own thread, and its other threads allocate while a test runs
+//! (bookkeeping around spawning the next one). A process-wide count
+//! would see those, and the other test's allocations, too.
 
 use ic_obs::{MetricsRegistry, Span};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates to `System` verbatim; the counter is a relaxed
-// atomic with no other side effects.
+// SAFETY: delegates to `System` verbatim; the counter is a const-initialized
+// thread-local `Cell` without a destructor, so updating it neither allocates
+// nor can fail during thread teardown (`try_with` guards it regardless).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -31,16 +40,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
 fn recording_metrics_never_allocates() {
-    // Cold path: registration may allocate freely.
+    // Cold path: registration may allocate freely, and the per-thread
+    // counter must see it, or every zero below would be vacuous.
+    let before = allocations();
     let registry = MetricsRegistry::new();
     let counter = registry.counter("test.counter");
     let gauge = registry.gauge("test.gauge");
     let histogram = registry.histogram_with("test.seconds", &[("k", "v")]);
+    assert!(
+        allocations() > before,
+        "registration allocations went uncounted"
+    );
 
     // Warm one full pass so lazily initialized state (if any) settles.
     counter.inc();

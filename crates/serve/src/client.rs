@@ -21,11 +21,12 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr`.
+    /// Connects to `addr`, with Nagle's algorithm off so each request
+    /// frame leaves at once.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// Connects, retrying for up to `timeout` while the server starts.
@@ -188,5 +189,18 @@ impl Subscription {
                 "unexpected push frame {resp:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connected_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
     }
 }

@@ -11,10 +11,16 @@
 //! [`Response::Events`] frame produced by subsequent polls (from any
 //! connection), so drift events fire to listeners instead of dying inside
 //! a replay loop.
+//!
+//! Every accepted socket has Nagle's algorithm off, so a reply or a
+//! subscriber push leaves as soon as it is written. `Stats` scrapes read
+//! the metrics registry without the service lock, so they never queue
+//! behind a running poll.
 
-use crate::service::Service;
+use crate::service::{render_registry, Service};
 use crate::wire::{read_frame, write_frame, EstimateFrame, Request, Response, PROTOCOL_VERSION};
 use crate::Result;
+use ic_obs::MetricsRegistry;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -25,6 +31,9 @@ use std::time::Duration;
 struct Shared {
     addr: SocketAddr,
     service: Mutex<Service>,
+    /// The service's registry, taken at bind; `Stats` renders it without
+    /// locking `service`. `None` when metrics are off.
+    metrics: Option<Arc<MetricsRegistry>>,
     subscribers: Mutex<Vec<Sender<Vec<u8>>>>,
     shutdown: AtomicBool,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -50,6 +59,7 @@ impl Server {
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             addr: local,
+            metrics: service.metrics_registry().cloned(),
             service: Mutex::new(service),
             subscribers: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
@@ -128,6 +138,7 @@ impl Drop for ServerHandle {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<()> {
+    stream.set_nodelay(true)?;
     loop {
         let Some(payload) = read_frame(&mut stream)? else {
             return Ok(()); // peer closed cleanly
@@ -177,8 +188,22 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> Result<()> {
 
 /// Executes one non-connection-control request against the shared core.
 fn execute(request: Request, shared: &Shared) -> Response {
-    let mut service = shared.service.lock().unwrap();
     let result = match request {
+        // A scrape reads the registry's atomics, never the service lock.
+        Request::Stats { format } => {
+            render_registry(shared.metrics.as_deref(), format).map(Response::Stats)
+        }
+        request => execute_locked(request, shared),
+    };
+    // Wire errors lead with the stable kind slug so clients can match on
+    // the class without parsing prose (`ServeError::kind`).
+    result.unwrap_or_else(|e| Response::Error(format!("[{}] {e}", e.kind())))
+}
+
+/// Executes a request that needs the service, under its lock.
+fn execute_locked(request: Request, shared: &Shared) -> Result<Response> {
+    let mut service = shared.service.lock().expect("service lock poisoned");
+    match request {
         Request::Hello => Ok(Response::HelloOk {
             protocol: PROTOCOL_VERSION,
             tenants: service.tenant_count() as u32,
@@ -206,23 +231,57 @@ fn execute(request: Request, shared: &Shared) -> Response {
             Response::Estimate(estimate.map(|est| Box::new(EstimateFrame::from_estimate(est))))
         }),
         Request::Forecast { tenant } => service.forecast(tenant).map(Response::Forecast),
-        Request::Stats { format } => service.render_stats(format).map(Response::Stats),
         Request::Snapshot { tenant } => service.snapshot_tenant(tenant).map(Response::Snapshot),
         Request::Restore(bytes) => service
             .restore_tenant(&bytes)
             .map(|tenant| Response::Restored { tenant }),
-        // Subscribe/Shutdown are handled at the connection level.
-        Request::Subscribe | Request::Shutdown => {
+        // Stats is answered in `execute`; Subscribe/Shutdown are handled
+        // at the connection level.
+        Request::Stats { .. } | Request::Subscribe | Request::Shutdown => {
             Ok(Response::Error("unreachable control request".into()))
         }
-    };
-    // Wire errors lead with the stable kind slug so clients can match on
-    // the class without parsing prose (`ServeError::kind`).
-    result.unwrap_or_else(|e| Response::Error(format!("[{}] {e}", e.kind())))
+    }
 }
 
 /// Sends an encoded frame to every live subscriber, dropping dead ones.
 fn publish(shared: &Shared, frame: &[u8]) {
     let mut subs = shared.subscribers.lock().unwrap();
     subs.retain(|tx| tx.send(frame.to_vec()).is_ok());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::StatsFormat;
+    use crate::{Client, ServeError};
+
+    /// One `Stats` scrape sent from another thread while this thread holds
+    /// the service lock; the reply arrives over a channel.
+    fn scrape_while_locked(service: Service) -> Result<String> {
+        let handle = Server::bind("127.0.0.1:0", service).unwrap();
+        let addr = handle.addr();
+        let guard = handle.shared.service.lock().unwrap();
+        let (tx, rx) = channel();
+        let scraper = std::thread::spawn(move || {
+            let _ = tx.send(Client::connect(addr).and_then(|mut c| c.stats(StatsFormat::Json)));
+        });
+        let reply = rx.recv_timeout(Duration::from_secs(10));
+        drop(guard);
+        scraper.join().expect("scrape thread panicked");
+        reply.expect("a Stats scrape waited behind the service lock")
+    }
+
+    #[test]
+    fn stats_never_wait_for_the_service_lock() {
+        let mut service = Service::new();
+        service.enable_metrics();
+        let json = scrape_while_locked(service).unwrap();
+        assert!(json.contains("\"counters\""), "{json}");
+        // Metrics off: the same bad-request error, also without the lock.
+        let err = scrape_while_locked(Service::new()).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Remote(msg) if msg.starts_with("[bad-request]")),
+            "{err}"
+        );
+    }
 }

@@ -242,6 +242,21 @@ impl ServiceMetrics {
     }
 }
 
+/// The one rendering behind [`Service::render_stats`] and the server's
+/// `Stats` replies: `registry` as Prometheus exposition text or JSON, or
+/// [`ServeError::BadRequest`] when there is none (metrics not enabled).
+pub(crate) fn render_registry(
+    registry: Option<&MetricsRegistry>,
+    format: StatsFormat,
+) -> Result<String> {
+    let registry = registry
+        .ok_or_else(|| ServeError::BadRequest("metrics are not enabled on this service".into()))?;
+    Ok(match format {
+        StatsFormat::Prometheus => registry.render_prometheus(),
+        StatsFormat::Json => registry.render_json(),
+    })
+}
+
 /// The multi-tenant streaming estimation service.
 #[derive(Default)]
 pub struct Service {
@@ -379,13 +394,7 @@ impl Service {
     /// JSON. Fails with [`ServeError::BadRequest`] when metrics are not
     /// enabled.
     pub fn render_stats(&self, format: StatsFormat) -> Result<String> {
-        let m = self.metrics.as_ref().ok_or_else(|| {
-            ServeError::BadRequest("metrics are not enabled on this service".into())
-        })?;
-        Ok(match format {
-            StatsFormat::Prometheus => m.registry.render_prometheus(),
-            StatsFormat::Json => m.registry.render_json(),
-        })
+        render_registry(self.metrics_registry().map(Arc::as_ref), format)
     }
 
     /// Registers a tenant; its name must be unused.

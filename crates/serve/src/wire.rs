@@ -560,7 +560,14 @@ pub fn decode_window_report(d: &mut Dec<'_>) -> Result<WindowReport> {
 
 // --- frame I/O ----------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Largest capacity a frame body buffer starts with. It grows only as body
+/// bytes arrive, so a header alone cannot make the reader allocate
+/// `MAX_FRAME`.
+const FIRST_BODY_CAPACITY: usize = 64 << 10;
+
+/// Writes one length-prefixed frame as a single `write_all` of prefix plus
+/// payload. A frame split into two writes would hold its payload back until
+/// the peer's delayed ACK of the prefix arrived.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(ServeError::BadRequest(format!(
@@ -568,14 +575,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
             payload.len()
         )));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one length-prefixed frame. Returns `None` on clean EOF (the
-/// peer closed between frames); a mid-frame EOF is an error.
+/// peer closed between frames); a mid-frame EOF is an error. The body
+/// buffer starts at no more than 64 KiB and grows only as bytes arrive.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
     let mut got = 0;
@@ -594,8 +604,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             "frame length {len} exceeds MAX_FRAME"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FIRST_BODY_CAPACITY));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(ServeError::Codec(format!(
+            "EOF inside frame body after {} of {len} bytes",
+            payload.len()
+        )));
+    }
     Ok(Some(payload))
 }
 
@@ -777,6 +793,35 @@ mod tests {
         // Absurd lengths are rejected before allocation.
         let huge = (u32::MAX).to_le_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    /// Counts the `write` calls a frame takes.
+    struct CountingWriter(usize);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter(0);
+        let ingest = Request::Ingest {
+            tenant: 0,
+            column: vec![1.5; 2500],
+        }
+        .encode();
+        let frames: [&[u8]; 3] = [b"", b"hello", &ingest];
+        for (k, payload) in frames.into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.0, k + 1, "frame {k} of {} bytes", payload.len());
+        }
     }
 
     proptest! {

@@ -10,7 +10,7 @@ use ic_estimation::{EstimationPipeline, ObservationModel};
 use ic_serve::{Client, Server, Service, TenantSpec};
 use ic_stream::{replay_estimation, ReplayStream, WindowReport};
 use ic_topology::{RoutingScheme, Topology};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WINDOW_BINS: usize = 4;
 
@@ -118,6 +118,35 @@ fn two_tenants_over_tcp_match_offline_replay() {
     client.shutdown().unwrap();
     let service = handle.join();
     assert_eq!(service.tenant_count(), 2);
+}
+
+/// Sequential round trips are paced by the work, not the socket: a frame
+/// written in two pieces on a Nagle socket waits for the peer's delayed
+/// ACK on every round trip.
+#[test]
+fn sequential_ingest_round_trips_do_not_stall() {
+    const ROUND_TRIPS: usize = 200;
+    let handle = Server::bind("127.0.0.1:0", Service::new()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // 50 nodes: a 2,500-entry column. No window fills, so no poll work.
+    let spec = spec_for("tcp-pace", 50).with_window_bins(2 * ROUND_TRIPS);
+    let id = client.register(spec).unwrap();
+    let series = series_for(44, 50, 1);
+    let column = series.column(0);
+    assert_eq!(column.len(), 2500);
+
+    let start = Instant::now();
+    for k in 0..ROUND_TRIPS {
+        assert_eq!(client.ingest(id, column.clone()).unwrap(), 0, "ingest {k}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "{ROUND_TRIPS} ingest round trips took {elapsed:?}"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
 }
 
 #[test]
