@@ -4,6 +4,7 @@
 //! ~110 observation rows).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::{nnls, pseudo_inverse, Cholesky, Matrix, NnlsOptions, Qr, Svd};
 
 fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -80,12 +81,38 @@ fn bench_nnls(c: &mut Criterion) {
     });
 }
 
+fn bench_nnls_normal_equations(c: &mut Criterion) {
+    // The stable-fP preference solve at 50 nodes over a 6-bin window: the
+    // Gram sums each bin's rank-one `c2·a aᵀ` and its `c1·s2` diagonal.
+    let (n, f) = (50, 0.25);
+    let (c1, c2) = (f * f + (1.0 - f) * (1.0 - f), 2.0 * f * (1.0 - f));
+    let mut g = Matrix::zeros(n, n);
+    for t in 0..6 {
+        let a = deterministic_matrix(n, 1, 7 + t).map(|v| 1.0 + v.abs());
+        let a = a.as_slice();
+        let s2: f64 = a.iter().map(|v| v * v).sum();
+        for k in 0..n {
+            for l in 0..n {
+                g[(k, l)] += c2 * a[k] * a[l];
+            }
+            g[(k, k)] += c1 * s2;
+        }
+    }
+    // Moments of a uniform preference: no constraint binds.
+    let h = g.matvec(&vec![1.0 / n as f64; n]).unwrap();
+    c.bench_function("nnls_normal_equations_50", |bench| {
+        bench
+            .iter(|| black_box(nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_qr,
     bench_cholesky,
     bench_svd_pinv,
-    bench_nnls
+    bench_nnls,
+    bench_nnls_normal_equations
 );
 criterion_main!(benches);

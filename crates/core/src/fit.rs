@@ -627,8 +627,9 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
     let mut residual_norms: Option<Vec<f64>> = None;
 
     // Per-fit workspace: every per-bin buffer of the BCD inner loops lives
-    // here, so the sweeps below are allocation-free after warm-up (the
-    // NNLS fallback and the per-sweep objective evaluation excepted).
+    // here, so the sweeps below allocate only in the NNLS solves (the
+    // preference step's, every sweep, and the activity fallback's) and the
+    // per-sweep objective evaluation.
     let mut weights = vec![0.0; bins];
     let mut rhs = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
@@ -1311,6 +1312,42 @@ mod tests {
         let auto = fit_stable_fp(&tm, FitOptions::default()).unwrap();
         assert_eq!(auto.solve_stats.pcg_solves, 0);
         assert_eq!(auto.params.f, dense.params.f);
+    }
+
+    /// A window of `serve-mixed`-style synthetic traffic at forward ratio `f`.
+    fn synthetic_window(seed: u64, f: f64) -> TmSeries {
+        crate::synth::generate_synthetic(
+            &crate::synth::SynthConfig::geant_like(seed)
+                .with_nodes(12)
+                .with_bins(6)
+                .with_f(f)
+                .with_preference_sigma(0.6)
+                .with_activity_alpha(3.0),
+        )
+        .unwrap()
+        .series
+    }
+
+    #[test]
+    fn regime_switch_refit_takes_the_nnls_fallback() {
+        // A warm start from an f = 0.25 fit onto an f = 0.6 window: the
+        // stale (f, P) drive activity solves negative, so the activity step
+        // falls back to NNLS. The sweep count, fallback count and objective
+        // were recorded with the tall-QR NNLS the Gram-native one replaced.
+        let prev = fit_stable_fp(&synthetic_window(42, 0.25), FitOptions::default()).unwrap();
+        let window = synthetic_window(42 ^ 0xFF, 0.6);
+        let fit = fit_stable_fp(&window, FitOptions::default().with_initial(&prev)).unwrap();
+        assert!(fit.solve_stats.fallbacks > 0);
+        // Finite, non-negative activities and preferences.
+        assert!(fit.params.validate().is_ok());
+        assert_eq!(fit.objective_history.len(), 11);
+        assert_eq!(fit.solve_stats.fallbacks, 12);
+        let recorded = 0.1552804489619356;
+        assert!(
+            (fit.final_objective() - recorded).abs() <= 1e-9 * recorded,
+            "objective {}",
+            fit.final_objective()
+        );
     }
 
     #[test]

@@ -1,11 +1,22 @@
 //! Lawson–Hanson non-negative least squares.
 //!
 //! The Section 5.1 fitting program constrains activities and preferences to
-//! be non-negative. Its block-coordinate sub-problems are therefore NNLS
-//! problems `min ‖A x − b‖₂ s.t. x ≥ 0`; this module implements the
-//! classic active-set algorithm of Lawson & Hanson (1974), which is exact
-//! for these small, well-conditioned systems.
+//! be non-negative, so its block-coordinate sub-problems are NNLS problems.
+//! This module solves them with the active-set algorithm of Lawson & Hanson
+//! (1974), which is exact for these small systems, in two forms:
+//!
+//! * [`nnls`] solves `min ‖A x − b‖₂ s.t. x ≥ 0` from the tall design
+//!   matrix, with a fresh Householder QR per passive-set change. It is the
+//!   reference implementation and the oracle the other form is tested
+//!   against.
+//! * [`nnls_from_normal_equations`] solves the same problem from the Gram
+//!   `AᵀA` and moments `Aᵀb`, which is all the fitting program
+//!   accumulates. Its passive subproblems are Cholesky solves of principal
+//!   sub-Grams, and it starts from the support of the unconstrained
+//!   optimum, so a problem where no constraint binds costs one
+//!   factorization.
 
+use crate::cholesky::Cholesky;
 use crate::matrix::Matrix;
 use crate::qr::Qr;
 use crate::{LinalgError, Result};
@@ -159,15 +170,27 @@ fn solve_subproblem(a: &Matrix, b: &[f64], idx: &[usize]) -> Result<Vec<f64>> {
     }
 }
 
-/// Convenience wrapper: NNLS against normal equations `(AᵀA) x = Aᵀb` when
-/// the caller has already accumulated the Gram matrix `ata` and moment
-/// vector `atb`.
+/// NNLS against normal equations: `min ½xᵀGx − hᵀx` subject to `x ≥ 0`,
+/// with `G = AᵀA` (`ata`) and `h = Aᵀb` (`atb`) already accumulated.
 ///
-/// This is used by the preference solve of the fitting program, which
-/// accumulates normal equations across thousands of time bins without ever
-/// materializing the tall design matrix. Since `AᵀA` is SPD (or nearly so),
-/// we synthesize a square-root factor via Cholesky with a tiny ridge and
-/// run standard NNLS on it.
+/// This is the activity/preference solve of the fitting program, which
+/// accumulates normal equations across time bins without ever
+/// materializing the tall design matrix. It is Lawson–Hanson run on the
+/// Gram itself, with a scale-aware ridge `ρ = 1e-12·max|G|` that keeps
+/// every factorization stable without visibly perturbing the solution:
+///
+/// * the passive subproblem is a Cholesky solve of the principal sub-Gram,
+///   `(G + ρI)[P,P] z = h[P]`, and the dual is `w = h − (G + ρI)x`;
+/// * the passive set starts at the support of the unconstrained optimum
+///   `(G + ρI)⁻¹h`. When that optimum is strictly positive no constraint
+///   binds and it is the answer. Otherwise coordinates that are not
+///   positive are dropped until the passive solution is strictly positive,
+///   and the usual outer loop adds the most violated coordinate until
+///   `w ≤ tolerance` off the passive set.
+///
+/// `options.max_iterations` bounds the passive-set solves. The tall
+/// [`nnls`] solves the same problem from `A` and `b`; it is the oracle
+/// this routine is tested against.
 pub fn nnls_from_normal_equations(
     ata: &Matrix,
     atb: &[f64],
@@ -186,23 +209,129 @@ pub fn nnls_from_normal_equations(
             rhs: (atb.len(), 1),
         });
     }
-    // Scale-aware ridge keeps the factorization stable without visibly
-    // perturbing the solution.
-    let scale = ata.max_abs().max(f64::MIN_POSITIVE);
-    let ridge = scale * 1e-12;
-    let chol = crate::cholesky::Cholesky::factor_regularized(ata, ridge)?;
-    // A = Lᵀ reproduces AᵀA = L Lᵀ; the matching rhs is b' = L⁻¹ (Aᵀ b).
-    let l = chol.l();
-    let n_ = l.rows();
-    let mut bprime = vec![0.0; n_];
-    for i in 0..n_ {
-        let mut s = atb[i];
-        for j in 0..i {
-            s -= l[(i, j)] * bprime[j];
-        }
-        bprime[i] = s / l[(i, i)];
+    if !ata.all_finite() || !atb.iter().all(|v| v.is_finite()) {
+        return Err(LinalgError::InvalidArgument(
+            "nnls_from_normal_equations: Gram matrix and moment vector must be finite",
+        ));
     }
-    nnls(&l.transpose(), &bprime, options)
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let ridge = ata.max_abs().max(f64::MIN_POSITIVE) * 1e-12;
+    let unconstrained = Cholesky::factor_regularized(ata, ridge)?.solve(atb)?;
+    if unconstrained.iter().all(|&v| v > 0.0) {
+        return Ok(unconstrained);
+    }
+    let max_solves = options.max_iterations.unwrap_or(3 * n.max(8));
+    let mut solves = 0;
+    // Solves `(G + ρI)[P,P] z = h[P]` into `out`, zero off the passive set
+    // P; each non-empty solve counts against the iteration budget.
+    let mut solve_passive = |passive: &[bool], out: &mut [f64]| -> Result<()> {
+        out.fill(0.0);
+        let idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
+        if idx.is_empty() {
+            return Ok(());
+        }
+        solves += 1;
+        if solves > max_solves {
+            return Err(LinalgError::NoConvergence {
+                routine: "nnls_from_normal_equations",
+                iterations: max_solves,
+            });
+        }
+        let k = idx.len();
+        let mut sub = Matrix::zeros(k, k);
+        for (r, &i) in idx.iter().enumerate() {
+            let row = ata.row(i);
+            for (slot, &j) in sub.row_mut(r).iter_mut().zip(&idx) {
+                *slot = row[j];
+            }
+        }
+        let rhs: Vec<f64> = idx.iter().map(|&j| atb[j]).collect();
+        let z = Cholesky::factor_regularized(&sub, ridge)?.solve(&rhs)?;
+        for (&j, &zj) in idx.iter().zip(&z) {
+            out[j] = zj;
+        }
+        Ok(())
+    };
+
+    // Warm start: shrink the support until its solution is strictly positive.
+    let mut passive: Vec<bool> = unconstrained.iter().map(|&v| v > 0.0).collect();
+    let mut x = vec![0.0; n];
+    loop {
+        solve_passive(&passive, &mut x)?;
+        let mut dropped = false;
+        for (p, &xj) in passive.iter_mut().zip(&x) {
+            if *p && xj <= 0.0 {
+                *p = false;
+                dropped = true;
+            }
+        }
+        if !dropped {
+            break;
+        }
+    }
+
+    // Lawson–Hanson outer loop. `rejected` marks coordinates whose dual
+    // was positive but whose passive solution was not: their dual is
+    // rounding noise, so they are skipped until `x` next moves.
+    let mut z = vec![0.0; n];
+    let mut rejected = vec![false; n];
+    loop {
+        let mut best: Option<(usize, f64)> = None;
+        for j in 0..n {
+            if passive[j] || rejected[j] {
+                continue;
+            }
+            // x_j = 0 off the passive set, so the ridge term drops out.
+            let wj = atb[j] - crate::matrix::dot(ata.row(j), &x);
+            if wj > options.tolerance && best.is_none_or(|(_, wb)| wj > wb) {
+                best = Some((j, wj));
+            }
+        }
+        let Some((enter, _)) = best else {
+            return Ok(x); // KKT satisfied.
+        };
+        passive[enter] = true;
+        solve_passive(&passive, &mut z)?;
+        if z[enter] <= 0.0 {
+            passive[enter] = false;
+            rejected[enter] = true;
+            continue;
+        }
+        rejected.fill(false);
+        // Inner loop: walk from x toward z, dropping the blocking
+        // coordinates, until the passive solution is strictly positive.
+        while let Some((block, alpha)) = step_to_boundary(&passive, &x, &z) {
+            for j in 0..n {
+                if passive[j] {
+                    x[j] += alpha * (z[j] - x[j]);
+                    if x[j] <= 0.0 || j == block {
+                        x[j] = 0.0;
+                        passive[j] = false;
+                    }
+                }
+            }
+            solve_passive(&passive, &mut z)?;
+        }
+        x.copy_from_slice(&z);
+    }
+}
+
+/// The largest step `α ∈ (0, 1]` from `x` toward `z` that stays feasible,
+/// with the coordinate that blocks it; `None` when `z` is strictly positive
+/// on the passive set.
+fn step_to_boundary(passive: &[bool], x: &[f64], z: &[f64]) -> Option<(usize, f64)> {
+    let mut block: Option<(usize, f64)> = None;
+    for j in 0..passive.len() {
+        if passive[j] && z[j] <= 0.0 {
+            let alpha = x[j] / (x[j] - z[j]);
+            if block.is_none_or(|(_, a)| alpha < a) {
+                block = Some((j, alpha));
+            }
+        }
+    }
+    block
 }
 
 #[cfg(test)]
@@ -318,6 +447,106 @@ mod tests {
         assert!(nnls_from_normal_equations(&ata, &[1.0, 2.0], NnlsOptions::default()).is_err());
         let ata = Matrix::identity(2);
         assert!(nnls_from_normal_equations(&ata, &[1.0], NnlsOptions::default()).is_err());
+    }
+
+    #[test]
+    fn normal_equations_rejects_non_finite_input() {
+        let opts = NnlsOptions::default();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let g = Matrix::identity(2);
+            assert!(matches!(
+                nnls_from_normal_equations(&g, &[1.0, bad], opts),
+                Err(LinalgError::InvalidArgument(_))
+            ));
+            let g = Matrix::from_rows(&[&[1.0, bad], &[bad, 1.0]]).unwrap();
+            assert!(matches!(
+                nnls_from_normal_equations(&g, &[1.0, 1.0], opts),
+                Err(LinalgError::InvalidArgument(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn normal_equations_empty_problem_gives_empty_solution() {
+        let x =
+            nnls_from_normal_equations(&Matrix::zeros(0, 0), &[], NnlsOptions::default()).unwrap();
+        assert!(x.is_empty());
+    }
+
+    #[test]
+    fn normal_equations_positive_optimum_is_one_cholesky_solve() {
+        // A preference-shaped Gram: three rank-one bins plus their diagonal.
+        let bins = [
+            [3.0, 1.0, 0.5, 2.0, 0.2],
+            [2.5, 1.5, 0.4, 1.0, 0.3],
+            [4.0, 0.8, 0.7, 2.2, 0.1],
+        ];
+        let mut g = Matrix::zeros(5, 5);
+        for a in &bins {
+            let s2: f64 = a.iter().map(|v| v * v).sum();
+            for k in 0..5 {
+                for l in 0..5 {
+                    g[(k, l)] += 0.375 * a[k] * a[l];
+                }
+                g[(k, k)] += 0.625 * s2;
+            }
+        }
+        // The last coordinate is positive but below the dual tolerance.
+        let h = g.matvec(&[0.3, 0.25, 0.2, 0.15, 1e-11]).unwrap();
+        let want = Cholesky::factor_regularized(&g, 1e-12 * g.max_abs())
+            .unwrap()
+            .solve(&h)
+            .unwrap();
+        assert!(want.iter().all(|&v| v > 0.0));
+        let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
+        assert_eq!(x, want);
+    }
+
+    #[test]
+    fn normal_equations_all_binding_gives_zero() {
+        // The unconstrained optimum (-3, 1) is partly positive, but x = 0
+        // already meets KKT: w = h ≤ 0.
+        let g = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 5.0]]).unwrap();
+        let x = nnls_from_normal_equations(&g, &[-1.0, -1.0], NnlsOptions::default()).unwrap();
+        assert_eq!(x, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn normal_equations_diagonal_gram_clips_each_coordinate() {
+        let d = [2.0, 4.0, 0.5, 1.0];
+        let h = [3.0, -1.0, 0.25, 0.0];
+        let x = nnls_from_normal_equations(&Matrix::diag(&d), &h, NnlsOptions::default()).unwrap();
+        for ((&xi, &di), &hi) in x.iter().zip(&d).zip(&h) {
+            let want = (hi / di).max(0.0);
+            assert!((xi - want).abs() <= 1e-10 * want, "{xi} vs {want}");
+        }
+    }
+
+    #[test]
+    fn normal_equations_iteration_budget_respected() {
+        // The unconstrained optimum (1, -1) binds, so one passive solve is needed.
+        let opts = NnlsOptions {
+            max_iterations: Some(0),
+            tolerance: 1e-10,
+        };
+        assert!(matches!(
+            nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -1.0], opts),
+            Err(LinalgError::NoConvergence { .. })
+        ));
+    }
+
+    #[test]
+    fn normal_equations_skips_a_coordinate_that_cannot_enter() {
+        // A negative tolerance admits w₁ = -0.5, whose passive solution is
+        // not positive: the coordinate is rejected instead of re-entering
+        // until the budget runs out.
+        let opts = NnlsOptions {
+            max_iterations: None,
+            tolerance: -1.0,
+        };
+        let x = nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -0.5], opts).unwrap();
+        assert_eq!(x[1], 0.0);
+        assert!((x[0] - 1.0).abs() < 1e-10);
     }
 
     #[test]

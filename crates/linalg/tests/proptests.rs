@@ -2,10 +2,13 @@
 //!
 //! These check the *defining axioms* of each kernel on randomized inputs:
 //! QR reconstructs and orthogonalizes, the pseudo-inverse satisfies all
-//! four Moore–Penrose conditions, NNLS satisfies KKT, and the simplex
+//! four Moore–Penrose conditions, NNLS satisfies KKT (and its Gram-native
+//! form matches the tall one), and the simplex
 //! projection lands on the simplex and is idempotent.
 
 use ic_linalg::batch::{gather_lane, scatter_lane};
+use ic_linalg::matrix::dot;
+use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::pinv::satisfies_moore_penrose;
 use ic_linalg::qr::solve;
 use ic_linalg::{
@@ -82,6 +85,64 @@ proptest! {
                 prop_assert!(wj <= 1e-5 * scale, "dual feasibility at {}: {}", j, wj);
             }
         }
+    }
+
+    #[test]
+    fn nnls_normal_equations_matches_tall_oracle(
+        cols in 1usize..6,
+        extra_rows in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        // A tall A whose last column duplicates its first: the Gram is
+        // singular and the minimizer is not unique, so the Gram-native
+        // solve is compared with the tall oracle by objective, not by x.
+        let n = cols + 1;
+        let rows = n + extra_rows;
+        let mut a = deterministic_matrix(rows, n, seed);
+        for i in 0..rows {
+            a[(i, cols)] = a[(i, 0)];
+        }
+        // b = A x_true + noise with x_true₀ ≤ -1 on the duplicated pair, so
+        // the unconstrained optimum is negative there and constraints bind.
+        let mut x_true = deterministic_matrix(n, 1, seed ^ 0x51f1).into_vec();
+        x_true.iter_mut().for_each(|v| *v /= 10.0);
+        x_true[0] = -1.0 - x_true[0].abs();
+        x_true[cols] = 0.0;
+        let noise = deterministic_matrix(rows, 1, seed ^ 0x9e37_79b9).into_vec();
+        let b: Vec<f64> = a
+            .matvec(&x_true)
+            .unwrap()
+            .iter()
+            .zip(&noise)
+            .map(|(&v, &e)| v + 0.1 * e)
+            .collect();
+        let g = a.gram();
+        let h = a.matvec_transposed(&b).unwrap();
+        let ridge = 1e-12 * g.max_abs();
+
+        let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
+        prop_assert!(x.iter().all(|&v| v >= 0.0));
+        // KKT on the ridged Gram: w = h − (G + ρI)x is zero on the support
+        // and non-positive off it.
+        let gx = g.matvec(&x).unwrap();
+        let max_abs = |v: &[f64]| v.iter().fold(0.0_f64, |m, &e| m.max(e.abs()));
+        let scale = 1.0 + g.max_abs() * (1.0 + max_abs(&x)) + max_abs(&h);
+        for j in 0..n {
+            let wj = h[j] - gx[j] - ridge * x[j];
+            if x[j] > 0.0 {
+                prop_assert!(wj.abs() <= 1e-9 * scale, "stationarity at {}: {}", j, wj);
+            } else {
+                prop_assert!(wj <= 1e-9 * scale, "dual feasibility at {}: {}", j, wj);
+            }
+        }
+        // ½xᵀGx − hᵀx = ½‖Ax − b‖² − ½‖b‖², so ‖b‖² scales its error.
+        let objective = |x: &[f64]| 0.5 * dot(x, &g.matvec(x).unwrap()) - dot(&h, x);
+        let oracle = nnls(&a, &b, NnlsOptions::default()).unwrap();
+        let (got, want) = (objective(&x), objective(&oracle));
+        prop_assert!(
+            (got - want).abs() <= 1e-9 * (1.0 + dot(&b, &b)),
+            "objective {} vs oracle {}", got, want
+        );
     }
 
     #[test]
