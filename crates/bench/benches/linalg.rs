@@ -59,6 +59,11 @@ fn bench_cholesky(c: &mut Criterion) {
     c.bench_function("cholesky_solve_110", |bench| {
         bench.iter(|| black_box(chol.solve(&rhs).unwrap()))
     });
+    // 224 = the stacked rows of a 50-node tenant's tomogravity solve.
+    let a = spd(224, 4);
+    c.bench_function("cholesky_factor_224", |bench| {
+        bench.iter(|| black_box(Cholesky::factor(&a).unwrap()))
+    });
 }
 
 fn bench_svd_pinv(c: &mut Criterion) {

@@ -129,6 +129,24 @@ impl StableFpPrior {
     }
 }
 
+/// `QΦ = [H; G]·Φ` without forming the `n × n²` incidence matrices: row
+/// `i` sums Φ's rows `(i, j)` and row `n + i` its rows `(j, i)`, for `j`
+/// ascending. Those are the rows, in the order, that `matmul` adds for the
+/// dense product, so the bits are the same.
+fn marginal_image(phi: &Matrix, n: usize) -> Matrix {
+    let mut qphi = Matrix::zeros(2 * n, n);
+    for i in 0..n {
+        for j in 0..n {
+            for (dst, src) in [(i, i * n + j), (n + i, j * n + i)] {
+                for (o, &v) in qphi.row_mut(dst).iter_mut().zip(phi.row(src)) {
+                    *o += v;
+                }
+            }
+        }
+    }
+    qphi
+}
+
 impl TmPrior for StableFpPrior {
     fn name(&self) -> &str {
         "ic-stable-fp"
@@ -157,12 +175,7 @@ impl TmPrior for StableFpPrior {
         }
         let p: Vec<f64> = self.preference.iter().map(|&v| v / mass).collect();
         let phi = self.phi(&p);
-        // Q Φ stacks the ingress and egress images of Φ.
-        let h = ic_topology::ingress_incidence(n);
-        let g = ic_topology::egress_incidence(n);
-        let q = h.vstack(&g).map_err(EstimationError::from)?;
-        let qphi = q.matmul(&phi).map_err(EstimationError::from)?;
-        let pinv = pseudo_inverse(&qphi, None).map_err(EstimationError::from)?;
+        let pinv = pseudo_inverse(&marginal_image(&phi, n), None).map_err(EstimationError::from)?;
 
         let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
         for t in 0..obs.bins() {
@@ -401,6 +414,35 @@ mod tests {
         }
         .prior_series(&obs)
         .is_err());
+    }
+
+    #[test]
+    fn marginal_image_is_bit_identical_to_the_dense_incidence_product() {
+        // Splitmix-style draws in (0, 1].
+        let draw = |k: u64| {
+            let z = (k + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for n in [2, 5, 22, 23, 50] {
+            let q = ic_topology::ingress_incidence(n)
+                .vstack(&ic_topology::egress_incidence(n))
+                .unwrap();
+            let mut p: Vec<f64> = (0..n as u64).map(|k| draw(k + 100)).collect();
+            p[n / 2] = 0.0;
+            let mass: f64 = p.iter().sum();
+            let p: Vec<f64> = p.iter().map(|&v| v / mass).collect();
+            for f in [0.0, 0.5, 1.0, draw(n as u64)] {
+                let phi = StableFpPrior {
+                    f,
+                    preference: p.clone(),
+                }
+                .phi(&p);
+                let want = q.matmul(&phi).unwrap();
+                assert_eq!(bits(&marginal_image(&phi, n)), bits(&want), "n {n} f {f}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! one normal-equations matrix `MᵀM` across all 2016 bins of a week; we
 //! factor it once with [`Cholesky`] and back-substitute per bin, which is
 //! what makes whole-week fits cheap.
+//!
+//! The factorization is right-looking, in panels of four columns, but every
+//! entry of `L` still goes through the textbook order of operations:
+//! `l_ij = (a_ij − l_i0·l_j0 − l_i1·l_j1 − …) / l_jj` (or its square root on
+//! the diagonal), with `k` ascending, one rounded product and one rounded
+//! subtraction per term, and no fused multiply-add. That order is why `L`,
+//! and every dense result built on it, is bit-identical to the one-entry-
+//! at-a-time dot-product kernel it replaced, which the `ic-linalg`
+//! proptests keep as their oracle.
 
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
@@ -46,17 +55,9 @@ impl Cholesky {
     /// Used to regularize nearly-singular normal equations (e.g. a
     /// preference solve when one node carries no traffic).
     pub fn factor_regularized(a: &Matrix, ridge: f64) -> Result<Self> {
-        if ridge < 0.0 {
-            return Err(LinalgError::InvalidArgument(
-                "cholesky: ridge must be non-negative",
-            ));
-        }
-        let mut work = a.clone();
-        let n = work.rows().min(work.cols());
-        for i in 0..n {
-            work[(i, i)] += ridge;
-        }
-        Cholesky::factor(&work)
+        let mut ws = CholeskyWorkspace::new();
+        ws.factor_regularized(a, ridge)?;
+        Ok(Cholesky { l: ws.l })
     }
 
     /// Solves `A x = b` via forward + back substitution.
@@ -124,30 +125,76 @@ fn validate_square(a: &Matrix) -> Result<()> {
     Ok(())
 }
 
+/// Columns per panel of [`factor_in_place`], whose trailing update is
+/// written out for four.
+const PANEL: usize = 4;
+
 /// In-place lower-triangular factorization: on entry `l` holds `A` (only
 /// the lower triangle is read), on success it holds `L` with a zeroed
 /// upper triangle.
+///
+/// Right-looking, one panel of [`PANEL`] columns at a time: factor the
+/// panel (pivots, square roots, divisions and the updates between its own
+/// columns) while staging its columns transposed in the panel rows' upper
+/// triangle, then subtract the panel's products from every trailing lower
+/// entry. Each trailing entry is loaded and stored once per panel, and the
+/// inner loop runs over contiguous slices with no loop-carried dependency.
+///
+/// The order invariant: entry `(i, j)` starts at `a_ij`, subtracts the
+/// rounded products `l_ik·l_jk` one at a time for `k = 0, 1, …, j − 1`,
+/// and then is divided by `l_jj` (or square-rooted on the diagonal). That
+/// is exactly the order of the row-by-row dot-product kernel, so `L` is
+/// bit-identical to it, pivots are computed in the same order and a
+/// factorization fails at the same pivot.
 fn factor_in_place(l: &mut Matrix) -> Result<()> {
     let n = l.rows();
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = l[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            if i == j {
-                if s <= 0.0 || !s.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite);
+    let a = l.as_mut_slice();
+    for p in (0..n).step_by(PANEL) {
+        let pe = (p + PANEL).min(n);
+        // The panel's columns, row by row: the updates from k < p arrived
+        // with the earlier panels, those from this panel's columns come
+        // here. `l_ij` is also staged at `(j, i)`, in row `j`'s upper
+        // triangle.
+        for i in p..n {
+            for j in p..pe.min(i + 1) {
+                let mut s = a[i * n + j];
+                for k in p..j {
+                    s -= a[i * n + k] * a[j * n + k];
                 }
-                l[(i, i)] = s.sqrt();
-            } else {
-                l[(i, j)] = s / l[(j, j)];
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite);
+                    }
+                    a[i * n + i] = s.sqrt();
+                } else {
+                    a[i * n + j] = s / a[j * n + j];
+                    a[j * n + i] = a[i * n + j];
+                }
             }
         }
-        // Zero the stale upper-triangle entries of this row so `L` is a
-        // proper lower-triangular matrix for consumers of [`Cholesky::l`].
-        for j in (i + 1)..n {
-            l[(i, j)] = 0.0;
+        // Trailing update of columns `pe..=i` of each row `i`. A panel that
+        // ends before `n` is a full one.
+        if pe < n {
+            let (head, tail) = a.split_at_mut(pe * n);
+            let staged = |k: usize| &head[(p + k) * n + pe..(p + k + 1) * n];
+            let (t0, t1, t2, t3) = (staged(0), staged(1), staged(2), staged(3));
+            for (m, row) in tail.chunks_exact_mut(n).enumerate() {
+                let (done, rest) = row.split_at_mut(pe);
+                let (l0, l1, l2, l3) = (done[p], done[p + 1], done[p + 2], done[p + 3]);
+                for ((((x, &u0), &u1), &u2), &u3) in rest[..=m]
+                    .iter_mut()
+                    .zip(&t0[..=m])
+                    .zip(&t1[..=m])
+                    .zip(&t2[..=m])
+                    .zip(&t3[..=m])
+                {
+                    *x = *x - l0 * u0 - l1 * u1 - l2 * u2 - l3 * u3;
+                }
+            }
+        }
+        // The staged columns, and any input above the diagonal, are done.
+        for i in p..pe {
+            a[i * n + i + 1..(i + 1) * n].fill(0.0);
         }
     }
     Ok(())
@@ -228,7 +275,7 @@ impl CholeskyWorkspace {
 
     /// Factors `a + ridge·I` into the reusable buffer.
     ///
-    /// Numerically identical to [`Cholesky::factor_regularized`]. On
+    /// [`Cholesky::factor_regularized`] is this on a fresh workspace. On
     /// failure the workspace is left unfactored and subsequent solves
     /// error until the next successful factorization.
     pub fn factor_regularized(&mut self, a: &Matrix, ridge: f64) -> Result<()> {

@@ -45,7 +45,10 @@ impl Default for NnlsOptions {
 /// Returns the optimal `x`. The active-set method maintains a passive set
 /// `P` of coordinates allowed to be positive; at each step it solves the
 /// unconstrained least-squares problem restricted to `P` and walks toward
-/// it while keeping feasibility.
+/// it while keeping feasibility. A coordinate enters `P` only if its
+/// passive solution comes out above `tolerance` and `P` stays within the
+/// `m` rows (the classic Lawson–Hanson entry test); one that fails is
+/// skipped until `x` next moves.
 ///
 /// # Examples
 ///
@@ -75,6 +78,9 @@ pub fn nnls(a: &Matrix, b: &[f64], options: NnlsOptions) -> Result<Vec<f64>> {
 
     let mut x = vec![0.0; n];
     let mut passive = vec![false; n];
+    // Coordinates whose dual was positive but that could not enter: their
+    // dual is rounding noise, so they are skipped until `x` next moves.
+    let mut rejected = vec![false; n];
     // Dual vector w = Aᵀ (b − A x); at the solution w ≤ 0 on the active set.
     let mut iterations = 0usize;
     loop {
@@ -88,7 +94,7 @@ pub fn nnls(a: &Matrix, b: &[f64], options: NnlsOptions) -> Result<Vec<f64>> {
         // Pick the most violating active coordinate.
         let mut best: Option<(usize, f64)> = None;
         for j in 0..n {
-            if !passive[j] && w[j] > tol {
+            if !passive[j] && !rejected[j] && w[j] > tol {
                 match best {
                     Some((_, wv)) if wv >= w[j] => {}
                     _ => best = Some((j, w[j])),
@@ -98,7 +104,15 @@ pub fn nnls(a: &Matrix, b: &[f64], options: NnlsOptions) -> Result<Vec<f64>> {
         let Some((enter, _)) = best else {
             return Ok(x); // KKT satisfied.
         };
+        // The classic Lawson–Hanson entry test: a passive set of `m`
+        // columns already fits `b`, and an entering coordinate must come
+        // out of the passive solve above `tol`.
+        if passive.iter().filter(|&&p| p).count() >= m {
+            rejected[enter] = true;
+            continue;
+        }
         passive[enter] = true;
+        let mut entering = true;
 
         // Inner loop: solve restricted LS, backtrack while infeasible.
         loop {
@@ -111,6 +125,15 @@ pub fn nnls(a: &Matrix, b: &[f64], options: NnlsOptions) -> Result<Vec<f64>> {
             }
             let idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
             let z = solve_subproblem(a, b, &idx)?;
+            if entering {
+                entering = false;
+                if idx.iter().zip(&z).any(|(&j, &zj)| j == enter && zj <= tol) {
+                    passive[enter] = false;
+                    rejected[enter] = true;
+                    break;
+                }
+                rejected.fill(false);
+            }
             if z.iter().all(|&v| v > tol) {
                 // Fully feasible step.
                 x.fill(0.0);
@@ -547,6 +570,25 @@ mod tests {
         let x = nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -0.5], opts).unwrap();
         assert_eq!(x[1], 0.0);
         assert!((x[0] - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn passive_set_never_outgrows_the_rows() {
+        // Two rows, three columns, the outer two nearly anti-parallel: they
+        // fit b exactly, so the middle column's positive dual is rounding
+        // noise. Letting it enter asked QR for a 2×3 solve and errored.
+        let a = Matrix::from_rows(&[
+            &[4.501861885588225, 4.5118244280339415, -6.687706201219219],
+            &[-4.580856575819992, -1.586803576827819, 6.804062744785252],
+        ])
+        .unwrap();
+        let b = [-8.260877088492352, -8.616124700481201];
+        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
+        assert!(x[0] > 0.0 && x[2] > 0.0);
+        assert_eq!(x[1], 0.0);
+        for (axi, bi) in a.matvec(&x).unwrap().iter().zip(&b) {
+            assert!((axi - bi).abs() <= 1e-9 * bi.abs(), "{axi} vs {bi}");
+        }
     }
 
     #[test]

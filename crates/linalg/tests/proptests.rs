@@ -3,8 +3,9 @@
 //! These check the *defining axioms* of each kernel on randomized inputs:
 //! QR reconstructs and orthogonalizes, the pseudo-inverse satisfies all
 //! four Moore–Penrose conditions, NNLS satisfies KKT (and its Gram-native
-//! form matches the tall one), and the simplex
-//! projection lands on the simplex and is idempotent.
+//! form matches the tall one), the simplex projection lands on the simplex
+//! and is idempotent, and the panelled Cholesky is bit-identical to the
+//! dot-product kernel it replaced.
 
 use ic_linalg::batch::{gather_lane, scatter_lane};
 use ic_linalg::matrix::dot;
@@ -12,9 +13,9 @@ use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::pinv::satisfies_moore_penrose;
 use ic_linalg::qr::solve;
 use ic_linalg::{
-    nnls, project_to_simplex, pseudo_inverse, BlockJacobiPreconditioner, Cholesky, Matrix,
-    NnlsOptions, NormalSolver, PcgBatchWorkspace, PcgNormalSolver, PcgWorkspace, Qr, SolveStats,
-    SparseMatrix, Svd,
+    nnls, project_to_simplex, pseudo_inverse, BlockJacobiPreconditioner, Cholesky,
+    CholeskyWorkspace, LinalgError, Matrix, NnlsOptions, NormalSolver, PcgBatchWorkspace,
+    PcgNormalSolver, PcgWorkspace, Qr, Result, SolveStats, SparseMatrix, Svd,
 };
 use proptest::prelude::*;
 
@@ -590,6 +591,88 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Cholesky::factor` + `solve` and `CholeskyWorkspace::factor_regularized`
+    /// + `solve_into` give the bits of the dot-product kernel, and accept or
+    /// reject the same inputs, for every `n mod 4` and input kind. The upper
+    /// triangle holds garbage, which both kernels must ignore.
+    #[test]
+    fn cholesky_is_bit_identical_to_dot_product_oracle(
+        n in 1usize..71,
+        kind in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let at = |k: u64| (seed ^ k) as usize % n;
+        // A Gram of `rank` random rows: SPD when `rank >= n`.
+        let gram = |rank: usize| deterministic_matrix(rank, n, seed).gram();
+        let (mut a, ridge) = match kind {
+            // SPD.
+            0 => (gram(n + 2), 0.0),
+            // Rank-deficient, with and without the library's relative ridge.
+            1 => {
+                let g = gram(n.div_ceil(2));
+                let ridge = 1e-12 * g.max_abs();
+                (g, ridge)
+            }
+            2 => (gram(n.div_ceil(2)), 0.0),
+            // Indefinite from a random pivot on.
+            3 => {
+                let mut g = gram(n + 2);
+                let m = at(0x3);
+                g[(m, m)] = -g[(m, m)];
+                (g, 0.0)
+            }
+            // NaN or ±∞ at a random lower-triangle entry.
+            _ => {
+                let mut g = gram(n + 2);
+                let (i, j) = (at(0x1), at(0x2));
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][seed as usize % 3];
+                g[(i.max(j), i.min(j))] = bad;
+                (g, 0.0)
+            }
+        };
+        let garbage = deterministic_matrix(n, n, seed ^ 0x6a5b);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                a[(i, j)] = if (i + j) % 7 == 0 { f64::NAN } else { garbage[(i, j)] };
+            }
+        }
+        let b = deterministic_matrix(n, 1, seed ^ 0xb).into_vec();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut want = a.clone();
+        let want_ok = factor_in_place(&mut want).is_ok();
+        let got = Cholesky::factor(&a);
+        prop_assert_eq!(got.is_ok(), want_ok, "n {} kind {}", n, kind);
+        if let Ok(ch) = got {
+            prop_assert_eq!(bits(ch.l().as_slice()), bits(want.as_slice()));
+            let mut x = vec![0.0; n];
+            solve_with_factor(&want, &b, &mut x).unwrap();
+            prop_assert_eq!(bits(&ch.solve(&b).unwrap()), bits(&x));
+        }
+
+        let mut want = a.clone();
+        for i in 0..n {
+            want[(i, i)] += ridge;
+        }
+        let want_ok = factor_in_place(&mut want).is_ok();
+        let mut ws = CholeskyWorkspace::new();
+        prop_assert_eq!(ws.factor_regularized(&a, ridge).is_ok(), want_ok);
+        let one_shot = Cholesky::factor_regularized(&a, ridge);
+        prop_assert_eq!(one_shot.is_ok(), want_ok);
+        if want_ok {
+            let mut x = vec![0.0; n];
+            solve_with_factor(&want, &b, &mut x).unwrap();
+            let mut got = vec![0.0; n];
+            ws.solve_into(&b, &mut got).unwrap();
+            prop_assert_eq!(bits(&got), bits(&x));
+            prop_assert_eq!(bits(one_shot.unwrap().l().as_slice()), bits(want.as_slice()));
+        }
+    }
+}
+
 /// Deterministic pseudo-random matrix from a seed (splitmix64), so proptest
 /// shrinking stays meaningful.
 fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -657,4 +740,63 @@ fn deterministic_sparse_dense(rows: usize, cols: usize, seed: u64) -> Matrix {
         }
     }
     m
+}
+
+/// The dot-product Cholesky kernel the library used before its panelled
+/// right-looking rewrite, kept verbatim as the bit-identity oracle: one
+/// serial accumulator per entry of `L`.
+fn factor_in_place(l: &mut Matrix) -> Result<()> {
+    let n = l.rows();
+    for i in 0..n {
+        for j in 0..=i {
+            let mut s = l[(i, j)];
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if s <= 0.0 || !s.is_finite() {
+                    return Err(LinalgError::NotPositiveDefinite);
+                }
+                l[(i, i)] = s.sqrt();
+            } else {
+                l[(i, j)] = s / l[(j, j)];
+            }
+        }
+        // Zero the stale upper-triangle entries of this row so `L` is a
+        // proper lower-triangular matrix for consumers of [`Cholesky::l`].
+        for j in (i + 1)..n {
+            l[(i, j)] = 0.0;
+        }
+    }
+    Ok(())
+}
+
+/// The library's forward + back substitution, verbatim, run on the
+/// oracle's factor.
+fn solve_with_factor(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
+    let n = l.rows();
+    if b.len() != n || x.len() != n {
+        return Err(LinalgError::ShapeMismatch {
+            op: "cholesky_solve",
+            lhs: (n, n),
+            rhs: (b.len(), 1),
+        });
+    }
+    // Forward: L y = b.
+    for i in 0..n {
+        let mut s = b[i];
+        for j in 0..i {
+            s -= l[(i, j)] * x[j];
+        }
+        x[i] = s / l[(i, i)];
+    }
+    // Back: Lᵀ x = y.
+    for i in (0..n).rev() {
+        let mut s = x[i];
+        for j in (i + 1)..n {
+            s -= l[(j, i)] * x[j];
+        }
+        x[i] = s / l[(i, i)];
+    }
+    Ok(())
 }
