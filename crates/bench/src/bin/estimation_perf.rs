@@ -29,11 +29,6 @@
 //! always measured and gated; solver counters (PCG iterations, stalls,
 //! Cholesky→pseudo-inverse fallbacks) are logged per size.
 //!
-//! `--batch B1,B2,...` sweeps the batched SoA pipeline at each width:
-//! every width is asserted bit-identical to the serial per-bin estimate,
-//! then timed, and the per-width throughput is emitted as
-//! `bins_per_sec_batch{B}` (the `B ∈ {1, 16}` keys are perf-gated).
-//!
 //! `--mode flat|multilevel|both` selects the decomposition paths under
 //! test (default `both`). `both` augments every size with the
 //! partition-aware multilevel solve (coarse quotient + per-cluster
@@ -51,16 +46,16 @@
 //!
 //! Usage: `estimation_perf [--scale smoke|full] [--sizes 50,100,200]
 //! [--bins N] [--dense-max N] [--threads N] [--shard-bins N]
-//! [--solver auto|dense|pcg] [--batch 1,4,16]
-//! [--mode flat|multilevel|both] [--flat-max N] [--out PATH]`.
+//! [--solver auto|dense|pcg] [--mode flat|multilevel|both]
+//! [--flat-max N] [--out PATH]`.
 
 use ic_bench::{arg_value, json_f, out_path, Scale};
 use ic_core::{generate_synthetic, mean_rel_l2, SynthConfig, TmSeries};
 use ic_engine::{default_threads, Engine, WorkspacePool};
 use ic_estimation::{
     EstimationConfig, EstimationPipeline, GravityPrior, MultilevelPipeline, ObservationModel,
-    Observations, PipelineBatchWorkspace, PipelineMetrics, PipelineWorkspace, SolveStats,
-    SolverPolicy, TmPrior, Tomogravity, TomogravityOptions, TomogravityWorkspace,
+    Observations, PipelineMetrics, PipelineWorkspace, SolveStats, SolverPolicy, TmPrior,
+    Tomogravity, TomogravityOptions, TomogravityWorkspace,
 };
 use ic_linalg::Matrix;
 use ic_obs::{MetricsRegistry, Span};
@@ -143,10 +138,6 @@ struct SizeResult {
     /// into a registry histogram. Must stay 0: metric recording is
     /// clock reads and relaxed atomics only.
     instrumented_allocs_per_bin_warm: u64,
-    /// Batched SoA pipeline throughput per batch width `B`, as
-    /// `(B, bins_per_sec)`. Every width is asserted bit-identical to the
-    /// serial per-bin estimate before it is timed.
-    batch_sweep: Vec<(usize, f64)>,
     /// Multilevel solve on the same observations (`--mode both`): timing
     /// plus the truth-relative errors of both paths, asserted within
     /// `ML_ERR_MARGIN` before the timing ran.
@@ -181,19 +172,6 @@ fn parse_solver(spec: &str) -> SolverPolicy {
         "pcg" => SolverPolicy::Pcg,
         other => panic!("--solver {other:?} is not one of auto|dense|pcg"),
     }
-}
-
-fn parse_batch(spec: &str) -> Vec<usize> {
-    let widths: Vec<usize> = spec
-        .split(',')
-        .filter_map(|s| s.trim().parse::<usize>().ok())
-        .filter(|&b| b >= 1)
-        .collect();
-    assert!(
-        !widths.is_empty(),
-        "--batch {spec:?} contains no valid width (comma-separated integers >= 1)"
-    );
-    widths
 }
 
 /// Which decomposition paths a run exercises.
@@ -516,7 +494,6 @@ fn bench_size(
     dense_max: usize,
     engine: Engine,
     policy: SolverPolicy,
-    batch_widths: &[usize],
     with_multilevel: bool,
 ) -> SizeResult {
     // Hierarchical topology: nodes/10 backbones with 9 PoPs each, so the
@@ -744,53 +721,6 @@ fn bench_size(
     );
     let instrumented_pipeline_secs_per_bin = instrumented_secs / bins as f64;
 
-    // Batched SoA sweep: the same pipeline with batch width B folds up to
-    // B bins into each CSR kernel pass (shards become batches). Every
-    // width is warmed through a reusable batch-workspace pool, asserted
-    // bit-identical to the serial per-bin estimate (f64 compute), then
-    // timed; `bins_per_sec_batch{1,16}` feed the CI perf gate.
-    let mut batch_sweep = Vec::new();
-    for &width in batch_widths {
-        let batched = pipeline.clone().config(
-            EstimationConfig::new()
-                .with_solver(policy)
-                .with_batch_width(width),
-        );
-        let secs = if width > 1 {
-            let batch_pool: WorkspacePool<PipelineBatchWorkspace> = WorkspacePool::new();
-            let batched_est = batched
-                .estimate_batch_parallel_pooled(&GravityPrior, &obs, &engine, &batch_pool)
-                .expect("batched warm-up");
-            assert_eq!(
-                batched_est, serial_est,
-                "batched estimate (B={width}) must be bit-identical to serial at {n} nodes"
-            );
-            time_min(
-                || {
-                    batched
-                        .estimate_batch_parallel_pooled(&GravityPrior, &obs, &engine, &batch_pool)
-                        .expect("batched estimate");
-                },
-                0.5,
-                200,
-            )
-        } else {
-            // Width 1 is the per-bin path by construction; time it through
-            // the same parallel entry point so the sweep's B=1 row is the
-            // exact baseline the wider rows are compared against.
-            time_min(
-                || {
-                    batched
-                        .estimate_parallel_pooled(&GravityPrior, &obs, &engine, &pool)
-                        .expect("per-bin estimate");
-                },
-                0.5,
-                200,
-            )
-        };
-        batch_sweep.push((width, bins as f64 / secs));
-    }
-
     // Multilevel solve on the same observations: accuracy vs truth is
     // asserted against the flat pipeline's accuracy before the timing,
     // so a broken decomposition can never post a (meaningless) time.
@@ -856,7 +786,6 @@ fn bench_size(
         solve_stats,
         instrumented_pipeline_secs_per_bin,
         instrumented_allocs_per_bin_warm,
-        batch_sweep,
         multilevel,
     }
 }
@@ -885,7 +814,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
     let solver = arg_value("--solver").map_or(SolverPolicy::Auto, |s| parse_solver(&s));
-    let batch_widths = arg_value("--batch").map_or_else(|| vec![1, 4, 16], |s| parse_batch(&s));
     let mode = arg_value("--mode").map_or(Mode::Both, |s| parse_mode(&s));
     let flat_max: usize = arg_value("--flat-max")
         .and_then(|s| s.parse().ok())
@@ -907,7 +835,7 @@ fn main() {
     }
     println!(
         "# estimation_perf ({scale:?}): sizes {sizes:?}, {bins} bins, dense-max {dense_max}, \
-         solver {solver:?}, batch {batch_widths:?}, {} threads x {}-bin shards \
+         solver {solver:?}, {} threads x {}-bin shards \
          ({} cpus available)",
         engine.threads(),
         engine.shard_bins(),
@@ -918,15 +846,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for &size in &sizes {
-        let r = bench_size(
-            size,
-            bins,
-            dense_max,
-            engine,
-            solver,
-            &batch_widths,
-            mode == Mode::Both,
-        );
+        let r = bench_size(size, bins, dense_max, engine, solver, mode == Mode::Both);
         println!(
             "{}\t{}\t{}\t{:.5}\t{:.5}\t{}\t{}\t{:.5}\t{:.5}\t{:.2}x\t{}",
             r.nodes,
@@ -985,17 +905,6 @@ fn main() {
             "instrumented warm refine sweep allocated at {} nodes",
             r.nodes
         );
-        // Batched throughput sweep, relative to the B=1 per-bin row. On a
-        // 1-CPU runner the kernel-level batching gain is the whole story;
-        // the multi-core gain shows up in the nightly sweep.
-        let base = r.batch_sweep.first().map_or(0.0, |&(_, bps)| bps);
-        for &(width, bps) in &r.batch_sweep {
-            println!(
-                "#   batch @ {} nodes: B={width} -> {bps:.1} bins/s ({:.2}x vs B=1)",
-                r.nodes,
-                if base > 0.0 { bps / base } else { f64::NAN },
-            );
-        }
         if let Some(ml) = &r.multilevel {
             println!(
                 "#   multilevel @ {} nodes: {} clusters ({:.1}% boundary links), \
@@ -1031,13 +940,6 @@ fn main() {
     let entries: Vec<String> = results
         .iter()
         .map(|r| {
-            // One flat key per swept width so the perf gate's exact-key
-            // extraction can track each width independently.
-            let batch_json: String = r
-                .batch_sweep
-                .iter()
-                .map(|&(w, bps)| format!(",\"bins_per_sec_batch{w}\":{}", json_f(bps)))
-                .collect();
             let ml_json = r.multilevel.as_ref().map_or_else(String::new, |ml| {
                 format!(
                     ",\"multilevel_secs_per_bin\":{},\"multilevel_clusters\":{},\
@@ -1059,7 +961,7 @@ fn main() {
                  \"parallel_pipeline_secs_per_bin\":{},\"parallel_speedup\":{},\
                  \"allocs_per_bin_warm\":{},\
                  \"instrumented_pipeline_secs_per_bin\":{},\
-                 \"instrumented_allocs_per_bin_warm\":{}{}{}}}",
+                 \"instrumented_allocs_per_bin_warm\":{}{}}}",
                 r.nodes,
                 r.links,
                 r.nnz,
@@ -1081,7 +983,6 @@ fn main() {
                 r.allocs_per_bin_warm,
                 json_f(r.instrumented_pipeline_secs_per_bin),
                 r.instrumented_allocs_per_bin_warm,
-                batch_json,
                 ml_json,
             )
         })

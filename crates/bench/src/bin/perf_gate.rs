@@ -14,8 +14,6 @@
 //!   `instrumented_allocs_per_bin_warm` ↓ (the `ic-obs`-instrumented
 //!   pipeline and warm refine sweep; a 0-alloc baseline means any
 //!   instrumentation-added allocation fails the gate), and
-//!   `bins_per_sec_batch1` / `bins_per_sec_batch16` ↑ (batched SoA
-//!   pipeline throughput at B=1 and B=16), and
 //!   `multilevel_secs_per_bin` ↓ (the partition-aware multilevel solve
 //!   the default `--mode both` piggybacks on every size) — compared
 //!   positionally per topology size.
@@ -58,11 +56,6 @@ const METRICS: &[(&str, Direction)] = &[
         Direction::LowerIsBetter,
     ),
     ("instrumented_allocs_per_bin_warm", Direction::LowerIsBetter),
-    // Batched SoA pipeline throughput at the per-bin baseline width and
-    // at a representative wide batch (key extraction is exact, so
-    // `batch1` never aliases `batch16`).
-    ("bins_per_sec_batch1", Direction::HigherIsBetter),
-    ("bins_per_sec_batch16", Direction::HigherIsBetter),
     // Partition-aware multilevel solve on the same observations
     // (`--mode both`, the smoke default).
     ("multilevel_secs_per_bin", Direction::LowerIsBetter),

@@ -214,18 +214,6 @@ impl<M> FitReport<M> {
     }
 }
 
-/// Result of a stable-fP fit (Eq. 5 parameters).
-#[deprecated(note = "use `FitReport<StableFpParams>`")]
-pub type FitResult = FitReport<StableFpParams>;
-
-/// Result of a stable-f fit (Eq. 4 parameters).
-#[deprecated(note = "use `FitReport<StableFParams>`")]
-pub type StableFFitResult = FitReport<StableFParams>;
-
-/// Result of a time-varying fit (Eq. 3 parameters).
-#[deprecated(note = "use `FitReport<TimeVaryingParams>`")]
-pub type TimeVaryingFitResult = FitReport<TimeVaryingParams>;
-
 /// Builds the two-term Gram matrix `(c1·s2)·I + c2·v·vᵀ` of the
 /// activity/preference subproblems into a reusable buffer, with
 /// `c1 = f² + (1−f)²`, `c2 = 2f(1−f)`, `s2 = ‖v‖²`.

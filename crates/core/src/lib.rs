@@ -54,8 +54,6 @@ pub use example::{figure2_example, Figure2Result};
 pub use fit::{
     fit_stable_f, fit_stable_fp, fit_time_varying, FitOptions, FitReport, Objective, WarmStart,
 };
-#[allow(deprecated)]
-pub use fit::{FitResult, StableFFitResult, TimeVaryingFitResult};
 pub use gravity::{gravity_from_marginals, gravity_predict};
 pub use ic_model::{Fit, IcModel};
 pub use model::{

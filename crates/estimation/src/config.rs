@@ -4,17 +4,16 @@
 //! to be repeated across [`EstimationPipeline`](crate::EstimationPipeline),
 //! the streaming estimator, and the scenario builder into one value:
 //! step options (fit, tomogravity, IPF), the cross-cutting solver policy,
-//! the batched-execution knobs (batch width, compute precision), and the
-//! optional stage-metrics handle. Every consumer accepts it through a
-//! single `.config(..)` call; the old per-option setters survive as thin
-//! `#[deprecated]` forwarders.
+//! the network decomposition, and the optional stage-metrics handle. Every
+//! consumer accepts it through a single `.config(..)` call, its only
+//! configuration entry point.
 
 use crate::ipf::IpfOptions;
 use crate::multilevel::DecompositionPolicy;
 use crate::pipeline::PipelineMetrics;
 use crate::tomogravity::TomogravityOptions;
 use ic_core::FitOptions;
-use ic_linalg::{BatchOptions, Precision, SolverPolicy};
+use ic_linalg::SolverPolicy;
 use std::sync::Arc;
 
 /// One configuration value for the whole estimation stack.
@@ -37,8 +36,6 @@ pub struct EstimationConfig {
     pub tomogravity: TomogravityOptions,
     /// IPF options (step 3).
     pub ipf: IpfOptions,
-    /// Batched multi-bin execution: batch width and compute precision.
-    pub batch: BatchOptions,
     /// Network decomposition: [`DecompositionPolicy::Flat`] (the default)
     /// runs the classic whole-network pipeline untouched;
     /// [`DecompositionPolicy::Multilevel`] opts size-aware consumers
@@ -52,8 +49,8 @@ pub struct EstimationConfig {
 }
 
 impl EstimationConfig {
-    /// A default configuration: default step options, batch width 1,
-    /// `f64` compute, no metrics.
+    /// A default configuration: default step options, the `Auto` solver
+    /// policy, flat decomposition, no metrics.
     pub fn new() -> Self {
         EstimationConfig::default()
     }
@@ -85,25 +82,6 @@ impl EstimationConfig {
         self
     }
 
-    /// Replaces the batched-execution options wholesale.
-    pub fn with_batch(mut self, batch: BatchOptions) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the multi-bin batch width (clamped to at least 1). Width 1 is
-    /// the classic per-bin path; wider batches run the SoA kernels.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch = self.batch.with_width(width);
-        self
-    }
-
-    /// Selects the batched-kernel compute precision.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.batch = self.batch.with_precision(precision);
-        self
-    }
-
     /// Selects the network decomposition policy.
     pub fn with_decomposition(mut self, decomposition: DecompositionPolicy) -> Self {
         self.decomposition = decomposition;
@@ -115,16 +93,6 @@ impl EstimationConfig {
         self.metrics = Some(metrics);
         self
     }
-
-    /// The configured batch width.
-    pub fn batch_width(&self) -> usize {
-        self.batch.width()
-    }
-
-    /// The configured compute precision.
-    pub fn precision(&self) -> Precision {
-        self.batch.precision()
-    }
 }
 
 #[cfg(test)]
@@ -135,8 +103,6 @@ mod tests {
     #[test]
     fn defaults_are_the_classic_per_bin_path() {
         let c = EstimationConfig::new();
-        assert_eq!(c.batch_width(), 1);
-        assert_eq!(c.precision(), Precision::F64);
         assert!(c.metrics.is_none());
         assert_eq!(c.tomogravity, TomogravityOptions::default());
         assert_eq!(c.ipf, IpfOptions::default());
@@ -171,16 +137,10 @@ mod tests {
             .with_fit(FitOptions::default().with_max_sweeps(7))
             .with_tomogravity(TomogravityOptions::default().with_ridge(1e-8))
             .with_ipf(IpfOptions::default().with_max_iterations(5))
-            .with_batch_width(16)
-            .with_precision(Precision::F32)
             .with_metrics(metrics);
         assert_eq!(c.fit.max_sweeps, 7);
         assert_eq!(c.tomogravity.ridge, 1e-8);
         assert_eq!(c.ipf.max_iterations, 5);
-        assert_eq!(c.batch_width(), 16);
-        assert_eq!(c.precision(), Precision::F32);
         assert!(c.metrics.is_some());
-        let c = c.with_batch(BatchOptions::new().with_width(0));
-        assert_eq!(c.batch_width(), 1, "width clamps to >= 1");
     }
 }

@@ -42,17 +42,15 @@ pub use multilevel::{
 };
 pub use observe::{ObservationModel, Observations};
 pub use pipeline::{
-    compare_priors, compare_priors_with, ComparisonResult, EstimationPipeline,
-    PipelineBatchWorkspace, PipelineMetrics, PipelineWorkspace,
+    compare_priors, compare_priors_with, ComparisonResult, EstimationPipeline, PipelineMetrics,
+    PipelineWorkspace,
 };
 pub use prior::{GravityPrior, MeasuredIcPrior, StableFPrior, StableFpPrior, TmPrior};
-pub use tomogravity::{
-    Tomogravity, TomogravityBatchWorkspace, TomogravityOptions, TomogravityWorkspace,
-};
+pub use tomogravity::{Tomogravity, TomogravityOptions, TomogravityWorkspace};
 
-// Re-exported so downstream crates can pick a solver or batched-execution
-// mode without depending on ic-linalg directly.
-pub use ic_linalg::{BatchOptions, Precision, SolveStats, SolverPolicy};
+// Re-exported so downstream crates can pick a solver without depending on
+// ic-linalg directly.
+pub use ic_linalg::{SolveStats, SolverPolicy};
 
 // Send/Sync audit for the parallel execution engine: the pipeline, its
 // inputs, and every reusable workspace cross `ic-engine` worker
@@ -65,9 +63,7 @@ const _: () = {
     _assert_send_sync::<EstimationPipeline>();
     _assert_send_sync::<EstimationConfig>();
     _assert_send_sync::<PipelineWorkspace>();
-    _assert_send_sync::<PipelineBatchWorkspace>();
     _assert_send_sync::<TomogravityWorkspace>();
-    _assert_send_sync::<TomogravityBatchWorkspace>();
     _assert_send_sync::<IpfWorkspace>();
     _assert_send_sync::<MultilevelPipeline>();
     _assert_send_sync::<MultilevelEstimate>();

@@ -4,26 +4,24 @@
 //! and computes the per-bin percentage improvement of an IC prior over the
 //! gravity prior — the quantity Figures 11, 12 and 13 plot.
 //!
-//! Steps 2 and 3 are independent per time bin, so the pipeline offers two
-//! execution modes over the identical per-bin kernel: the serial
-//! `*_with` loops (one workspace, bins in order) and the `*_parallel`
-//! forms, which shard the bin range across an [`ic_engine::Engine`]
-//! worker pool with one [`PipelineWorkspace`] per worker. The two modes
-//! are **bit-identical** — thread count and shard size are wall-clock
-//! knobs only (proptest-locked in this crate's `tests/proptests.rs`).
+//! Steps 2 and 3 are independent per time bin, and every entry point runs
+//! the same per-bin kernel: [`EstimationPipeline::estimate`] and
+//! [`EstimationPipeline::estimate_with`] loop over the bins in order
+//! through one workspace, and [`EstimationPipeline::estimate_parallel_pooled`]
+//! shards the bin range across an [`ic_engine::Engine`] worker pool with
+//! one [`PipelineWorkspace`] per worker. The results are
+//! **bit-identical** — thread count and shard size are wall-clock knobs
+//! only (proptest-locked in this crate's `tests/proptests.rs`).
 
 use crate::config::EstimationConfig;
-use crate::ipf::{ipf_fit_with, IpfOptions, IpfWorkspace};
+use crate::ipf::{ipf_fit_with, IpfWorkspace};
 use crate::observe::{ObservationModel, Observations};
 use crate::prior::{GravityPrior, TmPrior};
-use crate::tomogravity::{
-    Tomogravity, TomogravityBatchWorkspace, TomogravityOptions, TomogravityWorkspace,
-};
+use crate::tomogravity::{Tomogravity, TomogravityOptions, TomogravityWorkspace};
 use crate::{EstimationError, Result};
 use ic_core::{improvement_percent, rel_l2_series, TmSeries};
 use ic_engine::{Engine, Shard, WorkspacePool};
-use ic_linalg::batch::scatter_lane;
-use ic_linalg::{BatchOptions, Matrix, SolveStats};
+use ic_linalg::{Matrix, SolveStats};
 use ic_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +30,7 @@ use std::time::Instant;
 /// kernel.
 ///
 /// Register once ([`PipelineMetrics::register`]) and attach via
-/// [`EstimationPipeline::with_metrics`]; the instrumented kernel then
+/// [`EstimationConfig::with_metrics`]; the instrumented kernel then
 /// records each bin's tomogravity-refinement and IPF stage durations
 /// plus the whole-bin time. Recording is a clock read and a relaxed
 /// atomic add per stage — no locks, no allocation — and a pipeline
@@ -133,77 +131,6 @@ impl PipelineWorkspace {
     }
 }
 
-/// Reusable buffers for the **batched** multi-bin pipeline: the SoA prior
-/// and observation loads plus a [`TomogravityBatchWorkspace`] for step 2,
-/// and the per-lane snapshot/marginal buffers step 3's IPF runs on.
-///
-/// One workspace serves any number of batches and widths; like
-/// [`PipelineWorkspace`], the per-batch loop is allocation-free once warm
-/// at a fixed `(shape, width)`.
-#[derive(Debug, Clone)]
-pub struct PipelineBatchWorkspace {
-    tomo: TomogravityBatchWorkspace,
-    ipf: IpfWorkspace,
-    snapshot: Matrix,
-    ingress: Vec<f64>,
-    egress: Vec<f64>,
-    xp: Vec<f64>,
-    b: Vec<f64>,
-    lane_b: Vec<f64>,
-}
-
-impl Default for PipelineBatchWorkspace {
-    fn default() -> Self {
-        PipelineBatchWorkspace::new()
-    }
-}
-
-impl PipelineBatchWorkspace {
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        PipelineBatchWorkspace {
-            tomo: TomogravityBatchWorkspace::new(),
-            ipf: IpfWorkspace::new(),
-            snapshot: Matrix::zeros(0, 0),
-            ingress: Vec::new(),
-            egress: Vec::new(),
-            xp: Vec::new(),
-            b: Vec::new(),
-            lane_b: Vec::new(),
-        }
-    }
-
-    fn ensure(&mut self, nodes: usize, stacked_len: usize, width: usize) {
-        self.xp.resize(nodes * nodes * width, 0.0);
-        self.b.resize(stacked_len * width, 0.0);
-        self.lane_b.resize(stacked_len, 0.0);
-        if self.snapshot.shape() != (nodes, nodes) {
-            self.snapshot = Matrix::zeros(nodes, nodes);
-        }
-        self.ingress.resize(nodes, 0.0);
-        self.egress.resize(nodes, 0.0);
-    }
-
-    /// Cumulative normal-equations solver counters for every bin refined
-    /// through this workspace; a batch of B bins counts as B solves, so
-    /// the counters match the per-bin path's exactly.
-    pub fn solve_stats(&self) -> ic_linalg::SolveStats {
-        self.tomo.solve_stats()
-    }
-
-    /// Zeroes the cumulative solver counters.
-    pub fn reset_solve_stats(&mut self) {
-        self.tomo.reset_solve_stats();
-    }
-
-    /// Installs (or clears) partition-aligned row blocks on the embedded
-    /// tomogravity solver — the batched counterpart of
-    /// [`PipelineWorkspace::set_solver_row_blocks`].
-    pub fn set_solver_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
-        self.tomo.set_row_blocks(blocks);
-    }
-}
-
 /// The three-step estimation pipeline.
 #[derive(Debug, Clone)]
 pub struct EstimationPipeline {
@@ -224,9 +151,8 @@ impl EstimationPipeline {
     }
 
     /// Replaces the whole configuration — step options, solver policy,
-    /// batch width/precision, and metrics handle — in one call. This is
-    /// the single configuration entry point; the `with_*` setters below
-    /// are deprecated forwarders onto it.
+    /// and metrics handle — in one call. This is the single
+    /// configuration entry point.
     pub fn config(mut self, config: EstimationConfig) -> Self {
         self.tomo = Tomogravity::new(config.tomogravity);
         self.config = config;
@@ -239,49 +165,9 @@ impl EstimationPipeline {
         &self.config
     }
 
-    /// Attaches stage-timing metrics to the per-bin kernel. Purely
-    /// observational: the estimated series is bit-identical with or
-    /// without.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_metrics`")]
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        self.config.metrics = Some(metrics);
-        self
-    }
-
     /// The attached stage-timing metrics, if any.
     pub fn metrics(&self) -> Option<&Arc<PipelineMetrics>> {
         self.config.metrics.as_ref()
-    }
-
-    /// The batched-execution options (batch width, compute precision) the
-    /// `*_batch` entry points run with.
-    pub fn batch_options(&self) -> BatchOptions {
-        self.config.batch
-    }
-
-    /// Replaces the tomogravity options.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_tomogravity`")]
-    pub fn with_tomogravity(mut self, options: TomogravityOptions) -> Self {
-        self.config.tomogravity = options;
-        self.tomo = Tomogravity::new(options);
-        self
-    }
-
-    /// Replaces the IPF options.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_ipf`")]
-    pub fn with_ipf(mut self, options: IpfOptions) -> Self {
-        self.config.ipf = options;
-        self
-    }
-
-    /// Overrides only the normal-equations solver policy, keeping the other
-    /// tomogravity options intact.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_solver`")]
-    pub fn with_solver(mut self, policy: ic_linalg::SolverPolicy) -> Self {
-        let options = self.tomo.options().with_solver(policy);
-        self.config.tomogravity = options;
-        self.tomo = Tomogravity::new(options);
-        self
     }
 
     /// The observation model in use.
@@ -304,22 +190,47 @@ impl EstimationPipeline {
         ws: &mut PipelineWorkspace,
     ) -> Result<TmSeries> {
         let prior_series = prior.prior_series(obs)?;
-        self.estimate_from_series_with(&prior_series, obs, ws)
+        self.estimate_series(&prior_series, obs, ws)
     }
 
-    /// Runs steps 2 and 3 from an explicit prior series.
-    pub fn estimate_from_series(
+    /// Runs the full pipeline with bins sharded across an engine's worker
+    /// pool, drawing per-worker workspaces from a caller-held pool so
+    /// repeated runs (streaming windows, scenario batches) reuse warm
+    /// buffers. Bit-identical to [`EstimationPipeline::estimate`] for
+    /// every thread count and shard size.
+    pub fn estimate_parallel_pooled(
         &self,
-        prior_series: &TmSeries,
+        prior: &dyn TmPrior,
         obs: &Observations,
+        engine: &Engine,
+        pool: &WorkspacePool<PipelineWorkspace>,
     ) -> Result<TmSeries> {
-        let mut ws = PipelineWorkspace::new();
-        self.estimate_from_series_with(prior_series, obs, &mut ws)
+        let prior_series = prior.prior_series(obs)?;
+        if engine.threads() == 1 {
+            // Serial fast path: the same kernel as `estimate_with` — no
+            // shard chunks, no result slots, so a warm pooled caller
+            // (streaming windows) stays allocation-free beyond the output
+            // series itself. Bit-identical to the sharded path below by
+            // construction.
+            let mut ws = pool.checkout();
+            let result = self.estimate_series(&prior_series, obs, &mut ws);
+            pool.restore(ws);
+            return result;
+        }
+        self.validate_prior(&prior_series, obs)?;
+        let n = self.model.nodes();
+        let chunks =
+            engine.run_sharded(obs.bins(), pool, |shard, ws: &mut PipelineWorkspace| {
+                self.estimate_shard(&prior_series, obs, shard, ws)
+            })?;
+        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
+        assemble_chunks(&mut out, &chunks);
+        Ok(out)
     }
 
-    /// Runs steps 2 and 3 from an explicit prior series, reusing the given
-    /// workspace.
-    pub fn estimate_from_series_with(
+    /// Steps 2 and 3 from an explicit prior series, bins in order through
+    /// one workspace and written straight into the output.
+    fn estimate_series(
         &self,
         prior_series: &TmSeries,
         obs: &Observations,
@@ -340,285 +251,8 @@ impl EstimationPipeline {
         Ok(out)
     }
 
-    /// Runs the full pipeline with bins sharded across an engine's worker
-    /// pool. Bit-identical to [`EstimationPipeline::estimate`] for every
-    /// thread count and shard size.
-    pub fn estimate_parallel(
-        &self,
-        prior: &dyn TmPrior,
-        obs: &Observations,
-        engine: &Engine,
-    ) -> Result<TmSeries> {
-        let pool = WorkspacePool::new();
-        self.estimate_parallel_pooled(prior, obs, engine, &pool)
-    }
-
-    /// [`EstimationPipeline::estimate_parallel`] drawing per-worker
-    /// workspaces from a caller-held pool, so repeated runs (streaming
-    /// windows, scenario batches) reuse warm buffers.
-    pub fn estimate_parallel_pooled(
-        &self,
-        prior: &dyn TmPrior,
-        obs: &Observations,
-        engine: &Engine,
-        pool: &WorkspacePool<PipelineWorkspace>,
-    ) -> Result<TmSeries> {
-        let prior_series = prior.prior_series(obs)?;
-        self.estimate_from_series_parallel_pooled(&prior_series, obs, engine, pool)
-    }
-
-    /// Runs steps 2 and 3 from an explicit prior series with bins sharded
-    /// across an engine's worker pool. Bit-identical to
-    /// [`EstimationPipeline::estimate_from_series`].
-    pub fn estimate_from_series_parallel(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        engine: &Engine,
-    ) -> Result<TmSeries> {
-        let pool = WorkspacePool::new();
-        self.estimate_from_series_parallel_pooled(prior_series, obs, engine, &pool)
-    }
-
-    /// [`EstimationPipeline::estimate_from_series_parallel`] drawing
-    /// per-worker workspaces from a caller-held pool.
-    pub fn estimate_from_series_parallel_pooled(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        engine: &Engine,
-        pool: &WorkspacePool<PipelineWorkspace>,
-    ) -> Result<TmSeries> {
-        if engine.threads() == 1 {
-            // Serial fast path: the same per-bin kernel, written directly
-            // into the output — no shard chunks, no result slots, so a
-            // warm pooled caller (streaming windows) stays allocation-free
-            // beyond the output series itself. Bit-identical to the
-            // sharded path below by construction.
-            let mut ws = pool.checkout();
-            let result = self.estimate_from_series_with(prior_series, obs, &mut ws);
-            pool.restore(ws);
-            return result;
-        }
-        self.validate_prior(prior_series, obs)?;
-        let n = self.model.nodes();
-        let chunks =
-            engine.run_sharded(obs.bins(), pool, |shard, ws: &mut PipelineWorkspace| {
-                self.estimate_shard(prior_series, obs, shard, ws)
-            })?;
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        assemble_chunks(&mut out, &chunks);
-        Ok(out)
-    }
-
-    /// Runs the full pipeline through the **batched** SoA kernels, with
-    /// the batch width and compute precision taken from the pipeline's
-    /// [`EstimationConfig`]. Bins are processed `width` at a time: one CSR
-    /// traversal per kernel serves all bins of a batch. Bit-identical to
-    /// [`EstimationPipeline::estimate`] for every batch width under
-    /// [`ic_linalg::Precision::F64`] (proptest-locked); `Precision::F32`
-    /// trades a documented ~1e-6 relative tolerance for narrower operator
-    /// products.
-    pub fn estimate_batch(&self, prior: &dyn TmPrior, obs: &Observations) -> Result<TmSeries> {
-        let mut ws = PipelineBatchWorkspace::new();
-        self.estimate_batch_with(prior, obs, &mut ws)
-    }
-
-    /// [`EstimationPipeline::estimate_batch`] reusing the given workspace
-    /// (allocation-free per batch once warm).
-    pub fn estimate_batch_with(
-        &self,
-        prior: &dyn TmPrior,
-        obs: &Observations,
-        ws: &mut PipelineBatchWorkspace,
-    ) -> Result<TmSeries> {
-        let prior_series = prior.prior_series(obs)?;
-        self.estimate_from_series_batch_with(&prior_series, obs, ws)
-    }
-
-    /// Runs steps 2 and 3 from an explicit prior series through the
-    /// batched kernels, reusing the given workspace.
-    pub fn estimate_from_series_batch_with(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        ws: &mut PipelineBatchWorkspace,
-    ) -> Result<TmSeries> {
-        self.validate_prior(prior_series, obs)?;
-        let n = self.model.nodes();
-        let width = self.config.batch.width();
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        let mut first = 0;
-        while first < obs.bins() {
-            let len = width.min(obs.bins() - first);
-            self.estimate_batch_window(prior_series, obs, first, len, ws, |t, fitted| {
-                for i in 0..n {
-                    for j in 0..n {
-                        out.set(i, j, t, fitted[(i, j)])?;
-                    }
-                }
-                Ok(())
-            })?;
-            first += len;
-        }
-        Ok(out)
-    }
-
-    /// Runs the full batched pipeline with **shards as batches**: the
-    /// engine's shard plan is re-derived with the configured batch width,
-    /// so each worker job is exactly one SoA batch. Bit-identical to
-    /// [`EstimationPipeline::estimate_batch`] for every thread count (and,
-    /// under `f64` compute, to the per-bin path).
-    pub fn estimate_batch_parallel_pooled(
-        &self,
-        prior: &dyn TmPrior,
-        obs: &Observations,
-        engine: &Engine,
-        pool: &WorkspacePool<PipelineBatchWorkspace>,
-    ) -> Result<TmSeries> {
-        let prior_series = prior.prior_series(obs)?;
-        self.estimate_from_series_batch_parallel_pooled(&prior_series, obs, engine, pool)
-    }
-
-    /// [`EstimationPipeline::estimate_batch_parallel_pooled`] from an
-    /// explicit prior series.
-    pub fn estimate_from_series_batch_parallel_pooled(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        engine: &Engine,
-        pool: &WorkspacePool<PipelineBatchWorkspace>,
-    ) -> Result<TmSeries> {
-        // Shards become batches: one shard of the derived plan is one SoA
-        // batch of at most `width` bins.
-        let engine = engine.with_shard_bins(self.config.batch.width());
-        if engine.threads() == 1 {
-            // Serial fast path, mirroring the per-bin parallel form: same
-            // batched kernel, written directly into the output.
-            let mut ws = pool.checkout();
-            let result = self.estimate_from_series_batch_with(prior_series, obs, &mut ws);
-            pool.restore(ws);
-            return result;
-        }
-        self.validate_prior(prior_series, obs)?;
-        let n = self.model.nodes();
-        let chunks = engine.run_sharded(
-            obs.bins(),
-            pool,
-            |shard, ws: &mut PipelineBatchWorkspace| {
-                self.estimate_batch_shard(prior_series, obs, shard, ws)
-            },
-        )?;
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        assemble_chunks(&mut out, &chunks);
-        Ok(out)
-    }
-
-    /// One SoA batch of `len` bins starting at `first`: batched prior and
-    /// observation loads, one batched tomogravity refinement, then the
-    /// per-lane IPF — each fitted bin handed to `emit` in bin order. The
-    /// single batched kernel both batched execution modes run.
-    ///
-    /// Metrics granularity shifts with batching: `refine` and `bin`
-    /// record once per batch (covering all its lanes), `ipf` and the bin
-    /// counter stay per-lane.
-    fn estimate_batch_window(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        first: usize,
-        len: usize,
-        ws: &mut PipelineBatchWorkspace,
-        mut emit: impl FnMut(usize, &Matrix) -> Result<()>,
-    ) -> Result<()> {
-        let n = self.model.nodes();
-        let metrics = self.config.metrics.as_deref();
-        let batch_start = metrics.map(|_| Instant::now());
-        ws.ensure(n, obs.stacked_len(), len);
-        for row in 0..n * n {
-            for k in 0..len {
-                ws.xp[row * len + k] = prior_series.as_matrix()[(row, first + k)];
-            }
-        }
-        for k in 0..len {
-            obs.stacked_at_into(first + k, &mut ws.lane_b)?;
-            scatter_lane(&ws.lane_b, &mut ws.b, k, len);
-        }
-        let refine_start = metrics.map(|_| Instant::now());
-        self.tomo.refine_batch_sparse_with(
-            self.model.stacked_sparse(),
-            self.model.stacked_transpose(),
-            &ws.xp,
-            &ws.b,
-            len,
-            self.config.batch.precision(),
-            &mut ws.tomo,
-        )?;
-        if let (Some(m), Some(start)) = (metrics, refine_start) {
-            m.refine.record(start.elapsed().as_secs_f64());
-        }
-        for k in 0..len {
-            let t = first + k;
-            for i in 0..n {
-                for j in 0..n {
-                    ws.snapshot[(i, j)] = ws.tomo.solution()[(i * n + j) * len + k];
-                }
-                ws.ingress[i] = obs.ingress[(i, t)];
-                ws.egress[i] = obs.egress[(i, t)];
-            }
-            let ipf_start = metrics.map(|_| Instant::now());
-            ipf_fit_with(
-                &ws.snapshot,
-                &ws.ingress,
-                &ws.egress,
-                self.config.ipf,
-                &mut ws.ipf,
-            )?;
-            if let (Some(m), Some(start)) = (metrics, ipf_start) {
-                m.ipf.record(start.elapsed().as_secs_f64());
-            }
-            emit(t, ws.ipf.fitted())?;
-            if let Some(m) = metrics {
-                m.bins.inc();
-            }
-        }
-        if let (Some(m), Some(start)) = (metrics, batch_start) {
-            m.bin.record(start.elapsed().as_secs_f64());
-        }
-        Ok(())
-    }
-
-    /// Runs the batched kernel over one shard (= one batch), returning the
-    /// shard's fitted bins as a bin-major flat chunk.
-    fn estimate_batch_shard(
-        &self,
-        prior_series: &TmSeries,
-        obs: &Observations,
-        shard: Shard,
-        ws: &mut PipelineBatchWorkspace,
-    ) -> Result<Vec<f64>> {
-        let n = self.model.nodes();
-        let mut chunk = Vec::with_capacity(shard.len * n * n);
-        self.estimate_batch_window(
-            prior_series,
-            obs,
-            shard.start,
-            shard.len,
-            ws,
-            |_, fitted| {
-                for i in 0..n {
-                    for j in 0..n {
-                        chunk.push(fitted[(i, j)]);
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(chunk)
-    }
-
-    /// Shape checks shared by the serial and parallel entry points (the
-    /// error contexts match the historical tomogravity-level validation).
+    /// Shape checks shared by every entry point (the error contexts match
+    /// the historical tomogravity-level validation).
     fn validate_prior(&self, prior_series: &TmSeries, obs: &Observations) -> Result<()> {
         let n = self.model.nodes();
         if prior_series.nodes() != n {
@@ -639,8 +273,8 @@ impl EstimationPipeline {
     }
 
     /// Steps 2 and 3 for one bin; the fitted bin lands in `ws.ipf`. This
-    /// is the single per-bin kernel both execution modes run, which is
-    /// what makes serial/parallel bit-identity structural rather than
+    /// is the single per-bin kernel every entry point runs, which is what
+    /// makes serial/parallel bit-identity structural rather than
     /// coincidental.
     fn estimate_bin_with(
         &self,
@@ -709,12 +343,7 @@ impl EstimationPipeline {
         let mut chunk = Vec::with_capacity(shard.len * n * n);
         for t in shard.bins() {
             self.estimate_bin_with(prior_series, obs, t, ws)?;
-            let fitted = ws.ipf.fitted();
-            for i in 0..n {
-                for j in 0..n {
-                    chunk.push(fitted[(i, j)]);
-                }
-            }
+            chunk.extend_from_slice(ws.ipf.fitted().as_slice());
         }
         Ok(chunk)
     }
@@ -757,38 +386,21 @@ pub struct ComparisonResult {
 /// Runs the pipeline twice — once with `candidate`, once with the gravity
 /// prior — and reports the improvement of the candidate, measured against
 /// `truth` (the series the observations were derived from).
+/// [`compare_priors_with`] on [`Engine::serial`].
 pub fn compare_priors(
     pipeline: &EstimationPipeline,
     candidate: &dyn TmPrior,
     truth: &TmSeries,
     obs: &Observations,
 ) -> Result<ComparisonResult> {
-    let mut ws = PipelineWorkspace::new();
-    let est_candidate = pipeline.estimate_with(candidate, obs, &mut ws)?;
-    let est_gravity = pipeline.estimate_with(&GravityPrior, obs, &mut ws)?;
-    let errors_candidate = rel_l2_series(truth, &est_candidate)?;
-    let errors_gravity = rel_l2_series(truth, &est_gravity)?;
-    let improvement: Vec<f64> = errors_gravity
-        .iter()
-        .zip(errors_candidate.iter())
-        .map(|(&g, &c)| improvement_percent(g, c))
-        .collect();
-    let mean_improvement = improvement.iter().sum::<f64>() / improvement.len().max(1) as f64;
-    Ok(ComparisonResult {
-        improvement,
-        mean_improvement,
-        errors_candidate,
-        errors_gravity,
-        solve_stats: ws.solve_stats(),
-    })
+    compare_priors_with(pipeline, candidate, truth, obs, &Engine::serial())
 }
 
 /// [`compare_priors`] on the engine: the candidate-prior and
 /// gravity-prior refinements are flattened into **one** shard list
 /// (candidate shards first, then gravity, each in bin order), so the two
 /// priors run concurrently on the same worker pool instead of
-/// back-to-back. Bit-identical to [`compare_priors`] for every thread
-/// count (proptest-locked).
+/// back-to-back. Bit-identical for every thread count (proptest-locked).
 pub fn compare_priors_with(
     pipeline: &EstimationPipeline,
     candidate: &dyn TmPrior,
@@ -802,38 +414,19 @@ pub fn compare_priors_with(
     pipeline.validate_prior(&prior_candidate, obs)?;
     pipeline.validate_prior(&prior_gravity, obs)?;
     let priors = [&prior_candidate, &prior_gravity];
-    // A configured batch width > 1 turns each shard into one SoA batch
-    // (bit-identical at f64), exactly as the batched series entry points.
-    let width = pipeline.batch_options().width();
-    let (chunks, per_prior, solve_stats) = if width > 1 {
-        let engine = engine.with_shard_bins(width);
-        let plan = engine.plan(obs.bins());
-        let per_prior = plan.len();
-        let pool: WorkspacePool<PipelineBatchWorkspace> = WorkspacePool::new();
-        let chunks = engine.run(per_prior * priors.len(), &pool, |k, ws| {
-            pipeline.estimate_batch_shard(priors[k / per_prior], obs, plan[k % per_prior], ws)
-        })?;
-        let stats = pool.fold_idle(SolveStats::default(), |mut acc, ws| {
-            acc.merge(&ws.solve_stats());
-            acc
-        });
-        (chunks, per_prior, stats)
-    } else {
-        let plan = engine.plan(obs.bins());
-        let per_prior = plan.len();
-        let pool: WorkspacePool<PipelineWorkspace> = WorkspacePool::new();
-        let chunks = engine.run(per_prior * priors.len(), &pool, |k, ws| {
-            pipeline.estimate_shard(priors[k / per_prior], obs, plan[k % per_prior], ws)
-        })?;
-        // Every worker has restored its workspace; the idle sum is the
-        // whole run's counters, deterministic because each bin is solved
-        // exactly once regardless of scheduling.
-        let stats = pool.fold_idle(SolveStats::default(), |mut acc, ws| {
-            acc.merge(&ws.solve_stats());
-            acc
-        });
-        (chunks, per_prior, stats)
-    };
+    let plan = engine.plan(obs.bins());
+    let per_prior = plan.len();
+    let pool: WorkspacePool<PipelineWorkspace> = WorkspacePool::new();
+    let chunks = engine.run(per_prior * priors.len(), &pool, |k, ws| {
+        pipeline.estimate_shard(priors[k / per_prior], obs, plan[k % per_prior], ws)
+    })?;
+    // Every worker has restored its workspace; the idle sum is the whole
+    // run's counters, deterministic because each bin is solved exactly
+    // once regardless of scheduling.
+    let solve_stats = pool.fold_idle(SolveStats::default(), |mut acc, ws| {
+        acc.merge(&ws.solve_stats());
+        acc
+    });
     let n = pipeline.model.nodes();
     let mut est_candidate = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
     let mut est_gravity = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
@@ -859,6 +452,7 @@ pub fn compare_priors_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipf::IpfOptions;
     use crate::prior::{MeasuredIcPrior, StableFPrior, StableFpPrior};
     use ic_core::model::StableFpParams;
     use ic_core::{mean_rel_l2, stable_fp_series};
@@ -1026,150 +620,6 @@ mod tests {
         let obs = pipeline.model().observe(&truth).unwrap();
         let est = pipeline.estimate(&GravityPrior, &obs).unwrap();
         assert!(est.is_physical());
-    }
-
-    /// The deprecated `with_*` ladder must keep forwarding into the
-    /// config until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_forward_to_config() {
-        use ic_linalg::SolverPolicy;
-
-        let topo = ring_topology(4);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let registry = MetricsRegistry::new();
-        let metrics = PipelineMetrics::register(&registry);
-        let ladder = EstimationPipeline::new(om.clone())
-            .with_tomogravity(TomogravityOptions::default().with_ridge(1e-8))
-            .with_ipf(IpfOptions::default().with_max_iterations(50))
-            .with_solver(SolverPolicy::Pcg)
-            .with_metrics(Arc::clone(&metrics));
-        let config = EstimationPipeline::new(om).config(
-            EstimationConfig::new()
-                .with_tomogravity(
-                    TomogravityOptions::default()
-                        .with_ridge(1e-8)
-                        .with_solver(SolverPolicy::Pcg),
-                )
-                .with_ipf(IpfOptions::default().with_max_iterations(50))
-                .with_metrics(metrics),
-        );
-        assert_eq!(ladder.tomo.options(), config.tomo.options());
-        assert_eq!(ladder.config.ipf, config.config.ipf);
-        assert!(ladder.metrics().is_some());
-    }
-
-    /// The tentpole equivalence: the batched SoA path is bit-identical to
-    /// the per-bin path for every batch width (including widths that do
-    /// not divide the bin count), and the batched parallel form matches
-    /// for every thread count.
-    #[test]
-    fn batched_estimate_is_bit_identical_to_per_bin() {
-        let topo = ring_topology(6);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let (truth, _) = truth_series(6, 5, 0.22);
-        let obs = om.observe(&truth).unwrap();
-        for policy in [ic_linalg::SolverPolicy::Dense, ic_linalg::SolverPolicy::Pcg] {
-            let base = EstimationPipeline::new(om.clone())
-                .config(EstimationConfig::new().with_solver(policy));
-            let want = base.estimate(&GravityPrior, &obs).unwrap();
-            let mut ws_serial = PipelineWorkspace::new();
-            base.estimate_with(&GravityPrior, &obs, &mut ws_serial)
-                .unwrap();
-            for width in [1usize, 2, 3, 5, 8] {
-                let pipeline = base.clone().config(
-                    EstimationConfig::new()
-                        .with_solver(policy)
-                        .with_batch_width(width),
-                );
-                let mut ws = PipelineBatchWorkspace::new();
-                let got = pipeline
-                    .estimate_batch_with(&GravityPrior, &obs, &mut ws)
-                    .unwrap();
-                assert_eq!(got, want, "policy {policy:?} width {width}");
-                assert_eq!(
-                    ws.solve_stats(),
-                    ws_serial.solve_stats(),
-                    "solver counters must match per-bin ({policy:?}, width {width})"
-                );
-                ws.reset_solve_stats();
-                assert_eq!(ws.solve_stats(), SolveStats::default());
-                // Shards-as-batches parallel form, every thread count.
-                for threads in [1, 3] {
-                    let pool = WorkspacePool::new();
-                    let par = pipeline
-                        .estimate_batch_parallel_pooled(
-                            &GravityPrior,
-                            &obs,
-                            &Engine::new().with_threads(threads),
-                            &pool,
-                        )
-                        .unwrap();
-                    assert_eq!(par, want, "{policy:?} width {width} threads {threads}");
-                }
-            }
-        }
-    }
-
-    /// f32 compute mode is close to (not identical with) the f64 path.
-    #[test]
-    fn batched_f32_mode_stays_close() {
-        use ic_linalg::Precision;
-
-        let topo = ring_topology(6);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let (truth, _) = truth_series(6, 4, 0.22);
-        let obs = om.observe(&truth).unwrap();
-        let f64_pipe = EstimationPipeline::new(om.clone()).config(
-            EstimationConfig::new()
-                .with_solver(ic_linalg::SolverPolicy::Pcg)
-                .with_batch_width(4),
-        );
-        let f32_pipe = EstimationPipeline::new(om).config(
-            EstimationConfig::new()
-                .with_solver(ic_linalg::SolverPolicy::Pcg)
-                .with_batch_width(4)
-                .with_precision(Precision::F32),
-        );
-        let a = f64_pipe.estimate_batch(&GravityPrior, &obs).unwrap();
-        let b = f32_pipe.estimate_batch(&GravityPrior, &obs).unwrap();
-        let scale = a.as_matrix().max_abs().max(1.0);
-        for (x, y) in a
-            .as_matrix()
-            .as_slice()
-            .iter()
-            .zip(b.as_matrix().as_slice().iter())
-        {
-            assert!((x - y).abs() <= 1e-5 * scale, "{x} vs {y}");
-        }
-    }
-
-    /// Batched estimation through a configured pipeline records the
-    /// batch-granular metrics and stays bit-identical.
-    #[test]
-    fn batched_metrics_are_observational() {
-        let topo = ring_topology(5);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let (truth, _) = truth_series(5, 5, 0.25);
-        let obs = om.observe(&truth).unwrap();
-        let bare =
-            EstimationPipeline::new(om.clone()).config(EstimationConfig::new().with_batch_width(2));
-        let registry = MetricsRegistry::new();
-        let metrics = PipelineMetrics::register(&registry);
-        let instrumented = EstimationPipeline::new(om).config(
-            EstimationConfig::new()
-                .with_batch_width(2)
-                .with_metrics(Arc::clone(&metrics)),
-        );
-        let a = bare.estimate_batch(&GravityPrior, &obs).unwrap();
-        let b = instrumented.estimate_batch(&GravityPrior, &obs).unwrap();
-        assert_eq!(a, b, "metrics must not change the batched estimate");
-        // 5 bins in batches of 2 → 3 batches: refine/bin per batch, ipf
-        // and the bin counter per lane.
-        assert_eq!(metrics.bins.get(), 5);
-        assert_eq!(metrics.ipf.count(), 5);
-        assert_eq!(metrics.refine.count(), 3);
-        assert_eq!(metrics.bin.count(), 3);
     }
 
     #[test]

@@ -26,8 +26,7 @@ use crate::observe::{ObservationModel, Observations};
 use crate::{EstimationError, Result};
 use ic_core::TmSeries;
 use ic_linalg::{
-    pseudo_inverse, Cholesky, Matrix, NormalSolverWorkspace, Precision, SolveStats, SolverPolicy,
-    SparseMatrix,
+    pseudo_inverse, Cholesky, Matrix, NormalSolverWorkspace, SolveStats, SolverPolicy, SparseMatrix,
 };
 
 /// Options for the tomogravity refinement.
@@ -150,66 +149,6 @@ impl TomogravityWorkspace {
     /// `ic_estimation::stacked_row_blocks` for partition-aligned blocks).
     /// `None` restores the scalar-Jacobi path bit-identically; the dense
     /// path ignores blocks entirely.
-    pub fn set_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
-        self.solver.set_row_blocks(blocks);
-    }
-}
-
-/// Reusable buffers for the **batched** tomogravity refinement
-/// ([`Tomogravity::refine_batch_sparse_with`]): the same vectors as
-/// [`TomogravityWorkspace`], widened to B structure-of-arrays lanes
-/// (element `i` of bin `k` at `i·B + k`). Allocation-free once warm at a
-/// fixed `(shape, B)`; the embedded solver accumulates the same
-/// observable [`SolveStats`] B per-bin refinements would.
-#[derive(Debug, Clone, Default)]
-pub struct TomogravityBatchWorkspace {
-    w: Vec<f64>,
-    resid: Vec<f64>,
-    lambda: Vec<f64>,
-    at_lambda: Vec<f64>,
-    x: Vec<f64>,
-    pinned: Vec<bool>,
-    solver: NormalSolverWorkspace,
-}
-
-impl TomogravityBatchWorkspace {
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        TomogravityBatchWorkspace::default()
-    }
-
-    fn ensure(&mut self, rows: usize, cols: usize, batch: usize) {
-        self.w.resize(cols * batch, 0.0);
-        self.at_lambda.resize(cols * batch, 0.0);
-        self.x.resize(cols * batch, 0.0);
-        self.resid.resize(rows * batch, 0.0);
-        self.lambda.resize(rows * batch, 0.0);
-        self.pinned.resize(batch, false);
-    }
-
-    /// The refined bins of the latest
-    /// [`Tomogravity::refine_batch_sparse_with`] call, SoA: entry `i` of
-    /// lane `k` at `i·B + k`.
-    pub fn solution(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Cumulative solver counters (see
-    /// [`TomogravityWorkspace::solve_stats`]); a batch of B bins counts
-    /// as B solves.
-    pub fn solve_stats(&self) -> SolveStats {
-        self.solver.stats()
-    }
-
-    /// Zeroes the cumulative solver counters.
-    pub fn reset_solve_stats(&mut self) {
-        self.solver.reset_stats();
-    }
-
-    /// Installs (or clears) row blocks on the embedded normal solver —
-    /// the batched counterpart of
-    /// [`TomogravityWorkspace::set_row_blocks`]; the batched PCG
-    /// preconditions each lane with its own block-Jacobi factorization.
     pub fn set_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
         self.solver.set_row_blocks(blocks);
     }
@@ -354,128 +293,6 @@ impl Tomogravity {
             for v in &mut ws.x {
                 if *v < 0.0 {
                     *v = 0.0;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Refines `batch` bins at once on the sparse operator, with priors
-    /// and observations laid out structure-of-arrays (element `i` of bin
-    /// `k` at `i·batch + k`; result SoA in
-    /// [`TomogravityBatchWorkspace::solution`]).
-    ///
-    /// One CSR traversal per kernel serves all lanes — the residuals, the
-    /// normal solve ([`NormalSolverWorkspace::solve_batch`], batched PCG
-    /// under the PCG policy) and the update `x = x_p + W Aᵀ λ` all run
-    /// batched. Every lane performs exactly the per-bin arithmetic of
-    /// [`Tomogravity::refine_bin_sparse_with`] (weight floor, residual,
-    /// solve, update, clamp — same accumulation orders), so lane `k` is
-    /// bit-identical to refining bin `k` alone, for any batch width.
-    /// `precision` opts the batched PCG operator products into f32
-    /// compute / f64 accumulate ([`Precision::F32`]); [`Precision::F64`]
-    /// (the default everywhere) keeps full precision.
-    ///
-    /// Lanes whose prior is identically zero are pinned to that prior
-    /// (same answer as the per-bin path); only the solve *counters* may
-    /// differ for such lanes, since the batched solve still runs a
-    /// trivial system for them while the per-bin path skips it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn refine_batch_sparse_with(
-        &self,
-        a: &SparseMatrix,
-        at: &SparseMatrix,
-        x_priors: &[f64],
-        b: &[f64],
-        batch: usize,
-        precision: Precision,
-        ws: &mut TomogravityBatchWorkspace,
-    ) -> Result<()> {
-        let (rows, cols) = a.shape();
-        if batch == 0 || x_priors.len() != cols * batch || b.len() != rows * batch {
-            return Err(EstimationError::DimensionMismatch {
-                context: "tomogravity refine_batch",
-                expected: cols * batch.max(1),
-                actual: x_priors.len(),
-            });
-        }
-        ws.ensure(rows, cols, batch);
-        // Per-lane weight floor from the lane's own prior mean (strided
-        // sum in the same ascending order as the per-bin path), then
-        // floored weights.
-        for k in 0..batch {
-            let mean_prior = x_priors.iter().skip(k).step_by(batch).sum::<f64>() / cols as f64;
-            // An all-zero-prior lane is pinned to its prior (W → 0 makes
-            // the WLS update a no-op; the subnormal floor would otherwise
-            // drive the solve to NaN — see `refine_bin_sparse_with`).
-            // Zero weights plus a zeroed residual give λ = 0 under either
-            // solver policy; the lane's result is overwritten below.
-            ws.pinned[k] =
-                mean_prior == 0.0 && x_priors.iter().skip(k).step_by(batch).all(|&v| v == 0.0);
-            if ws.pinned[k] {
-                for i in 0..cols {
-                    ws.w[i * batch + k] = 0.0;
-                }
-                continue;
-            }
-            let floor = (mean_prior * self.options.weight_floor).max(f64::MIN_POSITIVE);
-            for i in 0..cols {
-                let idx = i * batch + k;
-                ws.w[idx] = x_priors[idx].max(floor);
-            }
-        }
-        let any_pinned = ws.pinned.iter().any(|&p| p);
-
-        // Residuals of the constraints at the priors: resid = b − A x_p.
-        a.matvec_batch_into(x_priors, batch, &mut ws.resid)
-            .map_err(EstimationError::from)?;
-        for (r, &bi) in ws.resid.iter_mut().zip(b.iter()) {
-            *r = bi - *r;
-        }
-        if any_pinned {
-            for (idx, r) in ws.resid.iter_mut().enumerate() {
-                if ws.pinned[idx % batch] {
-                    *r = 0.0;
-                }
-            }
-        }
-
-        // Batched normal solve, then x = x_p + W Aᵀ λ per lane.
-        ws.solver.set_policy(self.options.solver);
-        ws.solver
-            .solve_batch(
-                a,
-                at,
-                &ws.w,
-                self.options.ridge,
-                &ws.resid,
-                &mut ws.lambda,
-                batch,
-                precision,
-            )
-            .map_err(EstimationError::from)?;
-        a.matvec_transposed_batch_into(&ws.lambda, batch, &mut ws.at_lambda)
-            .map_err(EstimationError::from)?;
-        for (slot, ((&xp, &atl), &wi)) in
-            ws.x.iter_mut()
-                .zip(x_priors.iter().zip(ws.at_lambda.iter()).zip(ws.w.iter()))
-        {
-            *slot = xp + wi * atl;
-        }
-        if self.options.clamp_negative {
-            for v in &mut ws.x {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-        }
-        if any_pinned {
-            // Pinned lanes return their prior verbatim (matching the
-            // per-bin path), regardless of what the degenerate solve
-            // produced for them.
-            for (idx, slot) in ws.x.iter_mut().enumerate() {
-                if ws.pinned[idx % batch] {
-                    *slot = x_priors[idx];
                 }
             }
         }
@@ -712,70 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_refine_matches_per_bin_bitwise() {
-        let topo = square_topology();
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let bins = 3;
-        let truth = ic_series(0.25, bins);
-        let obs = om.observe(&truth).unwrap();
-        let prior = GravityPrior.prior_series(&obs).unwrap();
-        let a = om.stacked_sparse();
-        let at = om.stacked_transpose();
-        let cols = a.cols();
-        let rows = a.rows();
-        for policy in [SolverPolicy::Dense, SolverPolicy::Pcg] {
-            let tomo = Tomogravity::new(TomogravityOptions::default().with_solver(policy));
-            // SoA priors/observations over all bins as one batch.
-            let mut xp_soa = vec![0.0; cols * bins];
-            let mut b_soa = vec![0.0; rows * bins];
-            let mut b = vec![0.0; rows];
-            for t in 0..bins {
-                for row in 0..cols {
-                    xp_soa[row * bins + t] = prior.as_matrix()[(row, t)];
-                }
-                obs.stacked_at_into(t, &mut b).unwrap();
-                for (i, &v) in b.iter().enumerate() {
-                    b_soa[i * bins + t] = v;
-                }
-            }
-            let mut bws = TomogravityBatchWorkspace::new();
-            tomo.refine_batch_sparse_with(a, at, &xp_soa, &b_soa, bins, Precision::F64, &mut bws)
-                .unwrap();
-            // Per-bin reference through the scalar workspace.
-            let mut ws = TomogravityWorkspace::new();
-            let mut xp = vec![0.0; cols];
-            for t in 0..bins {
-                for row in 0..cols {
-                    xp[row] = prior.as_matrix()[(row, t)];
-                }
-                obs.stacked_at_into(t, &mut b).unwrap();
-                tomo.refine_bin_sparse_with(a, at, &xp, &b, &mut ws)
-                    .unwrap();
-                for (row, &want) in ws.solution().iter().enumerate() {
-                    let got = bws.solution()[row * bins + t];
-                    assert!(
-                        got == want,
-                        "{policy:?} bin {t} row {row}: batched {got} != per-bin {want}"
-                    );
-                }
-            }
-            // Stats match B per-bin solves exactly.
-            assert_eq!(bws.solve_stats(), ws.solve_stats());
-            bws.reset_solve_stats();
-            assert_eq!(bws.solve_stats(), SolveStats::default());
-        }
-        // Shape validation.
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let mut bws = TomogravityBatchWorkspace::new();
-        assert!(tomo
-            .refine_batch_sparse_with(a, at, &[1.0], &[1.0], 0, Precision::F64, &mut bws)
-            .is_err());
-        assert!(tomo
-            .refine_batch_sparse_with(a, at, &[1.0], &[1.0], 2, Precision::F64, &mut bws)
-            .is_err());
-    }
-
-    #[test]
     fn clamp_produces_physical_estimates() {
         let topo = square_topology();
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
@@ -805,13 +558,10 @@ mod tests {
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let truth = ic_series(0.25, 2);
         let obs = om.observe(&truth).unwrap();
-        let prior = GravityPrior.prior_series(&obs).unwrap();
         let a = om.stacked_sparse();
         let at = om.stacked_transpose();
-        let (rows, cols) = a.shape();
-        let zero_prior = vec![0.0; cols];
+        let zero_prior = vec![0.0; a.cols()];
         let b0 = obs.stacked_at(0);
-        let b1 = obs.stacked_at(1);
         for policy in [SolverPolicy::Dense, SolverPolicy::Pcg] {
             let tomo = Tomogravity::new(TomogravityOptions::default().with_solver(policy));
             // Scalar sparse path: pinned without invoking the solver.
@@ -826,34 +576,6 @@ mod tests {
                 .refine_bin(&om.stacked().unwrap(), &zero_prior, &b0)
                 .unwrap();
             assert!(dense.iter().all(|&v| v == 0.0), "{policy:?}");
-            // Batched path, one live lane + one pinned lane: the live
-            // lane stays bit-identical to its solo refine, the pinned
-            // lane returns its (zero) prior, nothing goes non-finite.
-            let batch = 2;
-            let mut xp_soa = vec![0.0; cols * batch];
-            let mut b_soa = vec![0.0; rows * batch];
-            let mut live = vec![0.0; cols];
-            for row in 0..cols {
-                live[row] = prior.as_matrix()[(row, 1)];
-                xp_soa[row * batch] = live[row];
-            }
-            for i in 0..rows {
-                b_soa[i * batch] = b1[i];
-                b_soa[i * batch + 1] = b0[i];
-            }
-            let mut bws = TomogravityBatchWorkspace::new();
-            tomo.refine_batch_sparse_with(a, at, &xp_soa, &b_soa, batch, Precision::F64, &mut bws)
-                .unwrap();
-            let mut solo = TomogravityWorkspace::new();
-            tomo.refine_bin_sparse_with(a, at, &live, &b1, &mut solo)
-                .unwrap();
-            for row in 0..cols {
-                assert!(
-                    bws.solution()[row * batch] == solo.solution()[row],
-                    "{policy:?} live lane row {row}"
-                );
-                assert_eq!(bws.solution()[row * batch + 1], 0.0, "{policy:?}");
-            }
         }
     }
 

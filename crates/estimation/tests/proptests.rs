@@ -5,13 +5,13 @@
 //! references bit-for-bit (or within 1e-12 where an ordering difference is
 //! fundamental).
 
-use ic_core::TmSeries;
+use ic_core::{rel_l2_series, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
     compare_priors, compare_priors_with, ipf_fit, ipf_fit_with, EstimationConfig,
-    EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace, ObservationModel,
-    PipelineBatchWorkspace, PipelineWorkspace, Precision, StableFPrior, TmPrior, Tomogravity,
-    TomogravityOptions, TomogravityWorkspace,
+    EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace, ObservationModel, Observations,
+    PipelineWorkspace, StableFPrior, TmPrior, Tomogravity, TomogravityOptions,
+    TomogravityWorkspace,
 };
 use ic_linalg::Matrix;
 use ic_topology::{waxman, RoutingScheme, WaxmanConfig};
@@ -226,13 +226,26 @@ fn topo_and_long_series() -> impl Strategy<Value = (ObservationModel, TmSeries)>
     })
 }
 
+/// A prior that hands back a fixed series: the explicit-prior-series
+/// route into every entry point.
+struct FixedPrior(TmSeries);
+
+impl TmPrior for FixedPrior {
+    fn name(&self) -> &str {
+        "fixed"
+    }
+
+    fn prior_series(&self, _obs: &Observations) -> ic_estimation::Result<TmSeries> {
+        Ok(self.0.clone())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Engine-sharded batch estimation with 1 worker and with N workers is
     /// bit-identical to the serial pipeline, for arbitrary shard sizes,
-    /// from both the prior-strategy and explicit-prior-series entry
-    /// points.
+    /// from both a prior strategy and an explicit prior series.
     #[test]
     fn parallel_estimation_is_bit_identical(
         (om, tm) in topo_and_long_series(),
@@ -244,14 +257,17 @@ proptest! {
         let serial = pipeline.estimate(&GravityPrior, &obs).unwrap();
         let one = Engine::serial().with_shard_bins(shard_bins);
         let many = Engine::new().with_threads(threads).with_shard_bins(shard_bins);
-        prop_assert_eq!(&pipeline.estimate_parallel(&GravityPrior, &obs, &one).unwrap(), &serial);
-        prop_assert_eq!(&pipeline.estimate_parallel(&GravityPrior, &obs, &many).unwrap(), &serial);
-        let prior_series = GravityPrior.prior_series(&obs).unwrap();
-        let from_series = pipeline.estimate_from_series(&prior_series, &obs).unwrap();
-        prop_assert_eq!(
-            &pipeline.estimate_from_series_parallel(&prior_series, &obs, &many).unwrap(),
-            &from_series
-        );
+        let pool = WorkspacePool::new();
+        let parallel = |prior: &dyn TmPrior, engine: &Engine| {
+            pipeline.estimate_parallel_pooled(prior, &obs, engine, &pool).unwrap()
+        };
+        prop_assert_eq!(&parallel(&GravityPrior, &one), &serial);
+        prop_assert_eq!(&parallel(&GravityPrior, &many), &serial);
+        let fixed = FixedPrior(GravityPrior.prior_series(&obs).unwrap());
+        let mut ws = PipelineWorkspace::new();
+        let from_series = pipeline.estimate_with(&fixed, &obs, &mut ws).unwrap();
+        prop_assert_eq!(&from_series, &serial);
+        prop_assert_eq!(&parallel(&fixed, &many), &from_series);
     }
 
     /// A warm caller-held pool is invisible in the results: repeated
@@ -272,87 +288,6 @@ proptest! {
         prop_assert_eq!(&warm, &serial);
     }
 
-    /// The batched SoA path against the per-bin path on random
-    /// topologies: width 1 is **bit-identical** (it degenerates to the
-    /// same operation sequence), and wider batches stay within the
-    /// 1e-12-relative contract (in practice they are bitwise equal too —
-    /// every per-lane reduction accumulates in the per-bin order).
-    #[test]
-    fn batched_pipeline_matches_per_bin(
-        (om, tm) in topo_and_long_series(),
-        width in 2usize..7,
-    ) {
-        let obs = om.observe(&tm).unwrap();
-        let per_bin = EstimationPipeline::new(om.clone());
-        let want = per_bin.estimate(&GravityPrior, &obs).unwrap();
-        let one = EstimationPipeline::new(om.clone())
-            .config(EstimationConfig::new().with_batch_width(1));
-        let mut ws = PipelineBatchWorkspace::new();
-        let got1 = one.estimate_batch_with(&GravityPrior, &obs, &mut ws).unwrap();
-        prop_assert_eq!(&got1, &want, "width 1 must be exact");
-        let wide = EstimationPipeline::new(om)
-            .config(EstimationConfig::new().with_batch_width(width));
-        // Reuse the workspace across widths: warm buffers are invisible.
-        let got = wide.estimate_batch_with(&GravityPrior, &obs, &mut ws).unwrap();
-        let scale = want.as_matrix().max_abs().max(1.0);
-        for (g, w) in got.as_matrix().as_slice().iter().zip(want.as_matrix().as_slice()) {
-            prop_assert!((g - w).abs() <= 1e-12 * scale, "batched {g} vs per-bin {w}");
-        }
-    }
-
-    /// Batched shards-as-batches parallel execution is bit-identical to
-    /// the serial batched path for every thread count and width.
-    #[test]
-    fn batched_parallel_is_bit_identical_to_batched_serial(
-        (om, tm) in topo_and_long_series(),
-        width in 1usize..6,
-        threads in 1usize..6,
-    ) {
-        let obs = om.observe(&tm).unwrap();
-        let pipeline = EstimationPipeline::new(om)
-            .config(EstimationConfig::new().with_batch_width(width));
-        let mut ws = PipelineBatchWorkspace::new();
-        let serial = pipeline.estimate_batch_with(&GravityPrior, &obs, &mut ws).unwrap();
-        let engine = Engine::new().with_threads(threads);
-        let pool: WorkspacePool<PipelineBatchWorkspace> = WorkspacePool::new();
-        let first = pipeline
-            .estimate_batch_parallel_pooled(&GravityPrior, &obs, &engine, &pool)
-            .unwrap();
-        let warm = pipeline
-            .estimate_batch_parallel_pooled(&GravityPrior, &obs, &engine, &pool)
-            .unwrap();
-        prop_assert_eq!(&first, &serial);
-        prop_assert_eq!(&warm, &serial);
-    }
-
-    /// The f32 compute mode stays within its documented tolerance of the
-    /// f64 batched path: operator products are computed in f32 but
-    /// accumulated in f64, so ~1e-6 relative agreement end to end.
-    #[test]
-    fn batched_f32_mode_within_documented_tolerance(
-        (om, tm) in topo_and_long_series(),
-        width in 1usize..6,
-    ) {
-        use ic_estimation::SolverPolicy;
-        let obs = om.observe(&tm).unwrap();
-        // The PCG policy is where precision applies (dense lanes ignore it).
-        let f64_pipe = EstimationPipeline::new(om.clone()).config(
-            EstimationConfig::new().with_solver(SolverPolicy::Pcg).with_batch_width(width),
-        );
-        let f32_pipe = EstimationPipeline::new(om).config(
-            EstimationConfig::new()
-                .with_solver(SolverPolicy::Pcg)
-                .with_batch_width(width)
-                .with_precision(Precision::F32),
-        );
-        let a = f64_pipe.estimate_batch(&GravityPrior, &obs).unwrap();
-        let b = f32_pipe.estimate_batch(&GravityPrior, &obs).unwrap();
-        let scale = a.as_matrix().max_abs().max(1.0);
-        for (x, y) in a.as_matrix().as_slice().iter().zip(b.as_matrix().as_slice()) {
-            prop_assert!((x - y).abs() <= 1e-4 * scale, "f64 {x} vs f32 {y}");
-        }
-    }
-
     /// `DecompositionPolicy::Flat` is inert: a config carrying it (or any
     /// decomposition policy) produces the bit-identical estimate of a
     /// default config through every flat entry point — the lock that
@@ -361,7 +296,7 @@ proptest! {
     #[test]
     fn flat_decomposition_policy_is_bit_identical(
         (om, tm) in topo_and_long_series(),
-        width in 1usize..5,
+        threads in 1usize..5,
         multilevel in any::<bool>(),
     ) {
         use ic_estimation::{DecompositionPolicy, MultilevelOptions};
@@ -376,19 +311,19 @@ proptest! {
             .config(EstimationConfig::new().with_decomposition(policy));
         let want = plain.estimate(&GravityPrior, &obs).unwrap();
         prop_assert_eq!(&tagged.estimate(&GravityPrior, &obs).unwrap(), &want);
-        let tagged_batch = tagged.clone().config(
-            tagged.estimation_config().clone().with_batch_width(width),
+        let mut ws = PipelineWorkspace::new();
+        prop_assert_eq!(&tagged.estimate_with(&GravityPrior, &obs, &mut ws).unwrap(), &want);
+        let engine = Engine::new().with_threads(threads).with_shard_bins(2);
+        let pool = WorkspacePool::new();
+        prop_assert_eq!(
+            &tagged.estimate_parallel_pooled(&GravityPrior, &obs, &engine, &pool).unwrap(),
+            &want
         );
-        let mut ws = PipelineBatchWorkspace::new();
-        let got = tagged_batch.estimate_batch_with(&GravityPrior, &obs, &mut ws).unwrap();
-        let scale = want.as_matrix().max_abs().max(1.0);
-        for (g, w) in got.as_matrix().as_slice().iter().zip(want.as_matrix().as_slice()) {
-            prop_assert!((g - w).abs() <= 1e-12 * scale, "tagged batched {g} vs plain {w}");
-        }
     }
 
     /// The engine-backed multi-prior comparison equals the serial
-    /// `compare_priors` exactly — errors, improvements, and means.
+    /// `compare_priors` exactly — errors, improvements, and means — and
+    /// the serial errors are those of the per-bin `estimate` path.
     #[test]
     fn compare_priors_with_matches_serial(
         (om, tm) in topo_and_long_series(),
@@ -399,6 +334,10 @@ proptest! {
         let pipeline = EstimationPipeline::new(om);
         let candidate = StableFPrior { f: 0.25 };
         let serial = compare_priors(&pipeline, &candidate, &tm, &obs).unwrap();
+        let per_bin = pipeline.estimate(&candidate, &obs).unwrap();
+        prop_assert_eq!(&serial.errors_candidate, &rel_l2_series(&tm, &per_bin).unwrap());
+        let per_bin = pipeline.estimate(&GravityPrior, &obs).unwrap();
+        prop_assert_eq!(&serial.errors_gravity, &rel_l2_series(&tm, &per_bin).unwrap());
         let engine = Engine::new().with_threads(threads).with_shard_bins(shard_bins);
         let parallel = compare_priors_with(&pipeline, &candidate, &tm, &obs, &engine).unwrap();
         prop_assert_eq!(serial.improvement, parallel.improvement);

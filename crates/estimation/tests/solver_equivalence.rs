@@ -11,8 +11,8 @@
 use ic_core::TmSeries;
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
-    EstimationConfig, EstimationPipeline, GravityPrior, ObservationModel, PipelineBatchWorkspace,
-    PipelineWorkspace, SolverPolicy,
+    EstimationConfig, EstimationPipeline, GravityPrior, ObservationModel, PipelineWorkspace,
+    SolverPolicy,
 };
 use ic_topology::{hierarchical, HierarchicalConfig, RoutingScheme};
 
@@ -95,33 +95,4 @@ fn pcg_parallel_pooled_is_bit_identical_to_serial_pcg() {
         .unwrap();
     assert_eq!(first, serial);
     assert_eq!(warm, serial);
-}
-
-#[test]
-fn batched_pcg_at_200_nodes_is_bit_identical_to_per_bin_pcg() {
-    // The SoA batched path under the PCG policy at the solver-equivalence
-    // scale: every batch width reproduces the per-bin series bit for bit,
-    // warm workspace reuse included.
-    let (om, tm) = model_and_series(8);
-    let obs = om.observe(&tm).unwrap();
-    let per_bin = EstimationPipeline::new(om.clone())
-        .config(EstimationConfig::new().with_solver(SolverPolicy::Pcg))
-        .estimate(&GravityPrior, &obs)
-        .unwrap();
-    for width in [1usize, 4, 8] {
-        let pipeline = EstimationPipeline::new(om.clone()).config(
-            EstimationConfig::new()
-                .with_solver(SolverPolicy::Pcg)
-                .with_batch_width(width),
-        );
-        let mut ws = PipelineBatchWorkspace::new();
-        let first = pipeline
-            .estimate_batch_with(&GravityPrior, &obs, &mut ws)
-            .unwrap();
-        let warm = pipeline
-            .estimate_batch_with(&GravityPrior, &obs, &mut ws)
-            .unwrap();
-        assert_eq!(first, per_bin, "width {width}");
-        assert_eq!(warm, per_bin, "warm width {width}");
-    }
 }

@@ -12,13 +12,13 @@ use crate::report::ScenarioReport;
 use crate::{ExperimentError, Result};
 use ic_core::{
     fit_stable_fp, generate_synthetic, gravity_predict, improvement_percent, rel_l2_series,
-    FitOptions, FitReport, StableFpParams, SynthConfig, TmSeries,
+    FitReport, StableFpParams, SynthConfig, TmSeries,
 };
 use ic_datasets::{build_d1, build_d2, GeantConfig, TotemConfig};
 use ic_engine::Engine;
 use ic_estimation::{
-    compare_priors_with, EstimationConfig, EstimationPipeline, GravityPrior, IpfOptions,
-    MeasuredIcPrior, ObservationModel, StableFPrior, StableFpPrior, TmPrior, TomogravityOptions,
+    compare_priors_with, EstimationConfig, EstimationPipeline, GravityPrior, MeasuredIcPrior,
+    ObservationModel, StableFPrior, StableFpPrior, TmPrior,
 };
 use ic_stream::{
     replay_estimation_with, replay_fit_with, ReplayOptions, ReplayReport, ReplayStream, SolveStats,
@@ -584,41 +584,10 @@ impl ScenarioBuilder {
     }
 
     /// Replaces the scenario's whole estimation configuration — fit,
-    /// tomogravity, IPF, solver policy, and batched execution — in one
-    /// call. The single configuration entry point; the setters below are
-    /// deprecated forwarders onto it.
+    /// tomogravity, IPF, and solver policy — in one call. The single
+    /// configuration entry point.
     pub fn config(mut self, config: EstimationConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the Section 5.1 fit options used wherever the scenario fits.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_fit`")]
-    pub fn fit_options(mut self, options: FitOptions) -> Self {
-        self.config.fit = options;
-        self
-    }
-
-    /// Sets the tomogravity refinement options.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_tomogravity`")]
-    pub fn tomogravity(mut self, options: TomogravityOptions) -> Self {
-        self.config.tomogravity = options;
-        self
-    }
-
-    /// Sets the IPF options.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_ipf`")]
-    pub fn ipf(mut self, options: IpfOptions) -> Self {
-        self.config.ipf = options;
-        self
-    }
-
-    /// Selects the normal-equations solver for every solve the scenario
-    /// performs: the tomogravity refinement of the estimation/streaming
-    /// tasks and the activity subproblems of the BCD fits.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_solver`")]
-    pub fn solver(mut self, policy: ic_core::SolverPolicy) -> Self {
-        self.config = self.config.with_solver(policy);
         self
     }
 
@@ -699,6 +668,7 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_core::FitOptions;
     use ic_estimation::compare_priors;
 
     fn tiny_synth() -> SynthConfig {
@@ -822,13 +792,12 @@ mod tests {
     fn solver_builder_applies_to_fit_and_tomogravity() {
         use ic_core::SolverPolicy;
 
-        // The deprecated `solver` forwarder and the unified config route
-        // must produce the same scenario.
-        #[allow(deprecated)]
+        // One `with_solver` in the config reaches both the fits and the
+        // tomogravity refinement.
         let sc = Scenario::builder("pcg")
             .synth(tiny_synth())
             .geant22()
-            .solver(SolverPolicy::Pcg)
+            .config(EstimationConfig::new().with_solver(SolverPolicy::Pcg))
             .build()
             .unwrap();
         assert_eq!(sc.config.fit.solver, SolverPolicy::Pcg);
@@ -847,41 +816,6 @@ mod tests {
         for (a, b) in pcg.improvement.iter().zip(dense.improvement.iter()) {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn batched_scenario_is_bit_identical_to_per_bin() {
-        // Same scenario with and without a SoA batch width, estimation
-        // and streaming tasks: reports are bitwise equal.
-        let estimation = |config: EstimationConfig| {
-            Scenario::builder("batch-est")
-                .synth(tiny_synth())
-                .geant22()
-                .config(config)
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        assert_eq!(
-            estimation(EstimationConfig::new()),
-            estimation(EstimationConfig::new().with_batch_width(3))
-        );
-        let streaming = |config: EstimationConfig| {
-            Scenario::builder("batch-stream")
-                .synth(tiny_synth().with_nodes(22).with_bins(12))
-                .geant22()
-                .streaming(ReplayOptions::default().with_window_bins(4))
-                .config(config)
-                .build()
-                .unwrap()
-                .run()
-                .unwrap()
-        };
-        assert_eq!(
-            streaming(EstimationConfig::new()),
-            streaming(EstimationConfig::new().with_batch_width(4))
-        );
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! Omitted: complex scalars, LU with pivoting (Cholesky + QR cover all
 //! solves we perform), and eigendecomposition (not needed).
 
-pub mod batch;
 pub mod cholesky;
 pub mod matrix;
 pub mod nnls;
@@ -47,7 +46,6 @@ pub mod solver;
 pub mod sparse;
 pub mod svd;
 
-pub use batch::{BatchOptions, PcgBatchSolve, PcgBatchWorkspace, Precision};
 pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsOptions};
@@ -77,10 +75,7 @@ const _: () = {
     _assert_send_sync::<Qr>();
     _assert_send_sync::<Svd>();
     _assert_send_sync::<PcgWorkspace>();
-    _assert_send_sync::<PcgBatchWorkspace>();
     _assert_send_sync::<BlockJacobiPreconditioner>();
-    _assert_send_sync::<BatchOptions>();
-    _assert_send_sync::<Precision>();
     _assert_send_sync::<DenseNormalSolver>();
     _assert_send_sync::<PcgNormalSolver>();
     _assert_send_sync::<NormalSolverWorkspace>();

@@ -26,8 +26,7 @@ use crate::{LinalgError, Result};
 ///
 /// Usage: [`BlockJacobiPreconditioner::factor`] once per solve (weights
 /// change per bin), then hand [`BlockJacobiPreconditioner::apply`] to
-/// [`crate::PcgWorkspace::solve_preconditioned`] (or per lane to
-/// [`crate::PcgBatchWorkspace::solve_preconditioned`]). Buffers are
+/// [`crate::PcgWorkspace::solve_preconditioned`]. Buffers are
 /// reused across factorizations, so a warm workspace allocates only when
 /// block shapes change.
 ///

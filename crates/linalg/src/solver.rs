@@ -27,13 +27,12 @@
 //! policy with cumulative, observable [`SolveStats`] — replacing the old
 //! silent `pseudo_inverse` fallback with counted events.
 
-use crate::batch::{gather_lane, scatter_lane, PcgBatchWorkspace, Precision};
 use crate::matrix::Matrix;
 use crate::pcg::PcgWorkspace;
 use crate::pinv::pseudo_inverse;
 use crate::precond::BlockJacobiPreconditioner;
 use crate::sparse::SparseMatrix;
-use crate::{CholeskyWorkspace, LinalgError, Result};
+use crate::{CholeskyWorkspace, Result};
 
 /// Which normal-equations solver a consumer should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -307,31 +306,9 @@ pub struct NormalSolverWorkspace {
     policy: SolverPolicy,
     dense: DenseNormalSolver,
     pcg: PcgNormalSolver,
-    batch: BatchSolveBuffers,
     stats: SolveStats,
     row_blocks: Option<Vec<Vec<usize>>>,
     bj: BlockJacobiPreconditioner,
-}
-
-/// Buffers of [`NormalSolverWorkspace::solve_batch`]: the batched PCG
-/// state plus the per-lane gather/scatter scratch the dense per-lane
-/// path uses. Empty until the first batched solve, so per-bin workloads
-/// pay nothing for them.
-#[derive(Debug, Clone, Default)]
-struct BatchSolveBuffers {
-    pcg: PcgBatchWorkspace,
-    diag: Vec<f64>,
-    scratch: Vec<f64>,
-    ridge: Vec<f64>,
-    lane_w: Vec<f64>,
-    lane_b: Vec<f64>,
-    lane_x: Vec<f64>,
-    // Per-lane block-Jacobi state (each lane has its own weights, hence
-    // its own factorization) plus gather/scatter scratch for the batched
-    // preconditioner application. Empty unless row blocks are installed.
-    bj_lanes: Vec<BlockJacobiPreconditioner>,
-    lane_r: Vec<f64>,
-    lane_z: Vec<f64>,
 }
 
 impl NormalSolverWorkspace {
@@ -476,171 +453,6 @@ impl NormalSolverWorkspace {
         }
         Ok(())
     }
-
-    /// Solves `batch` independent weighted normal systems sharing the
-    /// operator `a` in one call: `weights`, `b` and `x` are SoA vectors
-    /// (lane `k` of element `i` at `i·batch + k`; see [`crate::batch`]),
-    /// and lane `k` receives the solution of
-    /// `(A·diag(w_k)·Aᵀ + scale_k·ridge·I) x_k = b_k` — with `scale_k`
-    /// the magnitude of lane `k`'s gram matrix, exactly as the per-bin
-    /// [`NormalSolverWorkspace::solve`] would compute it.
-    ///
-    /// Under [`SolverKind::Pcg`] all lanes advance through one batched
-    /// operator application per iteration ([`PcgBatchWorkspace`]), so one
-    /// CSR traversal serves the whole batch; each lane remains
-    /// bit-identical to its per-bin solve, and `precision` opts the
-    /// operator products into the f32-compute/f64-accumulate kernels
-    /// (documented ~1e-6 relative accuracy; the preconditioner, dot
-    /// products and iterates stay `f64`). Under [`SolverKind::Dense`] the
-    /// lanes are factored one at a time through the dense path — batching
-    /// buys nothing for an `O(rows³)` factorization, but the call keeps
-    /// one entry point and identical per-lane results; `precision` is
-    /// ignored there. Counters accumulate as `batch` individual solves.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_batch(
-        &mut self,
-        a: &SparseMatrix,
-        transpose: &SparseMatrix,
-        weights: &[f64],
-        ridge: f64,
-        b: &[f64],
-        x: &mut [f64],
-        batch: usize,
-        precision: Precision,
-    ) -> Result<()> {
-        if batch == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "solve_batch: zero batch width",
-            ));
-        }
-        let (rows, cols) = a.shape();
-        if weights.len() != cols * batch || b.len() != rows * batch || x.len() != rows * batch {
-            return Err(LinalgError::ShapeMismatch {
-                op: "solve_batch",
-                lhs: (weights.len(), b.len()),
-                rhs: (x.len(), batch),
-            });
-        }
-        let bufs = &mut self.batch;
-        match self.policy.resolve(rows) {
-            SolverKind::Dense => {
-                bufs.lane_w.resize(cols, 0.0);
-                bufs.lane_b.resize(rows, 0.0);
-                bufs.lane_x.resize(rows, 0.0);
-                for k in 0..batch {
-                    gather_lane(weights, &mut bufs.lane_w, k, batch);
-                    gather_lane(b, &mut bufs.lane_b, k, batch);
-                    self.dense.solve_normal(
-                        a,
-                        transpose,
-                        &bufs.lane_w,
-                        ridge,
-                        &bufs.lane_b,
-                        &mut bufs.lane_x,
-                        &mut self.stats,
-                    )?;
-                    scatter_lane(&bufs.lane_x, x, k, batch);
-                }
-                Ok(())
-            }
-            SolverKind::Pcg => {
-                bufs.diag.resize(rows * batch, 0.0);
-                bufs.scratch.resize(cols * batch, 0.0);
-                bufs.ridge.resize(batch, 0.0);
-                a.awat_diag_batch_into(weights, batch, &mut bufs.diag)?;
-                // Per-lane scale from the lane's own diagonal, in the
-                // same ascending-row fold order as the per-bin path.
-                for (k, rk) in bufs.ridge.iter_mut().enumerate() {
-                    let scale = bufs
-                        .diag
-                        .iter()
-                        .skip(k)
-                        .step_by(batch)
-                        .fold(0.0_f64, |m, &d| m.max(d))
-                        .max(f64::MIN_POSITIVE);
-                    *rk = scale * ridge;
-                }
-                let out = if let Some(blocks) = self.row_blocks.as_deref() {
-                    // Block-Jacobi: each lane owns a factorization of its
-                    // own weighted blocks; the batched preconditioner
-                    // application gathers each lane, solves, scatters.
-                    bufs.bj_lanes
-                        .resize_with(batch, BlockJacobiPreconditioner::new);
-                    bufs.lane_w.resize(cols, 0.0);
-                    for k in 0..batch {
-                        gather_lane(weights, &mut bufs.lane_w, k, batch);
-                        let ridge_abs = bufs.ridge[k];
-                        bufs.bj_lanes[k].factor(a, &bufs.lane_w, ridge_abs, blocks)?;
-                    }
-                    bufs.lane_r.resize(rows, 0.0);
-                    bufs.lane_z.resize(rows, 0.0);
-                    let scratch = &mut bufs.scratch;
-                    let bj_lanes = &mut bufs.bj_lanes;
-                    let lane_r = &mut bufs.lane_r;
-                    let lane_z = &mut bufs.lane_z;
-                    bufs.pcg.solve_preconditioned(
-                        &bufs.ridge,
-                        b,
-                        x,
-                        batch,
-                        |v, y| match precision {
-                            Precision::F64 => {
-                                transpose.matvec_batch_into(v, batch, scratch)?;
-                                for (s, &w) in scratch.iter_mut().zip(weights.iter()) {
-                                    *s *= w;
-                                }
-                                a.matvec_batch_into(scratch, batch, y)
-                            }
-                            Precision::F32 => {
-                                transpose.matvec_batch_f32_into(v, batch, scratch)?;
-                                for (s, &w) in scratch.iter_mut().zip(weights.iter()) {
-                                    *s *= w;
-                                }
-                                a.matvec_batch_f32_into(scratch, batch, y)
-                            }
-                        },
-                        |r, z| {
-                            for (k, bj) in bj_lanes.iter_mut().enumerate() {
-                                gather_lane(r, lane_r, k, batch);
-                                bj.apply(lane_r, lane_z)?;
-                                scatter_lane(lane_z, z, k, batch);
-                            }
-                            Ok(())
-                        },
-                    )?
-                } else {
-                    let scratch = &mut bufs.scratch;
-                    bufs.pcg.solve(
-                        &bufs.diag,
-                        &bufs.ridge,
-                        b,
-                        x,
-                        batch,
-                        |v, y| match precision {
-                            Precision::F64 => {
-                                transpose.matvec_batch_into(v, batch, scratch)?;
-                                for (s, &w) in scratch.iter_mut().zip(weights.iter()) {
-                                    *s *= w;
-                                }
-                                a.matvec_batch_into(scratch, batch, y)
-                            }
-                            Precision::F32 => {
-                                transpose.matvec_batch_f32_into(v, batch, scratch)?;
-                                for (s, &w) in scratch.iter_mut().zip(weights.iter()) {
-                                    *s *= w;
-                                }
-                                a.matvec_batch_f32_into(scratch, batch, y)
-                            }
-                        },
-                    )?
-                };
-                self.stats.pcg_solves += out.lanes as u64;
-                self.stats.pcg_iterations += out.total_iterations;
-                self.stats.pcg_stalls += out.stalled_lanes;
-                Ok(())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -733,88 +545,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solve_batch_matches_per_lane_bitwise_both_kinds() {
-        let (a, at, w, b) = sample_system();
-        let batch = 3;
-        // Three lanes with different weights and right-hand sides.
-        let lane_ws: Vec<Vec<f64>> = (0..batch)
-            .map(|k| w.iter().map(|&v| v * (1.0 + k as f64 * 0.5)).collect())
-            .collect();
-        let lane_bs: Vec<Vec<f64>> = (0..batch)
-            .map(|k| b.iter().map(|&v| v - k as f64).collect())
-            .collect();
-        let mut w_soa = vec![0.0; 5 * batch];
-        let mut b_soa = vec![0.0; 3 * batch];
-        for k in 0..batch {
-            scatter_lane(&lane_ws[k], &mut w_soa, k, batch);
-            scatter_lane(&lane_bs[k], &mut b_soa, k, batch);
-        }
-        for policy in [SolverPolicy::Dense, SolverPolicy::Pcg] {
-            let mut ws = NormalSolverWorkspace::with_policy(policy);
-            let mut x_soa = vec![0.0; 3 * batch];
-            ws.solve_batch(
-                &a,
-                &at,
-                &w_soa,
-                1e-10,
-                &b_soa,
-                &mut x_soa,
-                batch,
-                Precision::F64,
-            )
-            .unwrap();
-            let mut lane_x = vec![0.0; 3];
-            let mut per_bin = NormalSolverWorkspace::with_policy(policy);
-            for k in 0..batch {
-                let mut want = vec![0.0; 3];
-                per_bin
-                    .solve(&a, &at, &lane_ws[k], 1e-10, &lane_bs[k], &mut want)
-                    .unwrap();
-                gather_lane(&x_soa, &mut lane_x, k, batch);
-                assert_eq!(lane_x, want, "{policy:?} lane {k} diverged from per-bin");
-            }
-            // Counters accumulate as `batch` individual solves.
-            assert_eq!(ws.stats(), per_bin.stats(), "{policy:?} stats diverged");
-            assert_eq!(ws.stats().solves(), batch as u64);
-        }
-    }
-
-    #[test]
-    fn solve_batch_f32_mode_stays_close() {
-        let (a, at, w, b) = sample_system();
-        let mut exact = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        let mut x64 = vec![0.0; 3];
-        exact.solve(&a, &at, &w, 1e-10, &b, &mut x64).unwrap();
-        let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        let mut x32 = vec![0.0; 3];
-        ws.solve_batch(&a, &at, &w, 1e-10, &b, &mut x32, 1, Precision::F32)
-            .unwrap();
-        let scale = x64.iter().fold(1.0_f64, |m, &v| m.max(v.abs()));
-        for (e, g) in x64.iter().zip(x32.iter()) {
-            assert!(
-                (e - g).abs() <= 1e-4 * scale,
-                "f32 batched solve drifted: {e} vs {g}"
-            );
-        }
-    }
-
-    #[test]
-    fn solve_batch_rejects_bad_shapes() {
-        let (a, at, w, b) = sample_system();
-        let mut ws = NormalSolverWorkspace::new();
-        let mut x = vec![0.0; 3];
-        assert!(ws
-            .solve_batch(&a, &at, &w, 1e-10, &b, &mut x, 0, Precision::F64)
-            .is_err());
-        assert!(ws
-            .solve_batch(&a, &at, &w, 1e-10, &b, &mut x, 2, Precision::F64)
-            .is_err());
-        assert!(ws
-            .solve_batch(&a, &at, &w[..3], 1e-10, &b, &mut x, 1, Precision::F64)
-            .is_err());
-    }
-
     /// A 6x4 operator whose gram splits into two tightly coupled 3-row
     /// blocks with weak cross-coupling — the shape a partitioned topology
     /// produces.
@@ -864,56 +594,6 @@ mod tests {
         block.solve(&a, &at, &w, 1e-10, &b, &mut x_again).unwrap();
         assert_eq!(x_again, x_scalar);
         assert_eq!(block.stats(), scalar.stats());
-    }
-
-    #[test]
-    fn batched_row_blocks_match_per_bin_block_solves() {
-        let (a, at, w, b) = clustered_system();
-        let batch = 2;
-        let lane_ws: Vec<Vec<f64>> = (0..batch)
-            .map(|k| w.iter().map(|&v| v * (1.0 + k as f64)).collect())
-            .collect();
-        let lane_bs: Vec<Vec<f64>> = (0..batch)
-            .map(|k| b.iter().map(|&v| v + k as f64 * 0.5).collect())
-            .collect();
-        let mut w_soa = vec![0.0; 4 * batch];
-        let mut b_soa = vec![0.0; 6 * batch];
-        for k in 0..batch {
-            scatter_lane(&lane_ws[k], &mut w_soa, k, batch);
-            scatter_lane(&lane_bs[k], &mut b_soa, k, batch);
-        }
-        let blocks = vec![vec![0usize, 1, 2], vec![3, 4, 5]];
-        let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        ws.set_row_blocks(Some(blocks.clone()));
-        let mut x_soa = vec![0.0; 6 * batch];
-        ws.solve_batch(
-            &a,
-            &at,
-            &w_soa,
-            1e-10,
-            &b_soa,
-            &mut x_soa,
-            batch,
-            Precision::F64,
-        )
-        .unwrap();
-        let mut per_bin = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        per_bin.set_row_blocks(Some(blocks));
-        let mut lane_x = vec![0.0; 6];
-        for k in 0..batch {
-            let mut want = vec![0.0; 6];
-            per_bin
-                .solve(&a, &at, &lane_ws[k], 1e-10, &lane_bs[k], &mut want)
-                .unwrap();
-            gather_lane(&x_soa, &mut lane_x, k, batch);
-            for (got, w) in lane_x.iter().zip(want.iter()) {
-                assert!(
-                    (got - w).abs() <= 1e-12 * (1.0 + w.abs()),
-                    "lane {k}: {got} vs {w}"
-                );
-            }
-        }
-        assert_eq!(ws.stats().pcg_solves, batch as u64);
     }
 
     #[test]

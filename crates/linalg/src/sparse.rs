@@ -368,184 +368,6 @@ impl SparseMatrix {
         Ok(())
     }
 
-    /// Shared shape validation of the batched SoA kernels: `v` must hold
-    /// `v_len_per_lane · batch` values and `out` `out_len_per_lane ·
-    /// batch`.
-    fn check_batch(
-        &self,
-        op: &'static str,
-        v: &[f64],
-        v_len: usize,
-        out: &[f64],
-        out_len: usize,
-        batch: usize,
-    ) -> Result<()> {
-        if batch == 0 {
-            return Err(LinalgError::InvalidArgument("batch width must be positive"));
-        }
-        if v.len() != v_len * batch || out.len() != out_len * batch {
-            return Err(LinalgError::ShapeMismatch {
-                op,
-                lhs: self.shape(),
-                rhs: (v.len(), out.len()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Batched matrix-vector product over `batch` right-hand sides laid
-    /// out structure-of-arrays: element `c` of lane `k` lives at
-    /// `v[c*batch + k]`, and `out[i*batch + k]` receives `(self · v_k)[i]`.
-    ///
-    /// One CSR index traversal serves all lanes — the inner loop runs over
-    /// the `batch` contiguous lane values of each stored entry, which is
-    /// what the compiler autovectorizes. Each lane accumulates in the same
-    /// order as [`SparseMatrix::matvec_into`], so every lane's result is
-    /// bit-identical to the per-bin product, for any batch width.
-    pub fn matvec_batch_into(&self, v: &[f64], batch: usize, out: &mut [f64]) -> Result<()> {
-        self.check_batch("sparse_matvec_batch", v, self.cols, out, self.rows, batch)?;
-        for i in 0..self.rows {
-            let out_lane = &mut out[i * batch..(i + 1) * batch];
-            out_lane.fill(0.0);
-            let (cols, vals) = self.row(i);
-            for (&c, &a) in cols.iter().zip(vals.iter()) {
-                let v_lane = &v[c * batch..(c + 1) * batch];
-                for (o, &x) in out_lane.iter_mut().zip(v_lane.iter()) {
-                    *o += a * x;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched transposed matrix-vector product (`out_k = selfᵀ · v_k`
-    /// per lane) over SoA vectors; see [`SparseMatrix::matvec_batch_into`]
-    /// for the layout. Row-scatter like the per-bin kernel, with each
-    /// lane's accumulation order preserved.
-    pub fn matvec_transposed_batch_into(
-        &self,
-        v: &[f64],
-        batch: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.check_batch(
-            "sparse_matvec_transposed_batch",
-            v,
-            self.rows,
-            out,
-            self.cols,
-            batch,
-        )?;
-        out.fill(0.0);
-        for i in 0..self.rows {
-            let v_lane = &v[i * batch..(i + 1) * batch];
-            let (cols, vals) = self.row(i);
-            for (&c, &a) in cols.iter().zip(vals.iter()) {
-                let out_lane = &mut out[c * batch..(c + 1) * batch];
-                for (o, &x) in out_lane.iter_mut().zip(v_lane.iter()) {
-                    *o += a * x;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched diagonal of `self · diag(w_k) · selfᵀ` per lane
-    /// (`out[i*batch + k] = Σ_c a_ic² · w[c*batch + k]`): the per-lane
-    /// Jacobi preconditioners of the batched PCG solver, in one `O(nnz)`
-    /// traversal. Lane accumulation order matches
-    /// [`SparseMatrix::awat_diag_into`] bitwise.
-    pub fn awat_diag_batch_into(
-        &self,
-        weights: &[f64],
-        batch: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.check_batch(
-            "sparse_awat_diag_batch",
-            weights,
-            self.cols,
-            out,
-            self.rows,
-            batch,
-        )?;
-        for i in 0..self.rows {
-            let out_lane = &mut out[i * batch..(i + 1) * batch];
-            out_lane.fill(0.0);
-            let (cols, vals) = self.row(i);
-            for (&c, &a) in cols.iter().zip(vals.iter()) {
-                let coeff = a * a;
-                let w_lane = &weights[c * batch..(c + 1) * batch];
-                for (o, &w) in out_lane.iter_mut().zip(w_lane.iter()) {
-                    *o += coeff * w;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reduced-precision variant of [`SparseMatrix::matvec_batch_into`]:
-    /// each product is computed in `f32` and accumulated in `f64` (the
-    /// [`crate::Precision::F32`] mode). Relative accuracy is bounded by
-    /// single-precision rounding of the products (~1e-7 per term); the
-    /// `f64` accumulator keeps the summation itself full-precision.
-    pub fn matvec_batch_f32_into(&self, v: &[f64], batch: usize, out: &mut [f64]) -> Result<()> {
-        self.check_batch(
-            "sparse_matvec_batch_f32",
-            v,
-            self.cols,
-            out,
-            self.rows,
-            batch,
-        )?;
-        for i in 0..self.rows {
-            let out_lane = &mut out[i * batch..(i + 1) * batch];
-            out_lane.fill(0.0);
-            let (cols, vals) = self.row(i);
-            for (&c, &a) in cols.iter().zip(vals.iter()) {
-                let a32 = a as f32;
-                let v_lane = &v[c * batch..(c + 1) * batch];
-                for (o, &x) in out_lane.iter_mut().zip(v_lane.iter()) {
-                    *o += f64::from(a32 * x as f32);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reduced-precision variant of
-    /// [`SparseMatrix::matvec_transposed_batch_into`]; see
-    /// [`SparseMatrix::matvec_batch_f32_into`] for the arithmetic
-    /// contract.
-    pub fn matvec_transposed_batch_f32_into(
-        &self,
-        v: &[f64],
-        batch: usize,
-        out: &mut [f64],
-    ) -> Result<()> {
-        self.check_batch(
-            "sparse_matvec_transposed_batch_f32",
-            v,
-            self.rows,
-            out,
-            self.cols,
-            batch,
-        )?;
-        out.fill(0.0);
-        for i in 0..self.rows {
-            let v_lane = &v[i * batch..(i + 1) * batch];
-            let (cols, vals) = self.row(i);
-            for (&c, &a) in cols.iter().zip(vals.iter()) {
-                let a32 = a as f32;
-                let out_lane = &mut out[c * batch..(c + 1) * batch];
-                for (o, &x) in out_lane.iter_mut().zip(v_lane.iter()) {
-                    *o += f64::from(a32 * x as f32);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Vertical concatenation `[self ; rhs]`; column counts must match.
     pub fn vstack(&self, rhs: &SparseMatrix) -> Result<SparseMatrix> {
         if self.cols != rhs.cols {
@@ -868,133 +690,6 @@ mod tests {
         assert!(s.awat_diag_into(&[1.0], &mut diag).is_err());
         let mut short = vec![0.0; 2];
         assert!(s.awat_diag_into(&w, &mut short).is_err());
-    }
-
-    /// Interleaves per-bin vectors into the SoA layout.
-    fn to_soa(lanes: &[Vec<f64>]) -> Vec<f64> {
-        let batch = lanes.len();
-        let n = lanes[0].len();
-        let mut soa = vec![0.0; n * batch];
-        for (k, lane) in lanes.iter().enumerate() {
-            for (i, &v) in lane.iter().enumerate() {
-                soa[i * batch + k] = v;
-            }
-        }
-        soa
-    }
-
-    fn lane_of(soa: &[f64], k: usize, batch: usize) -> Vec<f64> {
-        soa.iter().skip(k).step_by(batch).copied().collect()
-    }
-
-    #[test]
-    fn batched_matvec_matches_per_bin_bitwise() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        let lanes: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                (0..4)
-                    .map(|i| (i as f64 - 1.5) * (k as f64 + 0.7))
-                    .collect()
-            })
-            .collect();
-        let v = to_soa(&lanes);
-        let mut out = vec![0.0; 3 * 3];
-        s.matvec_batch_into(&v, 3, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            assert_eq!(lane_of(&out, k, 3), s.matvec(lane).unwrap(), "lane {k}");
-        }
-        // B = 1 degenerates to the per-bin kernel exactly.
-        let mut out1 = vec![0.0; 3];
-        s.matvec_batch_into(&lanes[0], 1, &mut out1).unwrap();
-        assert_eq!(out1, s.matvec(&lanes[0]).unwrap());
-        assert!(s.matvec_batch_into(&v, 0, &mut out).is_err());
-        assert!(s.matvec_batch_into(&v[..4], 3, &mut out).is_err());
-    }
-
-    #[test]
-    fn batched_transposed_matvec_matches_per_bin_bitwise() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        // Include a zero entry so the per-bin kernel's zero-skip is
-        // exercised against the batched no-skip path.
-        let lanes: Vec<Vec<f64>> = vec![vec![2.0, 0.0, -1.0], vec![0.0, 0.0, 3.5]];
-        let v = to_soa(&lanes);
-        let mut out = vec![0.0; 4 * 2];
-        s.matvec_transposed_batch_into(&v, 2, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            assert_eq!(
-                lane_of(&out, k, 2),
-                s.matvec_transposed(lane).unwrap(),
-                "lane {k}"
-            );
-        }
-        assert!(s.matvec_transposed_batch_into(&v, 0, &mut out).is_err());
-        assert!(s
-            .matvec_transposed_batch_into(&v, 2, &mut out[..4])
-            .is_err());
-    }
-
-    #[test]
-    fn batched_awat_diag_matches_per_bin_bitwise() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        let lanes: Vec<Vec<f64>> = vec![
-            vec![0.5, 2.0, 1.0, 3.0],
-            vec![1.0, 1.0, 1.0, 1.0],
-            vec![0.0, 4.0, 0.25, 7.0],
-        ];
-        let w = to_soa(&lanes);
-        let mut out = vec![0.0; 3 * 3];
-        s.awat_diag_batch_into(&w, 3, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            let mut want = vec![0.0; 3];
-            s.awat_diag_into(lane, &mut want).unwrap();
-            assert_eq!(lane_of(&out, k, 3), want, "lane {k}");
-        }
-        assert!(s.awat_diag_batch_into(&w, 0, &mut out).is_err());
-        assert!(s.awat_diag_batch_into(&w[..4], 3, &mut out).is_err());
-    }
-
-    #[test]
-    fn f32_batched_kernels_are_close_to_f64() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        let lanes: Vec<Vec<f64>> = (0..2)
-            .map(|k| (0..4).map(|i| 1.0 + i as f64 * 0.3 + k as f64).collect())
-            .collect();
-        let v = to_soa(&lanes);
-        let mut exact = vec![0.0; 3 * 2];
-        let mut approx = vec![0.0; 3 * 2];
-        s.matvec_batch_into(&v, 2, &mut exact).unwrap();
-        s.matvec_batch_f32_into(&v, 2, &mut approx).unwrap();
-        for (e, a) in exact.iter().zip(approx.iter()) {
-            let scale = e.abs().max(1.0);
-            assert!(
-                (e - a).abs() <= 1e-6 * scale,
-                "f32 matvec drifted: {e} vs {a}"
-            );
-        }
-        let lanes_t: Vec<Vec<f64>> = vec![vec![2.0, -1.0, 0.25], vec![1.0, 0.0, 3.0]];
-        let vt = to_soa(&lanes_t);
-        let mut exact_t = vec![0.0; 4 * 2];
-        let mut approx_t = vec![0.0; 4 * 2];
-        s.matvec_transposed_batch_into(&vt, 2, &mut exact_t)
-            .unwrap();
-        s.matvec_transposed_batch_f32_into(&vt, 2, &mut approx_t)
-            .unwrap();
-        for (e, a) in exact_t.iter().zip(approx_t.iter()) {
-            let scale = e.abs().max(1.0);
-            assert!(
-                (e - a).abs() <= 1e-6 * scale,
-                "f32 matvecT drifted: {e} vs {a}"
-            );
-        }
-        let mut out = vec![0.0; 3 * 2];
-        assert!(s.matvec_batch_f32_into(&v, 0, &mut out).is_err());
-        assert!(s
-            .matvec_transposed_batch_f32_into(&vt, 0, &mut out)
-            .is_err());
     }
 
     #[test]

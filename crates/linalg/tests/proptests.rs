@@ -7,15 +7,14 @@
 //! and is idempotent, and the panelled Cholesky is bit-identical to the
 //! dot-product kernel it replaced.
 
-use ic_linalg::batch::{gather_lane, scatter_lane};
 use ic_linalg::matrix::dot;
 use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::pinv::satisfies_moore_penrose;
 use ic_linalg::qr::solve;
 use ic_linalg::{
     nnls, project_to_simplex, pseudo_inverse, BlockJacobiPreconditioner, Cholesky,
-    CholeskyWorkspace, LinalgError, Matrix, NnlsOptions, NormalSolver, PcgBatchWorkspace,
-    PcgNormalSolver, PcgWorkspace, Qr, Result, SolveStats, SparseMatrix, Svd,
+    CholeskyWorkspace, LinalgError, Matrix, NnlsOptions, NormalSolver, PcgNormalSolver,
+    PcgWorkspace, Qr, Result, SolveStats, SparseMatrix, Svd,
 };
 use proptest::prelude::*;
 
@@ -370,95 +369,6 @@ proptest! {
         prop_assert!(lhs.approx_eq(&rhs, 1e-9 * (1.0 + lhs.max_abs())));
     }
 
-    /// Every lane of the batched SoA matvec is *bit-identical* to the
-    /// per-bin product, for any batch width (width 1 included): the
-    /// batched kernel accumulates each lane in the per-bin order.
-    #[test]
-    fn batched_matvec_lanes_are_bit_identical_to_per_bin(
-        rows in 1usize..9, cols in 1usize..9, batch in 1usize..9, seed in any::<u64>()
-    ) {
-        let d = deterministic_sparse_dense(rows, cols, seed);
-        let s = SparseMatrix::from_dense(&d);
-        let lanes = deterministic_lanes(cols, batch, seed ^ 0xb17c);
-        let soa = pack_soa(&lanes, batch);
-        let mut out = vec![0.0; rows * batch];
-        s.matvec_batch_into(&soa, batch, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            let per_bin = s.matvec(lane).unwrap();
-            let mut got = vec![0.0; rows];
-            gather_lane(&out, &mut got, k, batch);
-            prop_assert_eq!(&got, &per_bin, "lane {} of width {}", k, batch);
-        }
-    }
-
-    /// Batched transposed matvec: same bit-identity contract as the
-    /// forward kernel (row-scatter preserves each lane's order).
-    #[test]
-    fn batched_transposed_matvec_lanes_are_bit_identical_to_per_bin(
-        rows in 1usize..9, cols in 1usize..9, batch in 1usize..9, seed in any::<u64>()
-    ) {
-        let d = deterministic_sparse_dense(rows, cols, seed);
-        let s = SparseMatrix::from_dense(&d);
-        let lanes = deterministic_lanes(rows, batch, seed ^ 0x7a3d);
-        let soa = pack_soa(&lanes, batch);
-        let mut out = vec![0.0; cols * batch];
-        s.matvec_transposed_batch_into(&soa, batch, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            let per_bin = s.matvec_transposed(lane).unwrap();
-            let mut got = vec![0.0; cols];
-            gather_lane(&out, &mut got, k, batch);
-            prop_assert_eq!(&got, &per_bin, "lane {} of width {}", k, batch);
-        }
-    }
-
-    /// Every lane of the batched Jacobi-PCG solve is bit-identical to the
-    /// per-bin [`PcgWorkspace`] solve of the same system — same iterate,
-    /// same iteration count, same convergence flag — regardless of what
-    /// the other lanes in the batch are doing.
-    #[test]
-    fn batched_pcg_lanes_are_bit_identical_to_per_bin_pcg(
-        n in 1usize..8, batch in 1usize..6, boost in 1.0f64..20.0, seed in any::<u64>()
-    ) {
-        // One shared SPD operator (Gram + diagonal boost), B distinct
-        // right-hand sides — the estimation workload's shape.
-        let b_mat = deterministic_matrix(n, n, seed);
-        let mut a = b_mat.gram();
-        for i in 0..n {
-            let v = a[(i, i)] + boost;
-            a[(i, i)] = v;
-        }
-        let diag_one: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-        let lanes = deterministic_lanes(n, batch, seed ^ 0x90c6);
-        let soa_b = pack_soa(&lanes, batch);
-        let soa_diag = pack_soa(&vec![diag_one.clone(); batch], batch);
-        let ridge = vec![0.0; batch];
-        let mut ws = PcgBatchWorkspace::new();
-        let mut x = vec![0.0; n * batch];
-        let mut lane_in = vec![0.0; n];
-        let mut lane_out = vec![0.0; n];
-        ws.solve(&soa_diag, &ridge, &soa_b, &mut x, batch, |v, y| {
-            for k in 0..batch {
-                gather_lane(v, &mut lane_in, k, batch);
-                lane_out.copy_from_slice(&a.matvec(&lane_in).unwrap());
-                scatter_lane(&lane_out, y, k, batch);
-            }
-            Ok(())
-        }).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            let mut per_bin_ws = PcgWorkspace::new();
-            let mut per_bin_x = vec![0.0; n];
-            let out = per_bin_ws.solve(&diag_one, 0.0, lane, &mut per_bin_x, |v, y| {
-                y.copy_from_slice(&a.matvec(v).unwrap());
-                Ok(())
-            }).unwrap();
-            let mut got = vec![0.0; n];
-            gather_lane(&x, &mut got, k, batch);
-            prop_assert_eq!(&got, &per_bin_x, "iterate of lane {} of width {}", k, batch);
-            prop_assert_eq!(ws.lane_iterations()[k], out.iterations);
-            prop_assert_eq!(ws.lane_converged()[k], out.converged);
-        }
-    }
-
     /// Symmetric permutation only moves values (never recombines them),
     /// so permuting by a permutation and then by its inverse restores the
     /// matrix bit-identically, and every entry lands where the dense
@@ -552,41 +462,6 @@ proptest! {
                 (a - b).abs() <= 1e-10 * (1.0 + norm),
                 "scalar {} vs block {} (norm {})", a, b, norm
             );
-        }
-    }
-
-    /// The `f32`-compute batched matvec stays within the documented
-    /// reduced-precision envelope: each product is rounded to `f32`
-    /// (relative error ~1e-7 per term, amplified by cancellation), while
-    /// the `f64` accumulator keeps the sum itself full-precision. The
-    /// bound below compares against the magnitude-sum of each output
-    /// element, which is what single-precision products are relative to.
-    #[test]
-    fn batched_f32_matvec_is_within_documented_tolerance(
-        rows in 1usize..9, cols in 1usize..9, batch in 1usize..9, seed in any::<u64>()
-    ) {
-        let d = deterministic_sparse_dense(rows, cols, seed);
-        let s = SparseMatrix::from_dense(&d);
-        let lanes = deterministic_lanes(cols, batch, seed ^ 0xf32f);
-        let soa = pack_soa(&lanes, batch);
-        let mut out = vec![0.0; rows * batch];
-        s.matvec_batch_f32_into(&soa, batch, &mut out).unwrap();
-        for (k, lane) in lanes.iter().enumerate() {
-            let exact = s.matvec(lane).unwrap();
-            let mut got = vec![0.0; rows];
-            gather_lane(&out, &mut got, k, batch);
-            for (i, (&g, &e)) in got.iter().zip(exact.iter()).enumerate() {
-                // Magnitude sum of the row's products: the scale the
-                // per-term f32 rounding is relative to.
-                let (row_cols, row_vals) = s.row(i);
-                let mag: f64 = row_cols.iter().zip(row_vals.iter())
-                    .map(|(&c, &a)| (a * lane[c]).abs())
-                    .sum();
-                prop_assert!(
-                    (g - e).abs() <= 1e-6 * (1.0 + mag),
-                    "lane {} element {}: f32 {} vs f64 {} (scale {})", k, i, g, e, mag
-                );
-            }
         }
     }
 }
@@ -707,25 +582,6 @@ fn deterministic_perm(n: usize, seed: u64) -> Vec<usize> {
         p.swap(i, j);
     }
     p
-}
-
-/// `batch` deterministic per-lane vectors of length `n`, decorrelated by
-/// lane index.
-fn deterministic_lanes(n: usize, batch: usize, seed: u64) -> Vec<Vec<f64>> {
-    (0..batch)
-        .map(|k| deterministic_matrix(n, 1, seed ^ (k as u64).wrapping_mul(0x9e37)).into_vec())
-        .collect()
-}
-
-/// Packs per-lane vectors into the SoA layout (`element c of lane k at
-/// soa[c*B + k]`).
-fn pack_soa(lanes: &[Vec<f64>], batch: usize) -> Vec<f64> {
-    let n = lanes[0].len();
-    let mut soa = vec![0.0; n * batch];
-    for (k, lane) in lanes.iter().enumerate() {
-        scatter_lane(lane, &mut soa, k, batch);
-    }
-    soa
 }
 
 /// Like [`deterministic_matrix`] but ~70% of the entries are exact zeros,

@@ -33,8 +33,7 @@ use crate::{Result, ServeError};
 use ic_core::{improvement_percent, mean_rel_l2};
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
-    EstimationPipeline, GravityPrior, MultilevelMetrics, ObservationModel, PipelineBatchWorkspace,
-    PipelineWorkspace,
+    EstimationPipeline, GravityPrior, MultilevelMetrics, ObservationModel, PipelineWorkspace,
 };
 use ic_obs::{Counter, Histogram, MetricsRegistry, Span};
 use ic_stream::{
@@ -101,9 +100,10 @@ impl std::fmt::Display for TenantEvent {
 
 /// Magic bytes opening every journal.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"ICJL";
-/// Current journal format version (2: tenant specs carry batched-
-/// execution fields).
-pub const JOURNAL_VERSION: u32 = 2;
+/// Current journal format version. Version 3 drops the batched-execution
+/// pair (a batch-width `usize` and a precision byte) that version 2 added
+/// to every journaled tenant spec; the per-bin path is now the only one.
+pub const JOURNAL_VERSION: u32 = 3;
 
 const RECORD_REGISTER: u8 = 0;
 const RECORD_INGEST: u8 = 1;
@@ -264,8 +264,6 @@ pub struct Service {
     tenants: Vec<Tenant>,
     /// Per-worker scratch for the gravity-baseline jobs (result-neutral).
     scratch: WorkspacePool<PipelineWorkspace>,
-    /// SoA scratch for gravity-baseline jobs of batched tenants.
-    batch_scratch: WorkspacePool<PipelineBatchWorkspace>,
     journal: Option<Vec<u8>>,
     /// Observability handles; absent (the default) every recording site
     /// is a single branch. Metrics never change results.
@@ -296,7 +294,6 @@ impl Service {
             engine,
             tenants: Vec::new(),
             scratch: WorkspacePool::new(),
-            batch_scratch: WorkspacePool::new(),
             journal: None,
             metrics: None,
         }
@@ -531,7 +528,6 @@ impl Service {
             }
             let tenants = &self.tenants;
             let round_ref = &round;
-            let batch_scratch = &self.batch_scratch;
             let outs: Vec<StepOut> = self
                 .engine
                 .run(round.len() * 2, &self.scratch, |j, ws| {
@@ -556,20 +552,10 @@ impl Service {
                             .model()
                             .observe(&window.series)
                             .map_err(StreamError::from)?;
-                        // Batched tenants feed the baseline through the
-                        // SoA multi-bin kernel too (bit-identical at f64;
-                        // the serial inner engine keeps this one job).
-                        let estimate = if tenant.pipeline.batch_options().width() > 1 {
-                            tenant.pipeline.estimate_batch_parallel_pooled(
-                                &GravityPrior,
-                                &obs,
-                                &Engine::serial(),
-                                batch_scratch,
-                            )
-                        } else {
-                            tenant.pipeline.estimate_with(&GravityPrior, &obs, ws)
-                        }
-                        .map_err(StreamError::from)?;
+                        let estimate = tenant
+                            .pipeline
+                            .estimate_with(&GravityPrior, &obs, ws)
+                            .map_err(StreamError::from)?;
                         let error =
                             mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
                         Ok(StepOut::Baseline(error))

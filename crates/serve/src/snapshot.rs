@@ -22,9 +22,10 @@ use ic_stream::{
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ICSV";
-/// Current snapshot format version (2: tenant specs carry batched-
-/// execution fields).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Version 3 drops the batched-execution
+/// pair (a batch-width `usize` and a precision byte) that version 2 added
+/// to every embedded tenant spec; the per-bin path is now the only one.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// One tenant's complete persisted state.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,7 @@ use crate::codec::{Dec, Enc};
 use crate::{Result, ServeError};
 use ic_core::{FitOptions, Objective};
 use ic_estimation::EstimationConfig;
-use ic_linalg::{Precision, SolverPolicy};
+use ic_linalg::SolverPolicy;
 use ic_stream::{DriftOptions, ForecastOptions, ReplayOptions};
 use ic_topology::{RoutingScheme, Topology};
 
@@ -57,12 +57,6 @@ pub struct TenantSpec {
     pub forecast: ForecastOptions,
     /// Change-detection options.
     pub drift: DriftOptions,
-    /// Bins per SoA batch on the estimation hot path (1 = the per-bin
-    /// kernels; >1 routes ready windows through the batched multi-bin
-    /// path, bit-identical at [`Precision::F64`]).
-    pub batch_width: usize,
-    /// Compute precision of the batched kernels (ignored at width 1).
-    pub precision: Precision,
 }
 
 impl TenantSpec {
@@ -89,8 +83,6 @@ impl TenantSpec {
             fit: FitOptions::default(),
             forecast: ForecastOptions::default(),
             drift: DriftOptions::default(),
-            batch_width: 1,
-            precision: Precision::F64,
         }
     }
 
@@ -130,18 +122,6 @@ impl TenantSpec {
         self
     }
 
-    /// Sets the estimation batch width (must be ≥ 1).
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width;
-        self
-    }
-
-    /// Sets the batched-kernel compute precision.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.node_names.len()
@@ -175,12 +155,6 @@ impl TenantSpec {
         if !(self.bin_seconds > 0.0) {
             return Err(ServeError::BadRequest(format!(
                 "tenant {}: bin_seconds must be positive",
-                self.name
-            )));
-        }
-        if self.batch_width == 0 {
-            return Err(ServeError::BadRequest(format!(
-                "tenant {}: batch_width must be positive",
                 self.name
             )));
         }
@@ -222,8 +196,6 @@ impl TenantSpec {
         EstimationConfig::new()
             .with_fit(self.fit.clone())
             .with_solver(self.fit.solver)
-            .with_batch_width(self.batch_width)
-            .with_precision(self.precision)
     }
 
     /// The equivalent offline replay options: feeding a tenant's journal
@@ -291,11 +263,6 @@ impl TenantSpec {
         e.put_f64(self.drift.cusum_threshold);
         e.put_f64(self.drift.max_f_jump);
         e.put_f64(self.drift.min_preference_corr);
-        e.put_usize(self.batch_width);
-        e.put_u8(match self.precision {
-            Precision::F64 => 0,
-            Precision::F32 => 1,
-        });
     }
 
     /// Decodes a spec.
@@ -359,12 +326,6 @@ impl TenantSpec {
             .with_cusum_threshold(d.take_f64()?)
             .with_max_f_jump(d.take_f64()?)
             .with_min_preference_corr(d.take_f64()?);
-        let batch_width = d.take_usize()?;
-        let precision = match d.take_u8()? {
-            0 => Precision::F64,
-            1 => Precision::F32,
-            b => return Err(ServeError::Codec(format!("unknown precision byte {b}"))),
-        };
         Ok(TenantSpec {
             name,
             node_names,
@@ -376,8 +337,6 @@ impl TenantSpec {
             fit,
             forecast,
             drift,
-            batch_width,
-            precision,
         })
     }
 }
@@ -412,9 +371,7 @@ mod tests {
                     .with_solver(SolverPolicy::Pcg),
             )
             .with_forecast(ForecastOptions::default().with_season_length(7))
-            .with_drift(DriftOptions::default().with_max_f_jump(0.2))
-            .with_batch_width(4)
-            .with_precision(Precision::F32);
+            .with_drift(DriftOptions::default().with_max_f_jump(0.2));
         spec.validate().unwrap();
         assert_eq!(spec.nodes(), 5);
         assert_eq!(spec.column_len(), 25);
@@ -448,9 +405,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = ok.clone();
         bad.links[0].to = 99;
-        assert!(bad.validate().is_err());
-        let mut bad = ok.clone();
-        bad.batch_width = 0;
         assert!(bad.validate().is_err());
         let mut bad = ok.clone();
         bad.fit = FitOptions::default().with_warm_start(ic_core::WarmStart {

@@ -18,9 +18,12 @@ use ic_stream::{DriftEvent, DriftKind, ParamForecast, WindowEstimate, WindowRepo
 use std::io::{Read, Write};
 
 /// Protocol version exchanged in [`Request::Hello`]. Version 2 added
-/// solver-health counters to window reports and the [`Request::Stats`]
-/// observability endpoint.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// solver-health counters to window reports, the [`Request::Stats`]
+/// observability endpoint, and the batched-execution pair (a batch-width
+/// `usize` and a precision byte) to the tenant spec of
+/// [`Request::Register`].
+/// Version 3 drops that pair again; the per-bin path is now the only one.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame payload (corrupt-length guard).
 pub const MAX_FRAME: usize = 1 << 28;
@@ -702,6 +705,59 @@ mod tests {
         let mut payload = Request::Poll.encode();
         payload.push(0);
         assert!(Request::decode(&payload).is_err());
+    }
+
+    /// A version-2 peer appends the batched-execution pair (a `usize`
+    /// batch width and a precision byte) to every tenant spec. Its
+    /// `Register` payload and its snapshots must fail with a typed codec
+    /// error, never a panic or a silently truncated spec.
+    #[test]
+    fn v2_register_and_snapshot_fail_with_codec_errors() {
+        use crate::snapshot::{TenantSnapshot, SNAPSHOT_MAGIC};
+        use ic_stream::StreamingTomogravityState;
+
+        let spec = spec();
+        let mut e = Enc::new();
+        spec.encode(&mut e);
+        let spec_bytes = e.into_bytes();
+        let v2_pair = |e: &mut Enc| {
+            e.put_usize(4);
+            e.put_u8(1);
+        };
+
+        let mut e = Enc::new();
+        e.put_u8(REQ_REGISTER);
+        e.put_raw(&spec_bytes);
+        v2_pair(&mut e);
+        let register = e.into_bytes();
+        assert!(
+            matches!(Request::decode(&register), Err(ServeError::Codec(_))),
+            "v2 Register must be a codec error"
+        );
+
+        let snap = TenantSnapshot {
+            spec,
+            windower: Default::default(),
+            estimator: StreamingTomogravityState { previous: None },
+            forecaster: Default::default(),
+            detector: Default::default(),
+        };
+        let v3 = snap.to_bytes();
+        let body = &v3[SNAPSHOT_MAGIC.len() + 4..];
+        assert_eq!(&body[..spec_bytes.len()], &spec_bytes[..]);
+        let mut e = Enc::new();
+        e.put_raw(&SNAPSHOT_MAGIC);
+        e.put_u32(2);
+        e.put_raw(&spec_bytes);
+        v2_pair(&mut e);
+        e.put_raw(&body[spec_bytes.len()..]);
+        assert!(
+            matches!(
+                TenantSnapshot::from_bytes(&e.into_bytes()),
+                Err(ServeError::Codec(_))
+            ),
+            "v2 snapshot must be a codec error"
+        );
     }
 
     #[test]

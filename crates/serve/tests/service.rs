@@ -106,37 +106,6 @@ fn multi_tenant_batched_service_matches_solo_offline_replay() {
 }
 
 #[test]
-fn batched_tenant_is_bit_identical_to_per_bin_tenant_and_offline_replay() {
-    // Two tenants over the same topology and trace, one per-bin and one
-    // with a SoA batch width wider than the window: every report is
-    // bit-identical across the two tenants and to the batched offline
-    // replay (the batched kernel accumulates in per-bin order).
-    let series = series_for(43, 5, 8);
-    let per_bin = spec_for("per-bin", 5);
-    let batched = spec_for("batched", 5).with_batch_width(3);
-    let mut service = Service::new();
-    let id_p = service.register(per_bin.clone()).unwrap();
-    let id_b = service.register(batched.clone()).unwrap();
-    let mut events = Vec::new();
-    for t in 0..8 {
-        service.ingest(id_p, series.column(t)).unwrap();
-        service.ingest(id_b, series.column(t)).unwrap();
-        events.extend(service.poll().unwrap());
-    }
-    let reports = |id| {
-        events
-            .iter()
-            .filter(|ev| ev.tenant == id)
-            .map(|ev| ev.report.clone())
-            .collect::<Vec<WindowReport>>()
-    };
-    let (got_p, got_b) = (reports(id_p), reports(id_b));
-    assert!(!got_p.is_empty());
-    assert_eq!(got_p, got_b);
-    assert_eq!(got_b, offline_windows(&batched, &series));
-}
-
-#[test]
 fn kill_and_restore_mid_stream_is_bit_identical() {
     let spec = spec_for("resume", 5);
     let series = series_for(9, 5, 16);

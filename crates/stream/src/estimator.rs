@@ -26,8 +26,7 @@ use ic_core::{
 };
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
-    EstimationConfig, EstimationPipeline, GravityPrior, PipelineBatchWorkspace, PipelineWorkspace,
-    StableFpPrior, TmPrior,
+    EstimationConfig, EstimationPipeline, GravityPrior, PipelineWorkspace, StableFpPrior, TmPrior,
 };
 use ic_linalg::SolveStats;
 use ic_obs::Span;
@@ -304,10 +303,6 @@ pub struct StreamingTomogravity {
     /// multi-thread engines add only small per-window scheduling
     /// allocations.
     pool: WorkspacePool<PipelineWorkspace>,
-    /// SoA scratch for the batched multi-bin path, checked out when the
-    /// pipeline's configured batch width exceeds 1. Kept separate from
-    /// `pool` so switching widths never mixes workspace shapes.
-    batch_pool: WorkspacePool<PipelineBatchWorkspace>,
     /// Optional observability handles; recording is result-neutral
     /// (atomics only, never on the numeric path).
     metrics: Option<Arc<StreamMetrics>>,
@@ -323,14 +318,14 @@ impl StreamingTomogravity {
             previous: None,
             engine: Engine::serial(),
             pool: WorkspacePool::new(),
-            batch_pool: WorkspacePool::new(),
             metrics: None,
         }
     }
 
-    /// Applies a unified [`EstimationConfig`] in one call: the pipeline
-    /// takes the tomogravity/IPF/solver/batch/metrics settings, and the
-    /// rolling per-window fit takes `config.fit`.
+    /// Applies a unified [`EstimationConfig`] in one call, the
+    /// estimator's only configuration entry point: the pipeline takes the
+    /// tomogravity, IPF, solver and metrics settings, and the rolling
+    /// per-window fit takes `config.fit`.
     pub fn config(mut self, config: EstimationConfig) -> Self {
         self.fit_options = config.fit.clone();
         self.pipeline = self.pipeline.config(config);
@@ -349,26 +344,6 @@ impl StreamingTomogravity {
     /// estimators already embedded in a larger structure.
     pub fn set_metrics(&mut self, metrics: Arc<StreamMetrics>) {
         self.metrics = Some(metrics);
-    }
-
-    /// Sets the options of the rolling per-window fit.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_fit`")]
-    pub fn with_fit_options(self, options: FitOptions) -> Self {
-        let config = self.pipeline.estimation_config().clone().with_fit(options);
-        self.config(config)
-    }
-
-    /// Selects the normal-equations solver for both the per-window
-    /// tomogravity refinement and the rolling BCD fit.
-    #[deprecated(note = "use `config` with `EstimationConfig::with_solver`")]
-    pub fn with_solver(self, policy: ic_core::SolverPolicy) -> Self {
-        let config = self
-            .pipeline
-            .estimation_config()
-            .clone()
-            .with_fit(self.fit_options.clone())
-            .with_solver(policy);
-        self.config(config)
     }
 
     /// Shards each window's pipeline run across the engine's worker pool.
@@ -400,16 +375,11 @@ impl StreamingTomogravity {
         self.previous = state.previous;
     }
 
-    /// Sum of the cumulative solver counters across both pools' idle
+    /// Sum of the cumulative solver counters across the pool's idle
     /// workspaces. Between windows every workspace is idle, so deltas of
-    /// this sum are per-window solver work (only one pool accumulates,
-    /// depending on the configured batch width).
+    /// this sum are per-window solver work.
     fn pool_solve_stats(&self) -> SolveStats {
-        let per_bin = self.pool.fold_idle(SolveStats::default(), |mut acc, ws| {
-            acc.merge(&ws.solve_stats());
-            acc
-        });
-        self.batch_pool.fold_idle(per_bin, |mut acc, ws| {
+        self.pool.fold_idle(SolveStats::default(), |mut acc, ws| {
             acc.merge(&ws.solve_stats());
             acc
         })
@@ -438,21 +408,10 @@ impl OnlineEstimator for StreamingTomogravity {
             Some(fit) => Box::new(StableFpPrior::from_fit(fit)),
             None => Box::new(GravityPrior),
         };
-        // Batch width > 1 routes the window through the SoA multi-bin
-        // kernel; width 1 keeps the per-bin path. Both are bit-identical
-        // in f64 (the batched kernel accumulates in per-bin order).
-        let estimate = if self.pipeline.batch_options().width() > 1 {
-            self.pipeline.estimate_batch_parallel_pooled(
-                prior.as_ref(),
-                &obs,
-                &self.engine,
-                &self.batch_pool,
-            )
-        } else {
-            self.pipeline
-                .estimate_parallel_pooled(prior.as_ref(), &obs, &self.engine, &self.pool)
-        }
-        .map_err(StreamError::from)?;
+        let estimate = self
+            .pipeline
+            .estimate_parallel_pooled(prior.as_ref(), &obs, &self.engine, &self.pool)
+            .map_err(StreamError::from)?;
         let error = mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
         // The window's TM has now "been measured": refresh the rolling
         // fit for the next window, warm-starting from the current one.
@@ -670,41 +629,10 @@ mod tests {
         }
     }
 
+    /// One `config(..)` call reaches both consumers: the pipeline's
+    /// refinement and the rolling fit run the configured solver.
     #[test]
-    fn batched_streaming_is_bit_identical_to_per_bin_streaming() {
-        let topo = ring_topology(5);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let mut stream =
-            SyntheticStream::new(SynthConfig::geant_like(31).with_nodes(5).with_bins(18)).unwrap();
-        let ws = Windower::tumbling(6)
-            .unwrap()
-            .take_windows(&mut stream, None)
-            .unwrap();
-        // The per-bin reference and three batched variants, including a
-        // width that does not divide the window and one that exceeds it.
-        let mut per_bin = StreamingTomogravity::new(EstimationPipeline::new(om.clone()));
-        let mut batched: Vec<StreamingTomogravity> = [2usize, 4, 8]
-            .iter()
-            .map(|&w| {
-                StreamingTomogravity::new(EstimationPipeline::new(om.clone()))
-                    .config(EstimationConfig::new().with_batch_width(w))
-            })
-            .collect();
-        for w in &ws {
-            let a = per_bin.process(w).unwrap();
-            for est in &mut batched {
-                let b = est.process(w).unwrap();
-                assert_eq!(a.estimate, b.estimate, "window {}", w.index);
-                assert_eq!(a.error.to_bits(), b.error.to_bits());
-                assert_eq!(a.fitted_f, b.fitted_f);
-                assert_eq!(a.fit_objective, b.fit_objective);
-                assert_eq!(a.solve_stats, b.solve_stats);
-            }
-        }
-    }
-
-    #[test]
-    fn deprecated_streaming_setters_forward_to_config() {
+    fn streaming_config_reaches_pipeline_and_fit() {
         let topo = ring_topology(4);
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let mut stream =
@@ -713,22 +641,15 @@ mod tests {
             .unwrap()
             .take_windows(&mut stream, None)
             .unwrap();
-        #[allow(deprecated)]
-        let mut ladder = StreamingTomogravity::new(EstimationPipeline::new(om.clone()))
-            .with_fit_options(FitOptions::default().with_max_sweeps(7))
-            .with_solver(ic_core::SolverPolicy::Pcg);
-        let mut unified = StreamingTomogravity::new(EstimationPipeline::new(om)).config(
+        let mut est = StreamingTomogravity::new(EstimationPipeline::new(om)).config(
             EstimationConfig::new()
                 .with_fit(FitOptions::default().with_max_sweeps(7))
                 .with_solver(ic_core::SolverPolicy::Pcg),
         );
         for w in &ws {
-            let a = ladder.process(w).unwrap();
-            let b = unified.process(w).unwrap();
-            assert_eq!(a.estimate, b.estimate, "window {}", w.index);
-            assert_eq!(a.fit_objective, b.fit_objective);
-            assert_eq!(a.solve_stats, b.solve_stats);
-            assert!(a.solve_stats.pcg_solves > 0);
+            let e = est.process(w).unwrap();
+            assert!(e.solve_stats.pcg_solves > 0, "window {}", w.index);
+            assert_eq!(e.solve_stats.dense_solves, 0, "window {}", w.index);
         }
     }
 

@@ -27,7 +27,7 @@ use crate::window::Windower;
 use crate::{Result, StreamError};
 use ic_core::{improvement_percent, mean_rel_l2, FitOptions, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
-use ic_estimation::{EstimationPipeline, GravityPrior, PipelineBatchWorkspace, PipelineWorkspace};
+use ic_estimation::{EstimationPipeline, GravityPrior, PipelineWorkspace};
 use ic_linalg::SolveStats;
 
 /// Options for a streaming replay run.
@@ -304,9 +304,8 @@ pub fn replay_estimation_with(
     let candidate_inner = engine.with_threads(engine.threads().div_ceil(2));
     let baseline_inner = engine.with_threads(engine.threads() / 2);
     // The candidate inherits the pipeline's own configuration (solver,
-    // batch width, metrics) with only the per-window fit options swapped
-    // in; the baseline runs the same pipeline as-is, so a batched
-    // configuration batches both sides.
+    // metrics) with only the per-window fit options swapped in; the
+    // baseline runs the same pipeline as-is.
     let candidate_config = pipeline
         .estimation_config()
         .clone()
@@ -319,7 +318,6 @@ pub fn replay_estimation_with(
         pipeline,
         engine: baseline_inner,
         pool: WorkspacePool::new(),
-        batch_pool: WorkspacePool::new(),
     };
     run_replay(stream, options, engine, name, &mut candidate, &mut baseline)
 }
@@ -329,7 +327,6 @@ struct PipelineGravity {
     pipeline: EstimationPipeline,
     engine: Engine,
     pool: WorkspacePool<PipelineWorkspace>,
-    batch_pool: WorkspacePool<PipelineBatchWorkspace>,
 }
 
 impl OnlineEstimator for PipelineGravity {
@@ -339,11 +336,7 @@ impl OnlineEstimator for PipelineGravity {
 
     fn process(&mut self, window: &crate::Window) -> Result<crate::WindowEstimate> {
         let pool_stats = |this: &Self| {
-            let acc = this.pool.fold_idle(SolveStats::default(), |mut acc, ws| {
-                acc.merge(&ws.solve_stats());
-                acc
-            });
-            this.batch_pool.fold_idle(acc, |mut acc, ws| {
+            this.pool.fold_idle(SolveStats::default(), |mut acc, ws| {
                 acc.merge(&ws.solve_stats());
                 acc
             })
@@ -354,18 +347,10 @@ impl OnlineEstimator for PipelineGravity {
             .model()
             .observe(&window.series)
             .map_err(StreamError::from)?;
-        let estimate: TmSeries = if self.pipeline.batch_options().width() > 1 {
-            self.pipeline.estimate_batch_parallel_pooled(
-                &GravityPrior,
-                &obs,
-                &self.engine,
-                &self.batch_pool,
-            )
-        } else {
-            self.pipeline
-                .estimate_parallel_pooled(&GravityPrior, &obs, &self.engine, &self.pool)
-        }
-        .map_err(StreamError::from)?;
+        let estimate: TmSeries = self
+            .pipeline
+            .estimate_parallel_pooled(&GravityPrior, &obs, &self.engine, &self.pool)
+            .map_err(StreamError::from)?;
         let error = mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
         Ok(crate::WindowEstimate {
             window: window.index,
@@ -535,33 +520,6 @@ mod tests {
         // Node-count mismatch is rejected up front.
         let mut other = SyntheticStream::new(cfg(23).with_nodes(4)).unwrap();
         assert!(replay_estimation(&mut other, EstimationPipeline::new(om), &opts()).is_err());
-    }
-
-    #[test]
-    fn batched_replay_is_bit_identical_to_per_bin_replay() {
-        let mut topo = Topology::new("ring5");
-        let ids: Vec<usize> = (0..5)
-            .map(|k| topo.add_node(format!("n{k}")).unwrap())
-            .collect();
-        for k in 0..5 {
-            topo.add_symmetric_link(ids[k], ids[(k + 1) % 5], 1.0, 1e12)
-                .unwrap();
-        }
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let mut per_bin_stream = SyntheticStream::new(cfg(27)).unwrap();
-        let per_bin = replay_estimation(
-            &mut per_bin_stream,
-            EstimationPipeline::new(om.clone()),
-            &opts(),
-        )
-        .unwrap();
-        for width in [2usize, 4] {
-            let pipeline = EstimationPipeline::new(om.clone())
-                .config(ic_estimation::EstimationConfig::new().with_batch_width(width));
-            let mut stream = SyntheticStream::new(cfg(27)).unwrap();
-            let batched = replay_estimation(&mut stream, pipeline, &opts()).unwrap();
-            assert_eq!(per_bin, batched, "width {width}");
-        }
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub mod prelude {
     pub use ic_experiment::{
         PriorStrategy, Report, Runner, Scenario, ScenarioReport, Source, Task, TopologySpec,
     };
-    pub use ic_linalg::{BatchOptions, Matrix, Precision, SolveStats, SolverPolicy};
+    pub use ic_linalg::{Matrix, SolveStats, SolverPolicy};
     pub use ic_obs::{MetricsRegistry, Span};
     pub use ic_serve::{
         Client, Server, Service, StatsFormat, TenantEvent, TenantSnapshot, TenantSpec,
