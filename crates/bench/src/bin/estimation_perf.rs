@@ -23,10 +23,11 @@
 //! runner the parallel speedup is necessarily ~1x).
 //!
 //! `--solver auto|dense|pcg` pins the [`SolverPolicy`] of the timed
-//! paths (default `auto`). Independently of the chosen policy, every
-//! size also times a forced-PCG refinement pass (`pcg_secs_per_bin`) and
-//! cross-checks it against the policy path, so the matrix-free solver is
-//! always measured and gated; solver counters (PCG iterations, stalls,
+//! flat paths (default `auto`); the multilevel solve reads no solver.
+//! Independently of the chosen policy, every size also times a
+//! forced-PCG refinement pass (`pcg_secs_per_bin`) and cross-checks it
+//! against the policy path, so the matrix-free solver is always measured
+//! and gated; solver counters (PCG iterations, stalls,
 //! Cholesky→pseudo-inverse fallbacks) are logged per size.
 //!
 //! `--mode flat|multilevel|both` selects the decomposition paths under
@@ -413,16 +414,20 @@ fn bench_multilevel_size(
         }
     }
 
-    let config = EstimationConfig::new().with_solver(policy);
-    let ml = MultilevelPipeline::new(&topo, RoutingScheme::SinglePath, partition, config.clone())
-        .expect("quotient of backbone groups is strongly connected");
+    let ml = MultilevelPipeline::new(
+        &topo,
+        RoutingScheme::SinglePath,
+        partition,
+        EstimationConfig::new(),
+    )
+    .expect("quotient of backbone groups is strongly connected");
 
     // Flat cross-check, only where the full `links x n²` observation
     // model is tractable. The accuracy assertion runs before any timing.
     let (flat_secs_per_bin, multilevel_rel_err, flat_rel_err) = if n <= flat_max {
         let om =
             ObservationModel::new(&topo, RoutingScheme::SinglePath).expect("strongly connected");
-        let flat = EstimationPipeline::new(om).config(config.clone());
+        let flat = EstimationPipeline::new(om).config(EstimationConfig::new().with_solver(policy));
         let mut pws = PipelineWorkspace::new();
         let flat_est = flat
             .estimate_with(&GravityPrior, &obs, &mut pws)
@@ -732,7 +737,7 @@ fn bench_size(
             &topo,
             RoutingScheme::Ecmp,
             partition,
-            EstimationConfig::new().with_solver(policy),
+            EstimationConfig::new(),
         )
         .expect("quotient of backbone groups is strongly connected");
         let ml_mat = ml

@@ -12,9 +12,7 @@
 //! * a one-sided Jacobi SVD and the Moore–Penrose pseudo-inverse used by the
 //!   stable-fP estimation prior (paper Eq. 8–9) ([`svd`], [`pinv`]),
 //! * Lawson–Hanson non-negative least squares for the activity/preference
-//!   sub-problems of the Section 5.1 fitting program ([`mod@nnls`]),
-//! * Euclidean projection onto the probability simplex for the preference
-//!   constraint `ΣP = 1, P ≥ 0` ([`simplex`]).
+//!   sub-problems of the Section 5.1 fitting program ([`mod@nnls`]).
 //!
 //! ## Design notes
 //!
@@ -41,7 +39,6 @@ pub mod pcg;
 pub mod pinv;
 pub mod precond;
 pub mod qr;
-pub mod simplex;
 pub mod solver;
 pub mod sparse;
 pub mod svd;
@@ -53,7 +50,6 @@ pub use pcg::{PcgSolve, PcgWorkspace, PCG_MAX_ITERATIONS, PCG_REL_TOLERANCE};
 pub use pinv::pseudo_inverse;
 pub use precond::BlockJacobiPreconditioner;
 pub use qr::Qr;
-pub use simplex::project_to_simplex;
 pub use solver::{
     DenseNormalSolver, NormalSolver, NormalSolverWorkspace, PcgNormalSolver, SolveStats,
     SolverKind, SolverPolicy,

@@ -3,18 +3,17 @@
 //! These check the *defining axioms* of each kernel on randomized inputs:
 //! QR reconstructs and orthogonalizes, the pseudo-inverse satisfies all
 //! four Moore–Penrose conditions, NNLS satisfies KKT (and its Gram-native
-//! form matches the tall one), the simplex projection lands on the simplex
-//! and is idempotent, and the panelled Cholesky is bit-identical to the
-//! dot-product kernel it replaced.
+//! form matches the tall one), and the panelled Cholesky is bit-identical
+//! to the dot-product kernel it replaced.
 
 use ic_linalg::matrix::dot;
 use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::pinv::satisfies_moore_penrose;
 use ic_linalg::qr::solve;
 use ic_linalg::{
-    nnls, project_to_simplex, pseudo_inverse, BlockJacobiPreconditioner, Cholesky,
-    CholeskyWorkspace, LinalgError, Matrix, NnlsOptions, NormalSolver, PcgNormalSolver,
-    PcgWorkspace, Qr, Result, SolveStats, SparseMatrix, Svd,
+    nnls, pseudo_inverse, BlockJacobiPreconditioner, Cholesky, CholeskyWorkspace, LinalgError,
+    Matrix, NnlsOptions, NormalSolver, PcgNormalSolver, PcgWorkspace, Qr, Result, SolveStats,
+    SparseMatrix, Svd,
 };
 use proptest::prelude::*;
 
@@ -143,23 +142,6 @@ proptest! {
             (got - want).abs() <= 1e-9 * (1.0 + dot(&b, &b)),
             "objective {} vs oracle {}", got, want
         );
-    }
-
-    #[test]
-    fn simplex_projection_lands_on_simplex(v in proptest::collection::vec(-5.0_f64..5.0, 1..12)) {
-        let p = project_to_simplex(&v, 1.0);
-        prop_assert_eq!(p.len(), v.len());
-        prop_assert!(p.iter().all(|&x| x >= 0.0));
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simplex_projection_is_idempotent(v in proptest::collection::vec(-5.0_f64..5.0, 1..12)) {
-        let p1 = project_to_simplex(&v, 1.0);
-        let p2 = project_to_simplex(&p1, 1.0);
-        for (a, b) in p1.iter().zip(p2.iter()) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

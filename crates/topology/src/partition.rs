@@ -2,14 +2,15 @@
 //! multilevel estimation.
 //!
 //! A [`Partition`] assigns every node to exactly one cluster and splits
-//! the link set into intra-cluster links and the boundary (cut) set. From
-//! it the multilevel machinery derives the two levels it solves:
+//! the link set into intra-cluster links and the boundary (cut) set. Two
+//! topologies derive from it:
 //!
 //! * [`Partition::induced`] — the intra-cluster sub-topology of one
 //!   cluster, with node/link maps back to the parent ids;
-//! * [`Partition::quotient`] — the coarse inter-cluster topology: one
-//!   node per cluster, one link per directed cluster pair aggregating the
-//!   member boundary links (minimum IGP weight, summed capacity).
+//! * [`Partition::quotient`] — the coarse inter-cluster topology that
+//!   multilevel estimation routes: one node per cluster, one link per
+//!   directed cluster pair aggregating the member boundary links (minimum
+//!   IGP weight, summed capacity).
 //!
 //! Partitions come from two sources: ground truth
 //! ([`crate::HierarchicalConfig::cluster_assignment`] for generated
@@ -137,18 +138,6 @@ impl Partition {
         } else {
             self.boundary.len() as f64 / self.link_count as f64
         }
-    }
-
-    /// Nodes incident to at least one boundary link (the gateways through
-    /// which all inter-cluster traffic flows), sorted ascending.
-    pub fn boundary_nodes(&self, topo: &Topology) -> Vec<NodeId> {
-        let mut seen = vec![false; self.assignment.len()];
-        for &id in &self.boundary {
-            let l = topo.link(id);
-            seen[l.from] = true;
-            seen[l.to] = true;
-        }
-        (0..seen.len()).filter(|&v| seen[v]).collect()
     }
 
     /// The intra-cluster sub-topology of cluster `c`: its member nodes
@@ -371,12 +360,6 @@ mod tests {
         assert_eq!(part.boundary_links(), cut.as_slice());
         assert!(part.boundary_link_fraction() > 0.0);
         assert!(part.boundary_link_fraction() < 1.0);
-        let gateways = part.boundary_nodes(&topo);
-        assert!(gateways.windows(2).all(|w| w[0] < w[1]));
-        // All backbones are gateways (the core ring crosses clusters).
-        for b in 0..5 {
-            assert!(gateways.contains(&b));
-        }
     }
 
     #[test]
