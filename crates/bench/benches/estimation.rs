@@ -1,17 +1,19 @@
 #![allow(missing_docs)]
 //! Criterion benches for the estimation pipeline: prior construction,
 //! tomogravity refinement (sparse vs dense), and IPF on the Géant
-//! topology. The scale sweep lives in the `estimation_perf` bin; these
-//! benches track the PoP-scale kernels.
+//! topology, a cluster-sized IPF, and one multilevel estimate call on a
+//! 500-node hierarchical network. The scale sweep lives in the
+//! `estimation_perf` bin; these benches track the PoP-scale kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ic_core::{generate_synthetic, SynthConfig};
 use ic_estimation::{
-    ipf_fit, ipf_fit_with, EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace,
-    ObservationModel, StableFPrior, StableFpPrior, TmPrior, Tomogravity, TomogravityOptions,
-    TomogravityWorkspace,
+    ipf_fit, ipf_fit_with, EstimationConfig, EstimationPipeline, GravityPrior, IpfOptions,
+    IpfWorkspace, MultilevelPipeline, ObservationModel, StableFPrior, StableFpPrior, TmPrior,
+    Tomogravity, TomogravityOptions, TomogravityWorkspace,
 };
-use ic_topology::{geant22, RoutingScheme};
+use ic_linalg::Matrix;
+use ic_topology::{geant22, hierarchical, HierarchicalConfig, Partition, RoutingScheme};
 
 fn setup() -> (ObservationModel, ic_core::TmSeries) {
     let om = ObservationModel::new(&geant22(), RoutingScheme::Ecmp).unwrap();
@@ -99,6 +101,61 @@ fn bench_ipf(c: &mut Criterion) {
             black_box(ws.fitted()[(0, 0)])
         })
     });
+    // A multilevel cluster's size: a structured (not rank-one) seed, so
+    // the fit takes several sweeps.
+    let n = 150;
+    let mut seed = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            seed[(i, j)] = 1.0 + ((i * 31 + j * 17) % 13) as f64;
+        }
+    }
+    let rows: Vec<f64> = (0..n).map(|i| 1e3 * (1 + i % 7) as f64).collect();
+    let cols: Vec<f64> = (0..n).map(|j| 1e3 * (1 + (3 * j) % 11) as f64).collect();
+    c.bench_function("ipf_150x150_workspace", |b| {
+        b.iter(|| {
+            ipf_fit_with(&seed, &rows, &cols, IpfOptions::default(), &mut ws).unwrap();
+            black_box(ws.fitted()[(0, 0)])
+        })
+    });
+}
+
+fn bench_multilevel(c: &mut Criterion) {
+    // 500 nodes in 50 backbone clusters; cluster-local traffic.
+    let cfg = HierarchicalConfig::new(50, 9, 20060419);
+    let topo = hierarchical(&cfg).unwrap();
+    let assignment = cfg.cluster_assignment();
+    let partition = Partition::from_assignment(&topo, &assignment).unwrap();
+    let n = topo.node_count();
+    let bins = 8;
+    let mut tm = ic_core::TmSeries::zeros(n, bins, 300.0).unwrap();
+    for t in 0..bins {
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let base = 1e6 / (1 + (i + 2 * j + t) % 7) as f64;
+                let local = if assignment[i] == assignment[j] {
+                    1.0
+                } else {
+                    0.12
+                };
+                tm.set(i, j, t, local * base).unwrap();
+            }
+        }
+    }
+    let obs = ObservationModel::new(&topo, RoutingScheme::SinglePath)
+        .unwrap()
+        .observe(&tm)
+        .unwrap();
+    let ml = MultilevelPipeline::new(
+        &topo,
+        RoutingScheme::SinglePath,
+        partition,
+        EstimationConfig::new(),
+    )
+    .unwrap();
+    c.bench_function("multilevel_estimate_hier500_8bins", |b| {
+        b.iter(|| black_box(ml.estimate(&GravityPrior, &obs).unwrap()))
+    });
 }
 
 criterion_group!(
@@ -106,6 +163,7 @@ criterion_group!(
     bench_observation,
     bench_priors,
     bench_refinement,
-    bench_ipf
+    bench_ipf,
+    bench_multilevel
 );
 criterion_main!(benches);

@@ -7,8 +7,34 @@
 //! marginals match the observed ingress/egress counts; on non-negative
 //! input with a positive support pattern it converges to the unique
 //! minimum-relative-entropy adjustment.
+//!
+//! # One kernel, bins interleaved
+//!
+//! The kernel fits a block of `bins` independent `n × m` matrices in
+//! place. Cell `(i, j)` of bin `t` sits at `(i·m + j)·bins + t`, which is
+//! the [`ic_core::TmSeries`] layout, and the row and column targets are
+//! `n × bins` and `m × bins` row-major, the layout of
+//! [`crate::Observations`]' marginals. [`ipf_fit_with`] is the width-1
+//! case: one matrix is a block of one bin. The multilevel solve fits a
+//! whole prior series in place, every bin at once.
+//!
+//! A sweep is two passes over the block: row scaling accumulates the
+//! column sums the column step divides by, and column scaling
+//! accumulates the row sums that the convergence test and the next
+//! sweep's row scaling read. Bins converge independently; a converged bin
+//! is not touched again.
+//!
+//! Bit-identity contract: each bin gets exactly the floating-point
+//! operations, in the same order, of the classic per-bin loop (row sums
+//! over `j` ascending, column sums over `i` ascending, one multiply per
+//! cell per step), so a bin's result depends neither on the block width
+//! nor on the other bins. `tests/proptests.rs` keeps that per-bin loop as
+//! an oracle and compares [`ipf_fit_with`] with it bit for bit; this
+//! module's tests compare every bin of a wide block with
+//! [`ipf_fit_with`] bit for bit.
 
 use crate::{EstimationError, Result};
+use ic_core::TmSeries;
 use ic_linalg::Matrix;
 
 /// Options controlling the IPF iteration.
@@ -47,17 +73,16 @@ impl IpfOptions {
     }
 }
 
-/// Reusable buffers for per-bin IPF calls.
+/// Reusable buffers for IPF calls.
 ///
 /// The estimation pipeline runs one IPF per time bin; with a workspace the
-/// working matrix and the column-sum scratch are allocated once and reused
-/// for every bin of every window, making the inner loop allocation-free
-/// after warm-up.
+/// working matrix and the kernel's per-row, per-column and per-bin
+/// scratch are allocated once and reused for every bin of every window,
+/// making the inner loop allocation-free after warm-up.
 #[derive(Debug, Clone)]
 pub struct IpfWorkspace {
     w: Matrix,
-    cols: Vec<f64>,
-    col_sums: Vec<f64>,
+    scratch: Scratch,
 }
 
 impl Default for IpfWorkspace {
@@ -71,8 +96,7 @@ impl IpfWorkspace {
     pub fn new() -> Self {
         IpfWorkspace {
             w: Matrix::zeros(0, 0),
-            cols: Vec::new(),
-            col_sums: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -80,6 +104,25 @@ impl IpfWorkspace {
     pub fn fitted(&self) -> &Matrix {
         &self.w
     }
+}
+
+/// The kernel's scratch for a block of `bins` bins, sized on first use.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Column targets rescaled to the row-target total, `m × bins`.
+    col_targets: Vec<f64>,
+    /// Row sums of the block, `n × bins`.
+    row_sums: Vec<f64>,
+    /// Column sums of the block, `m × bins`.
+    col_sums: Vec<f64>,
+    /// Factors of the current scaling step, `max(n, m) × bins`.
+    factors: Vec<f64>,
+    /// Row-target total per bin.
+    row_total: Vec<f64>,
+    /// Lowest seed value per bin, for the input check.
+    lowest: Vec<f64>,
+    /// Bins still iterating: not idle and not yet converged.
+    active: Vec<bool>,
 }
 
 /// Fits matrix `x` to the target row and column sums by IPF.
@@ -127,107 +170,305 @@ pub fn ipf_fit_with(
             actual: row_targets.len() + col_targets.len(),
         });
     }
-    if x.as_slice().iter().any(|&v| v < 0.0 || !v.is_finite()) {
-        return Err(EstimationError::BadData("ipf requires non-negative input"));
-    }
-    if row_targets
-        .iter()
-        .chain(col_targets.iter())
-        .any(|&v| v < 0.0 || !v.is_finite())
-    {
-        return Err(EstimationError::BadData(
-            "ipf requires non-negative finite targets",
-        ));
-    }
     // Size the workspace (allocates only when the shape changes).
     if ws.w.shape() != (n, m) {
         ws.w = Matrix::zeros(n, m);
     }
-    ws.cols.resize(m, 0.0);
-    ws.col_sums.resize(m, 0.0);
+    ws.w.as_mut_slice().copy_from_slice(x.as_slice());
+    fit_block(
+        ws.w.as_mut_slice(),
+        (n, m, 1),
+        row_targets,
+        col_targets,
+        options,
+        &mut ws.scratch,
+    )
+}
 
-    let row_total: f64 = row_targets.iter().sum();
-    let col_total: f64 = col_targets.iter().sum();
-    if row_total == 0.0 || col_total == 0.0 {
-        ws.w.as_mut_slice().fill(0.0);
-        return Ok(());
-    }
-    let IpfWorkspace { w, cols, col_sums } = ws;
-    // Rescale the column targets so totals agree exactly (measurement
-    // noise makes them differ slightly in practice).
-    let scale = row_total / col_total;
-    for (slot, &v) in cols.iter_mut().zip(col_targets.iter()) {
-        *slot = v * scale;
-    }
-
-    w.as_mut_slice().copy_from_slice(x.as_slice());
-    // Seed zero rows/columns whose target is positive: IPF cannot create
-    // mass where the support is empty, so give such cells a tiny uniform
-    // mass (this mirrors the standard practice for structurally missing
-    // priors).
-    for i in 0..n {
-        if row_targets[i] > 0.0 && w.row(i).iter().all(|&v| v == 0.0) {
-            for j in 0..m {
-                w[(i, j)] = 1.0;
-            }
+/// Fits every bin of `series` in place onto the `nodes × bins` marginals
+/// `ingress` (row targets) and `egress` (column targets). Each bin comes
+/// out bit-identical to [`ipf_fit_with`] on that bin's snapshot and
+/// marginals.
+pub(crate) fn ipf_fit_series(
+    series: &mut TmSeries,
+    ingress: &Matrix,
+    egress: &Matrix,
+    options: IpfOptions,
+    ws: &mut IpfWorkspace,
+) -> Result<()> {
+    let (n, bins) = (series.nodes(), series.bins());
+    for marginal in [ingress, egress] {
+        if marginal.shape() != (n, bins) {
+            return Err(EstimationError::DimensionMismatch {
+                context: "ipf series targets",
+                expected: n * bins,
+                actual: marginal.len(),
+            });
         }
     }
-    for j in 0..m {
-        if cols[j] > 0.0 && (0..n).all(|i| w[(i, j)] == 0.0) {
-            for i in 0..n {
-                w[(i, j)] = 1.0;
-            }
-        }
-    }
+    fit_block(
+        series.as_matrix_mut().as_mut_slice(),
+        (n, n, bins),
+        ingress.as_slice(),
+        egress.as_slice(),
+        options,
+        &mut ws.scratch,
+    )
+}
 
-    for _ in 0..options.max_iterations {
-        // Row scaling.
-        for i in 0..n {
-            let sum: f64 = w.row(i).iter().sum();
-            if sum > 0.0 {
-                let s = row_targets[i] / sum;
-                for v in w.row_mut(i) {
-                    *v *= s;
+/// Fits the interleaved `n × m × bins` block `w` in place onto the
+/// row-major `n × bins` row targets and `m × bins` column targets.
+///
+/// The kernel is compiled twice: for width 1, where the per-bin loops
+/// fold away and the row sums run in registers, and for a runtime width.
+fn fit_block(
+    w: &mut [f64],
+    (n, m, bins): (usize, usize, usize),
+    rows: &[f64],
+    cols: &[f64],
+    options: IpfOptions,
+    s: &mut Scratch,
+) -> Result<()> {
+    debug_assert!(bins > 0 && w.len() == n * m * bins);
+    debug_assert!(rows.len() == n * bins && cols.len() == m * bins);
+    if bins == 1 {
+        fit::<1>(w, (n, m, 1), rows, cols, options, s)
+    } else {
+        fit::<0>(w, (n, m, bins), rows, cols, options, s)
+    }
+}
+
+/// The kernel behind [`fit_block`]: `WIDTH` is the bin count, or 0 for
+/// a runtime `bins`.
+fn fit<const WIDTH: usize>(
+    w: &mut [f64],
+    (n, m, bins): (usize, usize, usize),
+    rows: &[f64],
+    cols: &[f64],
+    options: IpfOptions,
+    s: &mut Scratch,
+) -> Result<()> {
+    let b = if WIDTH == 0 { bins } else { WIDTH };
+    let Scratch {
+        col_targets,
+        row_sums: rs,
+        col_sums: cs,
+        factors,
+        row_total,
+        lowest,
+        active,
+    } = s;
+    col_targets.resize(m * b, 0.0);
+    rs.resize(n * b, 0.0);
+    cs.resize(m * b, 0.0);
+    factors.resize(n.max(m) * b, 0.0);
+    row_total.resize(b, 0.0);
+    lowest.resize(b, 0.0);
+    active.resize(b, false);
+
+    // One pass takes the block's row and column sums and each bin's
+    // lowest value. A sum of non-negative values is zero only when every
+    // value is, so the sums double as the zero-support test of the
+    // seeding; and a NaN or infinite value leaves its row sum non-finite,
+    // so finite sums and non-negative lowest values prove the input valid.
+    rs.fill(0.0);
+    cs.fill(0.0);
+    lowest.fill(f64::INFINITY);
+    if WIDTH == 1 && m > 0 {
+        // Width 1 keeps the running row sum and lowest value in
+        // registers: the lane loop below would round-trip them through
+        // memory on every cell, which serializes a row on that latency.
+        let mut lo = f64::INFINITY;
+        for (w_row, r) in w.chunks_exact(m).zip(rs.iter_mut()) {
+            let mut sum = 0.0;
+            for (&v, c) in w_row.iter().zip(cs.iter_mut()) {
+                sum += v;
+                *c += v;
+                lo = if v < lo { v } else { lo };
+            }
+            *r = sum;
+        }
+        lowest[0] = lo;
+    } else if m > 0 {
+        for (w_row, r_acc) in w.chunks_exact(m * b).zip(rs.chunks_exact_mut(b)) {
+            for (cell, c_acc) in w_row.chunks_exact(b).zip(cs.chunks_exact_mut(b)) {
+                let lanes = r_acc
+                    .iter_mut()
+                    .zip(c_acc.iter_mut())
+                    .zip(lowest.iter_mut());
+                for (&v, ((r, c), lo)) in cell.iter().zip(lanes) {
+                    *r += v;
+                    *c += v;
+                    // A select rather than `f64::min`, which vectorizes
+                    // worse; a NaN shows in the sums instead.
+                    *lo = if v < *lo { v } else { *lo };
                 }
-            } else if row_targets[i] == 0.0 {
-                for v in w.row_mut(i) {
-                    *v = 0.0;
-                }
             }
         }
-        // Column scaling.
-        col_sums.fill(0.0);
-        for i in 0..n {
-            for (s, &v) in col_sums.iter_mut().zip(w.row(i).iter()) {
-                *s += v;
-            }
+    }
+    let valid = lowest.iter().all(|&lo| lo >= 0.0) && rs.iter().all(|s| s.is_finite());
+    // Only when that screen fails, the exact check: valid values can
+    // overflow a sum. A bin fails on its input before its targets, and
+    // the first failing bin decides, as in a bin-by-bin loop.
+    let bad = |v: f64| v < 0.0 || !v.is_finite();
+    let first_bad = |values: &[f64]| {
+        values
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| bad(v))
+            .map(|(k, _)| k % b)
+            .min()
+    };
+    let bad_input = if valid { None } else { first_bad(w) };
+    let bad_target = first_bad(rows).into_iter().chain(first_bad(cols)).min();
+    match (bad_input, bad_target) {
+        (Some(t), target) if target.is_none_or(|u| t <= u) => {
+            return Err(EstimationError::BadData("ipf requires non-negative input"));
         }
+        (_, Some(_)) => {
+            return Err(EstimationError::BadData(
+                "ipf requires non-negative finite targets",
+            ));
+        }
+        _ => {}
+    }
+
+    let fill_row = |w: &mut [f64], i: usize, t: usize, v: f64| {
+        for k in (i * m * b + t..(i + 1) * m * b).step_by(b) {
+            w[k] = v;
+        }
+    };
+    let fill_col = |w: &mut [f64], j: usize, t: usize, v: f64| {
+        for k in (j * b + t..w.len()).step_by(m * b) {
+            w[k] = v;
+        }
+    };
+    for t in 0..b {
+        let row_sum: f64 = (0..n).map(|i| rows[i * b + t]).sum();
+        let col_sum: f64 = (0..m).map(|j| cols[j * b + t]).sum();
+        row_total[t] = row_sum;
+        active[t] = row_sum != 0.0 && col_sum != 0.0;
+        if !active[t] {
+            // An idle bin fits to all zeros.
+            for k in (t..w.len()).step_by(b) {
+                w[k] = 0.0;
+            }
+            continue;
+        }
+        // Rescale the column targets so totals agree exactly
+        // (measurement noise makes them differ slightly in practice).
+        let scale = row_sum / col_sum;
         for j in 0..m {
-            if col_sums[j] > 0.0 {
-                let s = cols[j] / col_sums[j];
-                for i in 0..n {
-                    w[(i, j)] *= s;
-                }
-            } else if cols[j] == 0.0 {
-                for i in 0..n {
-                    w[(i, j)] = 0.0;
-                }
-            }
+            col_targets[j * b + t] = cols[j * b + t] * scale;
         }
-        // Convergence: worst relative row mismatch (columns are exact right
-        // after column scaling).
-        let mut worst = 0.0_f64;
+        // Seed zero rows/columns whose target is positive: IPF cannot
+        // create mass where the support is empty, so give such cells a
+        // tiny uniform mass (this mirrors the standard practice for
+        // structurally missing priors). A seeded row leaves no column
+        // empty.
+        let mut seeded = false;
         for i in 0..n {
-            let sum: f64 = w.row(i).iter().sum();
-            let target = row_targets[i];
-            if target > 0.0 {
-                worst = worst.max((sum - target).abs() / target);
-            } else {
-                worst = worst.max(sum.abs() / row_total);
+            if rows[i * b + t] > 0.0 && rs[i * b + t] == 0.0 {
+                fill_row(w, i, t, 1.0);
+                seeded = true;
             }
         }
-        if worst < options.tolerance {
+        if !seeded {
+            for j in 0..m {
+                if col_targets[j * b + t] > 0.0 && cs[j * b + t] == 0.0 {
+                    fill_col(w, j, t, 1.0);
+                    seeded = true;
+                }
+            }
+        }
+        if seeded {
+            for i in 0..n {
+                rs[i * b + t] = (0..m).map(|j| w[(i * m + j) * b + t]).sum();
+            }
+        }
+    }
+    for _ in 0..options.max_iterations {
+        if !active.contains(&true) {
             break;
+        }
+        // Row scaling, accumulating the column sums of the scaled rows.
+        // A converged bin and a row that cannot be scaled keep factor
+        // 1; a zero-target row is zeroed first.
+        for i in 0..n {
+            for t in 0..b {
+                let (sum, target) = (rs[i * b + t], rows[i * b + t]);
+                factors[i * b + t] = if active[t] && sum > 0.0 {
+                    target / sum
+                } else {
+                    if active[t] && target == 0.0 {
+                        fill_row(w, i, t, 0.0);
+                    }
+                    1.0
+                };
+            }
+        }
+        cs.fill(0.0);
+        for (w_row, f) in w.chunks_exact_mut(m * b).zip(factors.chunks_exact(b)) {
+            for (cell, c_acc) in w_row.chunks_exact_mut(b).zip(cs.chunks_exact_mut(b)) {
+                for ((v, c), &f) in cell.iter_mut().zip(c_acc.iter_mut()).zip(f) {
+                    *v *= f;
+                    *c += *v;
+                }
+            }
+        }
+        // Column scaling, accumulating the row sums of the result.
+        for j in 0..m {
+            for t in 0..b {
+                let (sum, target) = (cs[j * b + t], col_targets[j * b + t]);
+                factors[j * b + t] = if active[t] && sum > 0.0 {
+                    target / sum
+                } else {
+                    if active[t] && target == 0.0 {
+                        fill_col(w, j, t, 0.0);
+                    }
+                    1.0
+                };
+            }
+        }
+        if WIDTH == 1 {
+            // As in the first pass, the row sum stays in a register.
+            for (w_row, r) in w.chunks_exact_mut(m).zip(rs.iter_mut()) {
+                let mut sum = 0.0;
+                for (v, &f) in w_row.iter_mut().zip(&factors[..m]) {
+                    *v *= f;
+                    sum += *v;
+                }
+                *r = sum;
+            }
+        } else {
+            for (w_row, r_acc) in w.chunks_exact_mut(m * b).zip(rs.chunks_exact_mut(b)) {
+                r_acc.fill(0.0);
+                for (cell, f) in w_row.chunks_exact_mut(b).zip(factors.chunks_exact(b)) {
+                    for ((v, r), &f) in cell.iter_mut().zip(r_acc.iter_mut()).zip(f) {
+                        *v *= f;
+                        *r += *v;
+                    }
+                }
+            }
+        }
+        // Convergence per bin: worst relative row mismatch (columns are
+        // exact right after column scaling).
+        let worst = &mut factors[..b];
+        worst.fill(0.0);
+        for (i, r_sums) in rs.chunks_exact(b).enumerate() {
+            for (t, (slot, &sum)) in worst.iter_mut().zip(r_sums).enumerate() {
+                let target = rows[i * b + t];
+                *slot = slot.max(if target > 0.0 {
+                    (sum - target).abs() / target
+                } else {
+                    sum.abs() / row_total[t]
+                });
+            }
+        }
+        for (flag, &worst) in active.iter_mut().zip(worst.iter()) {
+            if worst < options.tolerance {
+                *flag = false;
+            }
         }
     }
     Ok(())
@@ -321,6 +562,146 @@ mod tests {
         assert!(ipf_fit(&bad, &[1.0, 1.0], &[1.0, 1.0], IpfOptions::default()).is_err());
         bad[(0, 0)] = f64::NAN;
         assert!(ipf_fit(&bad, &[1.0, 1.0], &[1.0, 1.0], IpfOptions::default()).is_err());
+    }
+
+    /// Splitmix64 draw in `[0, 1)` for stream position `k` of `seed`.
+    fn unit(seed: u64, k: usize) -> f64 {
+        let mut z = seed.wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+    }
+
+    /// `bins` interleaved `n × m` problems drawn from `seed`: zero rows,
+    /// columns and cells per bin, targets with zeros and mismatched
+    /// totals, and one idle bin (every target zero). Returns the block,
+    /// the row targets and the column targets in the kernel's layouts.
+    fn block(n: usize, m: usize, bins: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let idle = (seed % bins as u64) as usize;
+        let mut w = vec![0.0; n * m * bins];
+        let mut rows = vec![0.0; n * bins];
+        let mut cols = vec![0.0; m * bins];
+        for t in 0..bins {
+            let u = |k: usize| unit(seed ^ t as u64, k);
+            for i in 0..n {
+                for j in 0..m {
+                    let k = 1000 + i * m + j;
+                    if u(i) >= 0.2 && u(100 + j) >= 0.2 && u(k) >= 0.1 {
+                        w[(i * m + j) * bins + t] = 0.01 + 100.0 * u(k + 500);
+                    }
+                }
+            }
+            for (targets, len, base) in [(&mut rows, n, 300), (&mut cols, m, 400)] {
+                for i in 0..len {
+                    if t != idle && u(base + i) >= 0.2 {
+                        targets[i * bins + t] = 0.5 + 50.0 * u(base + 50 + i);
+                    }
+                }
+            }
+        }
+        (w, rows, cols)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every bin of an interleaved block comes out bit-identical to
+        /// `ipf_fit_with` on that bin alone, whatever the other bins do:
+        /// zero rows, columns and targets, an idle bin, mismatched totals,
+        /// and 1 to 5 sweeps so that bins stop on different sweeps.
+        /// `tests/proptests.rs` pins `ipf_fit_with` to the per-bin oracle.
+        #[test]
+        fn interleaved_bins_match_width_one(
+            n in 1usize..13,
+            m in 1usize..13,
+            bins in 1usize..10,
+            sweeps in 1usize..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let options = IpfOptions::default().with_max_iterations(sweeps);
+            let (x, rows, cols) = block(n, m, bins, seed);
+            let mut w = x.clone();
+            let mut scratch = Scratch::default();
+            fit_block(&mut w, (n, m, bins), &rows, &cols, options, &mut scratch).unwrap();
+            let mut ws = IpfWorkspace::new();
+            for t in 0..bins {
+                let pick = |v: &[f64]| v.iter().skip(t).step_by(bins).copied().collect::<Vec<_>>();
+                let snapshot = Matrix::from_vec(n, m, pick(&x)).unwrap();
+                ipf_fit_with(&snapshot, &pick(&rows), &pick(&cols), options, &mut ws).unwrap();
+                let want: Vec<u64> = ws.fitted().as_slice().iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u64> = pick(&w).iter().map(|v| v.to_bits()).collect();
+                proptest::prop_assert_eq!(got, want, "bin {}", t);
+            }
+            if n == m {
+                // The series entry is the same kernel on a `TmSeries`.
+                let data = Matrix::from_vec(n * n, bins, x).unwrap();
+                let mut series = TmSeries::from_matrix(n, 300.0, data).unwrap();
+                let ingress = Matrix::from_vec(n, bins, rows).unwrap();
+                let egress = Matrix::from_vec(n, bins, cols).unwrap();
+                ipf_fit_series(&mut series, &ingress, &egress, options, &mut ws).unwrap();
+                proptest::prop_assert_eq!(series.as_matrix().as_slice(), &w[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn first_failing_bin_decides_the_error() {
+        // Bin 0 has a negative target and bin 1 a negative seed cell: a
+        // bin-by-bin loop fails on bin 0's targets, and so does the block.
+        let (mut w, mut rows, cols) = (vec![1.0; 8], vec![1.0; 4], vec![1.0; 4]);
+        rows[0] = -1.0;
+        w[1] = -1.0;
+        let err = fit_block(
+            &mut w,
+            (2, 2, 2),
+            &rows,
+            &cols,
+            IpfOptions::default(),
+            &mut Scratch::default(),
+        );
+        assert!(
+            matches!(err, Err(EstimationError::BadData(msg)) if msg.contains("targets")),
+            "{err:?}"
+        );
+        // Swapped bins: the seed of bin 0 fails first.
+        let (mut w, mut rows) = (vec![1.0; 8], vec![1.0; 4]);
+        rows[1] = -1.0;
+        w[0] = -1.0;
+        let err = fit_block(
+            &mut w,
+            (2, 2, 2),
+            &rows,
+            &cols,
+            IpfOptions::default(),
+            &mut Scratch::default(),
+        );
+        assert!(
+            matches!(err, Err(EstimationError::BadData(msg)) if msg.contains("input")),
+            "{err:?}"
+        );
+        // The series entry rejects marginals of the wrong shape.
+        let mut series = TmSeries::zeros(2, 2, 300.0).unwrap();
+        let short = Matrix::filled(2, 1, 1.0);
+        let good = Matrix::filled(2, 2, 1.0);
+        let mut ws = IpfWorkspace::new();
+        assert!(
+            ipf_fit_series(&mut series, &short, &good, IpfOptions::default(), &mut ws).is_err()
+        );
+        assert!(
+            ipf_fit_series(&mut series, &good, &short, IpfOptions::default(), &mut ws).is_err()
+        );
+    }
+
+    /// The one-pass screen of the seed passes only input the exact check
+    /// passes: an infinity fails, and finite values whose row sum
+    /// overflows are still accepted, as the per-bin loop accepts them.
+    #[test]
+    fn input_screen_falls_back_to_the_exact_check() {
+        let opts = IpfOptions::default();
+        let inf = Matrix::from_rows(&[&[f64::INFINITY, 1.0], &[1.0, 1.0]]).unwrap();
+        assert!(ipf_fit(&inf, &[1.0, 1.0], &[1.0, 1.0], opts).is_err());
+        let huge = Matrix::from_rows(&[&[f64::MAX, f64::MAX], &[1.0, 1.0]]).unwrap();
+        assert!(ipf_fit(&huge, &[1.0, 1.0], &[1.0, 1.0], opts).is_ok());
     }
 
     #[test]

@@ -33,14 +33,19 @@
 //! tolerance) by construction.
 //!
 //! Cost: the flat solve is `O(n²)` unknowns against `links + 2n` rows;
-//! multilevel solves no normal system at all. It routes the `k`-node
-//! quotient once, runs a `k × k` fixed point per bin, and IPF-projects
-//! `k` blocks of `(n/k)²` entries per bin. The same partition also
-//! accelerates the *flat* solve: [`stacked_row_blocks`] feeds the
-//! block-Jacobi PCG preconditioner.
+//! multilevel solves no normal system at all. Set-up routes the `k`-node
+//! quotient once and keeps only what the coarse fixed point reads from
+//! it: the through-traffic weights of every ordered cluster pair. Each
+//! call runs a `k × k` fixed point per bin and IPF-projects `k` blocks of
+//! `(n/k)²` entries per bin. Every projection fits the prior's own
+//! `n_c² × bins` series in place, all bins at once (see [`crate::ipf`]),
+//! so a cluster costs one allocation per call and a few passes over its
+//! block per IPF sweep. The same partition also accelerates the *flat*
+//! solve: [`stacked_row_blocks`] feeds the block-Jacobi PCG
+//! preconditioner.
 
 use crate::config::EstimationConfig;
-use crate::ipf::{ipf_fit_with, IpfOptions, IpfWorkspace};
+use crate::ipf::{ipf_fit_series, ipf_fit_with, IpfOptions, IpfWorkspace};
 use crate::observe::Observations;
 use crate::prior::TmPrior;
 use crate::{EstimationError, Result};
@@ -142,26 +147,34 @@ impl MultilevelMetrics {
 #[derive(Debug, Clone)]
 pub struct MultilevelPipeline {
     partition: Partition,
-    /// Routing of the quotient topology: the coarse fixed point's
-    /// through-traffic weights.
-    quotient_routing: RoutingMatrix,
+    /// The coarse fixed point's through-traffic weights, at index
+    /// `a·k + b` for the ordered cluster pair `(a, b)`: the fraction of
+    /// the `(a, b)` flow that enters each cluster other than `b` on the
+    /// quotient's paths, one entry per entered cluster (none when
+    /// `a == b`). Bin-independent, so built once from the quotient
+    /// routing.
+    enter: Vec<Vec<(ClusterId, f64)>>,
     /// Parent boundary link ids aggregated into each quotient link.
     quotient_links: Vec<Vec<usize>>,
     /// `(from_cluster, to_cluster)` of each quotient link.
     quotient_link_clusters: Vec<(ClusterId, ClusterId)>,
+    /// Options of every IPF projection, coarse and per cluster.
     ipf: IpfOptions,
+    /// Node count of the parent network.
     nodes: usize,
+    /// Link count of the parent network: the rows of the link loads.
+    links: usize,
     metrics: Option<Arc<MultilevelMetrics>>,
 }
 
 impl MultilevelPipeline {
     /// Builds the two-level pipeline from an explicit partition.
     ///
-    /// Routes the partition's quotient topology under `scheme`; of
-    /// `config` only the IPF options are read. Clusters need no model of
-    /// their own, so a cluster need not be connected internally. Fails
-    /// when the quotient is not strongly connected (coarse traffic could
-    /// not be routed).
+    /// Routes the partition's quotient topology under `scheme` and keeps
+    /// its through-traffic weights; of `config` only the IPF options are
+    /// read. Clusters need no model of their own, so a cluster need not
+    /// be connected internally. Fails when the quotient is not strongly
+    /// connected (coarse traffic could not be routed).
     pub fn new(
         topo: &Topology,
         scheme: RoutingScheme,
@@ -182,13 +195,19 @@ impl MultilevelPipeline {
                 )
             })
             .collect();
+        let enter = through_weights(
+            &quotient_routing,
+            &quotient_link_clusters,
+            partition.cluster_count(),
+        );
         Ok(MultilevelPipeline {
             partition,
-            quotient_routing,
+            enter,
             quotient_links: quotient.link_members,
             quotient_link_clusters,
             ipf: config.ipf,
             nodes: topo.node_count(),
+            links: topo.link_count(),
             metrics: None,
         })
     }
@@ -264,6 +283,14 @@ impl MultilevelPipeline {
                 context: "multilevel estimate",
                 expected: self.nodes,
                 actual: obs.nodes(),
+            });
+        }
+        obs.check_shape()?;
+        if obs.y.rows() != self.links {
+            return Err(EstimationError::DimensionMismatch {
+                context: "multilevel link loads",
+                expected: self.links,
+                actual: obs.y.rows(),
             });
         }
         let bins = obs.bins();
@@ -357,33 +384,6 @@ impl MultilevelPipeline {
             return Ok(out);
         }
 
-        // Per ordered cluster pair (a, b): fraction of the (a, b) flow
-        // entering each cluster other than `b` on the quotient's paths —
-        // the through-traffic membership weights. Bin-independent.
-        let mut enter: Vec<Vec<(ClusterId, f64)>> = Vec::with_capacity(k * k);
-        let mut acc = vec![0.0; k];
-        for a in 0..k {
-            for b in 0..k {
-                if a == b {
-                    enter.push(Vec::new());
-                    continue;
-                }
-                acc.iter_mut().for_each(|v| *v = 0.0);
-                for (q, &f) in self.quotient_routing.od_fractions(a, b).iter().enumerate() {
-                    let (_, tc) = self.quotient_link_clusters[q];
-                    if f > 0.0 && tc != b {
-                        acc[tc] += f;
-                    }
-                }
-                enter.push(
-                    acc.iter()
-                        .enumerate()
-                        .filter(|&(_, &v)| v > 0.0)
-                        .map(|(c, &v)| (c, v))
-                        .collect(),
-                );
-            }
-        }
         // Observed boundary-crossing totals per cluster.
         let mut cross_in = Matrix::zeros(k, bins);
         let mut cross_out = Matrix::zeros(k, bins);
@@ -394,6 +394,7 @@ impl MultilevelPipeline {
             }
         }
 
+        let x = out.as_matrix_mut();
         let mut seed = Matrix::zeros(k, k);
         let mut through = vec![0.0; k];
         let mut src = vec![0.0; k];
@@ -413,7 +414,7 @@ impl MultilevelPipeline {
             for a in 0..k {
                 for b in 0..k {
                     if a != b {
-                        offdiag += out.get(a, b, t)?;
+                        offdiag += x[(a * k + b, t)];
                     }
                 }
             }
@@ -430,9 +431,9 @@ impl MultilevelPipeline {
                         if a == b {
                             continue;
                         }
-                        let v = out.get(a, b, t)?;
+                        let v = x[(a * k + b, t)];
                         if v > 0.0 {
-                            for &(c, f) in &enter[a * k + b] {
+                            for &(c, f) in &self.enter[a * k + b] {
                                 through[c] += v * f;
                             }
                         }
@@ -464,7 +465,7 @@ impl MultilevelPipeline {
                 let fitted = ws.fitted();
                 for a in 0..k {
                     for b in 0..k {
-                        out.set(a, b, t, fitted[(a, b)])?;
+                        x[(a * k + b, t)] = fitted[(a, b)];
                     }
                 }
             }
@@ -473,34 +474,19 @@ impl MultilevelPipeline {
     }
 
     /// Marginal-only estimate: the prior evaluated on `obs`, IPF-projected
-    /// per bin onto `obs`'s marginals, ignoring the link loads. The
-    /// coarse solve's starting point and the whole cluster solve.
+    /// onto `obs`'s marginals, ignoring the link loads. The coarse solve's
+    /// starting point and the whole cluster solve. The prior's series is
+    /// fitted in place, every bin at once; each bin equals a per-bin
+    /// [`ipf_fit_with`] of the prior's snapshot.
     fn ipf_project(
         prior: &dyn TmPrior,
         obs: &Observations,
         options: IpfOptions,
         ws: &mut IpfWorkspace,
     ) -> Result<TmSeries> {
-        let prior_series = prior.prior_series(obs)?;
-        let n = obs.nodes();
-        let bins = obs.bins();
-        let mut out = TmSeries::zeros(n, bins, obs.bin_seconds)?;
-        let mut seed = Matrix::zeros(n, n);
-        for t in 0..bins {
-            for i in 0..n {
-                for j in 0..n {
-                    seed[(i, j)] = prior_series.get(i, j, t)?;
-                }
-            }
-            ipf_fit_with(&seed, &obs.ingress_at(t), &obs.egress_at(t), options, ws)?;
-            let fitted = ws.fitted();
-            for i in 0..n {
-                for j in 0..n {
-                    out.set(i, j, t, fitted[(i, j)])?;
-                }
-            }
-        }
-        Ok(out)
+        let mut series = prior.prior_series(obs)?;
+        ipf_fit_series(&mut series, &obs.ingress, &obs.egress, options, ws)?;
+        Ok(series)
     }
 
     /// Aggregates the full-network observations onto the quotient:
@@ -722,6 +708,33 @@ impl MultilevelEstimate {
         }
         Ok(out)
     }
+}
+
+/// The coarse fixed point's through-traffic weights (the
+/// `MultilevelPipeline::enter` table), from one pass over the quotient
+/// routing's rows. Each pair's fraction entering a cluster sums the
+/// positive fractions of its links into that cluster in link order, as
+/// the per-pair scan of `od_fractions` did.
+fn through_weights(
+    routing: &RoutingMatrix,
+    link_clusters: &[(ClusterId, ClusterId)],
+    k: usize,
+) -> Vec<Vec<(ClusterId, f64)>> {
+    let rows = routing.as_sparse();
+    let mut enter: Vec<Vec<(ClusterId, f64)>> = vec![Vec::new(); k * k];
+    for (q, &(_, tc)) in link_clusters.iter().enumerate() {
+        let (pairs, fractions) = rows.row(q);
+        for (&od, &f) in pairs.iter().zip(fractions) {
+            let (a, b) = (od / k, od % k);
+            if a != b && f > 0.0 && tc != b {
+                match enter[od].iter_mut().find(|(c, _)| *c == tc) {
+                    Some((_, v)) => *v += f,
+                    None => enter[od].push((tc, f)),
+                }
+            }
+        }
+    }
+    enter
 }
 
 fn local_index(nodes: &[NodeId], parent: NodeId) -> usize {
@@ -1218,6 +1231,166 @@ mod tests {
             .estimate_with(&GravityPrior, &obs, &mut ws_block)
             .unwrap();
         assert_eq!(again, scalar);
+    }
+
+    fn bits(tm: &TmSeries) -> Vec<u64> {
+        tm.as_matrix()
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The projection that in-place `ipf_project` replaced: gather each
+    /// bin of the prior, fit it alone, scatter it into a fresh series.
+    fn per_bin_projection(
+        prior: &dyn TmPrior,
+        obs: &Observations,
+        options: IpfOptions,
+    ) -> TmSeries {
+        let prior_series = prior.prior_series(obs).unwrap();
+        let n = obs.nodes();
+        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds).unwrap();
+        let mut ws = IpfWorkspace::new();
+        for t in 0..obs.bins() {
+            let seed = prior_series.snapshot(t).unwrap();
+            ipf_fit_with(
+                &seed,
+                &obs.ingress_at(t),
+                &obs.egress_at(t),
+                options,
+                &mut ws,
+            )
+            .unwrap();
+            for i in 0..n {
+                for j in 0..n {
+                    out.set(i, j, t, ws.fitted()[(i, j)]).unwrap();
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_projection_matches_per_bin_loop() {
+        use crate::prior::StableFPrior;
+
+        let (topo, part) = hier(3, 4, 5);
+        let truth = local_truth(&topo, &part, 4);
+        let mut obs = full_model(&topo).observe(&truth).unwrap();
+        // An idle bin, a zero ingress and a zero egress.
+        for i in 0..obs.nodes() {
+            obs.ingress[(i, 2)] = 0.0;
+            obs.egress[(i, 2)] = 0.0;
+        }
+        obs.ingress[(1, 0)] = 0.0;
+        obs.egress[(3, 1)] = 0.0;
+        // The rank-one gravity prior fits in one sweep, the IC prior in
+        // several, so bins stop on different sweeps.
+        let priors: [&dyn TmPrior; 2] = [&GravityPrior, &StableFPrior { f: 0.3 }];
+        for max_iterations in [1, 2, 100] {
+            let options = IpfOptions::default().with_max_iterations(max_iterations);
+            for prior in priors {
+                let want = per_bin_projection(prior, &obs, options);
+                let mut ws = IpfWorkspace::new();
+                let got = MultilevelPipeline::ipf_project(prior, &obs, options, &mut ws).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} at {max_iterations}",
+                    prior.name()
+                );
+            }
+        }
+    }
+
+    /// The one-pass table equals the per-pair scan of `od_fractions` that
+    /// every call used to run.
+    #[test]
+    fn through_weights_match_per_pair_scan() {
+        let (topo, part) = hier(6, 3, 7);
+        let k = part.cluster_count();
+        for scheme in [RoutingScheme::Ecmp, RoutingScheme::SinglePath] {
+            let quotient = part.quotient(&topo).unwrap();
+            let routing = RoutingMatrix::build(&quotient.topology, scheme).unwrap();
+            let ml =
+                MultilevelPipeline::new(&topo, scheme, part.clone(), EstimationConfig::default())
+                    .unwrap();
+            assert!(ml.enter.iter().any(|e| !e.is_empty()), "no through traffic");
+            for a in 0..k {
+                for b in 0..k {
+                    let mut acc = vec![0.0; k];
+                    if a != b {
+                        for (q, &f) in routing.od_fractions(a, b).iter().enumerate() {
+                            let (_, tc) = ml.quotient_link_clusters[q];
+                            if f > 0.0 && tc != b {
+                                acc[tc] += f;
+                            }
+                        }
+                    }
+                    let want: Vec<(ClusterId, u64)> = acc
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| v > 0.0)
+                        .map(|(c, v)| (c, v.to_bits()))
+                        .collect();
+                    let mut got: Vec<(ClusterId, u64)> = ml.enter[a * k + b]
+                        .iter()
+                        .map(|&(c, v)| (c, v.to_bits()))
+                        .collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "pair ({a}, {b})");
+                }
+            }
+        }
+    }
+
+    /// A 2-bin estimate of a small network with one observation field
+    /// replaced.
+    fn mis_shaped(
+        edit: impl Fn(&mut Observations),
+    ) -> (Topology, Observations, MultilevelPipeline) {
+        let (topo, part) = hier(3, 3, 2);
+        let mut obs = full_model(&topo)
+            .observe(&local_truth(&topo, &part, 2))
+            .unwrap();
+        edit(&mut obs);
+        let ml = MultilevelPipeline::new(
+            &topo,
+            RoutingScheme::Ecmp,
+            part,
+            EstimationConfig::default(),
+        )
+        .unwrap();
+        (topo, obs, ml)
+    }
+
+    fn is_dimension_mismatch<T>(result: Result<T>) -> bool {
+        matches!(result, Err(EstimationError::DimensionMismatch { .. }))
+    }
+
+    #[test]
+    fn short_link_loads_are_rejected() {
+        let (topo, obs, ml) = mis_shaped(|obs| obs.y = Matrix::zeros(obs.y.rows() - 1, 2));
+        assert_eq!(obs.y.rows() + 1, topo.link_count());
+        assert!(is_dimension_mismatch(ml.estimate(&GravityPrior, &obs)));
+    }
+
+    #[test]
+    fn short_ingress_is_rejected() {
+        let (_, obs, ml) = mis_shaped(|obs| obs.ingress = Matrix::filled(obs.nodes(), 1, 1e6));
+        assert!(is_dimension_mismatch(ml.estimate(&GravityPrior, &obs)));
+    }
+
+    /// An ingress with more bins than the link loads is an error, not a
+    /// silent read of its first bins.
+    #[test]
+    fn long_ingress_is_rejected() {
+        let (topo, obs, ml) = mis_shaped(|obs| obs.ingress = Matrix::filled(obs.nodes(), 3, 1e6));
+        assert!(is_dimension_mismatch(GravityPrior.prior_series(&obs)));
+        assert!(is_dimension_mismatch(ml.estimate(&GravityPrior, &obs)));
+        let flat = EstimationPipeline::new(full_model(&topo));
+        assert!(is_dimension_mismatch(flat.estimate(&GravityPrior, &obs)));
     }
 
     #[test]

@@ -183,6 +183,31 @@ impl Observations {
         self.ingress.rows()
     }
 
+    /// Checks the marginals' shape: `ingress` and `egress` must both be
+    /// `nodes × bins`, with `bins = y.cols()`. Kernels read the marginals
+    /// as flat `nodes × bins` slices, so a mis-shaped `Observations` must
+    /// stop here rather than be read with the wrong stride.
+    pub(crate) fn check_shape(&self) -> Result<()> {
+        let (n, bins) = (self.nodes(), self.bins());
+        for marginal in [&self.ingress, &self.egress] {
+            if marginal.rows() != n {
+                return Err(EstimationError::DimensionMismatch {
+                    context: "observation marginal nodes",
+                    expected: n,
+                    actual: marginal.rows(),
+                });
+            }
+            if marginal.cols() != bins {
+                return Err(EstimationError::DimensionMismatch {
+                    context: "observation marginal bins",
+                    expected: bins,
+                    actual: marginal.cols(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Ingress counts at one bin.
     pub fn ingress_at(&self, bin: usize) -> Vec<f64> {
         self.ingress.col(bin)

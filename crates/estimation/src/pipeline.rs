@@ -189,6 +189,7 @@ impl EstimationPipeline {
         obs: &Observations,
         ws: &mut PipelineWorkspace,
     ) -> Result<TmSeries> {
+        self.validate_observations(obs)?;
         let prior_series = prior.prior_series(obs)?;
         self.estimate_series(&prior_series, obs, ws)
     }
@@ -205,6 +206,7 @@ impl EstimationPipeline {
         engine: &Engine,
         pool: &WorkspacePool<PipelineWorkspace>,
     ) -> Result<TmSeries> {
+        self.validate_observations(obs)?;
         let prior_series = prior.prior_series(obs)?;
         if engine.threads() == 1 {
             // Serial fast path: the same kernel as `estimate_with` — no
@@ -249,6 +251,20 @@ impl EstimationPipeline {
             }
         }
         Ok(out)
+    }
+
+    /// Shape check of the observations at every entry point: marginals
+    /// `nodes × bins` and one link-load row per link of the model.
+    fn validate_observations(&self, obs: &Observations) -> Result<()> {
+        obs.check_shape()?;
+        if obs.y.rows() != self.model.links() {
+            return Err(EstimationError::DimensionMismatch {
+                context: "observation link loads",
+                expected: self.model.links(),
+                actual: obs.y.rows(),
+            });
+        }
+        Ok(())
     }
 
     /// Shape checks shared by every entry point (the error contexts match
@@ -408,6 +424,7 @@ pub fn compare_priors_with(
     obs: &Observations,
     engine: &Engine,
 ) -> Result<ComparisonResult> {
+    pipeline.validate_observations(obs)?;
     // Step 1 for both priors up front (cheap next to steps 2-3).
     let prior_candidate = candidate.prior_series(obs)?;
     let prior_gravity = GravityPrior.prior_series(obs)?;
@@ -673,6 +690,22 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    /// An egress with fewer bins than the link loads is an error, not a
+    /// panic inside the gravity prior.
+    #[test]
+    fn short_egress_is_rejected() {
+        let topo = ring_topology(5);
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+        let (truth, _) = truth_series(5, 2, 0.25);
+        let mut obs = om.observe(&truth).unwrap();
+        obs.egress = Matrix::filled(5, 1, 1e6);
+        let pipeline = EstimationPipeline::new(om);
+        assert!(matches!(
+            pipeline.estimate(&GravityPrior, &obs),
+            Err(EstimationError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

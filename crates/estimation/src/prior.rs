@@ -9,7 +9,7 @@
 use crate::observe::Observations;
 use crate::{EstimationError, Result};
 use ic_core::model::StableFpParams;
-use ic_core::{gravity_from_marginals, stable_fp_series, TmSeries};
+use ic_core::{stable_fp_series, IcError, TmSeries};
 use ic_linalg::{pseudo_inverse, Matrix};
 
 /// A prior construction strategy.
@@ -34,14 +34,33 @@ impl TmPrior for GravityPrior {
         "gravity"
     }
 
+    /// Writes the series layout directly, with the arithmetic of
+    /// [`ic_core::gravity_from_marginals`] per bin: each bin's total sums
+    /// its ingress counts in node order, and an idle bin stays all zeros.
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
-        let n = obs.nodes();
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        for t in 0..obs.bins() {
-            let x = gravity_from_marginals(&obs.ingress_at(t), &obs.egress_at(t))?;
-            for i in 0..n {
-                for j in 0..n {
-                    out.set(i, j, t, x[(i, j)])?;
+        obs.check_shape()?;
+        let (n, bins) = (obs.nodes(), obs.bins());
+        let mut out = TmSeries::zeros(n, bins, obs.bin_seconds)?;
+        let (ingress, egress) = (obs.ingress.as_slice(), obs.egress.as_slice());
+        if ingress
+            .iter()
+            .chain(egress)
+            .any(|&v| v < 0.0 || !v.is_finite())
+        {
+            return Err(
+                IcError::BadData("gravity marginals must be finite and non-negative").into(),
+            );
+        }
+        let totals: Vec<f64> = (0..bins)
+            .map(|t| (0..n).map(|i| ingress[i * bins + t]).sum())
+            .collect();
+        let mut cells = out.as_matrix_mut().as_mut_slice().chunks_exact_mut(bins);
+        for a in ingress.chunks_exact(bins) {
+            for (e, cell) in egress.chunks_exact(bins).zip(&mut cells) {
+                for (((x, &a), &e), &total) in cell.iter_mut().zip(a).zip(e).zip(&totals) {
+                    if total > 0.0 {
+                        *x = a * e / total;
+                    }
                 }
             }
         }
@@ -268,7 +287,7 @@ impl TmPrior for StableFPrior {
 mod tests {
     use super::*;
     use crate::observe::ObservationModel;
-    use ic_core::{mean_rel_l2, simplified_ic};
+    use ic_core::{gravity_from_marginals, mean_rel_l2, simplified_ic};
     use ic_topology::{geant22, RoutingScheme, Topology};
 
     /// A small topology and an exactly-IC series on it.

@@ -3,9 +3,10 @@
 //! topologies the sparse tomogravity refinement, the workspace-reusing
 //! IPF, and the full pipeline agree with their dense / allocating
 //! references bit-for-bit (or within 1e-12 where an ordering difference is
-//! fundamental).
+//! fundamental). The IPF kernel and the gravity prior also match the
+//! per-bin loops they replaced, kept here as oracles, bit for bit.
 
-use ic_core::{rel_l2_series, TmSeries};
+use ic_core::{gravity_from_marginals, rel_l2_series, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
     compare_priors, compare_priors_with, ipf_fit, ipf_fit_with, EstimationConfig,
@@ -344,5 +345,204 @@ proptest! {
         prop_assert_eq!(serial.errors_candidate, parallel.errors_candidate);
         prop_assert_eq!(serial.errors_gravity, parallel.errors_gravity);
         prop_assert_eq!(serial.mean_improvement, parallel.mean_improvement);
+    }
+}
+
+/// The per-bin IPF loop that the interleaved kernel replaced, kept
+/// verbatim as the bit-identity oracle of `ipf_fit_with`. `None` where it
+/// rejects the input.
+fn oracle_ipf(
+    x: &Matrix,
+    row_targets: &[f64],
+    col_targets: &[f64],
+    options: IpfOptions,
+) -> Option<Matrix> {
+    let (n, m) = x.shape();
+    if row_targets.len() != n || col_targets.len() != m {
+        return None;
+    }
+    if x.as_slice().iter().any(|&v| v < 0.0 || !v.is_finite()) {
+        return None;
+    }
+    if row_targets
+        .iter()
+        .chain(col_targets.iter())
+        .any(|&v| v < 0.0 || !v.is_finite())
+    {
+        return None;
+    }
+    let mut w = Matrix::zeros(n, m);
+    let mut cols = vec![0.0; m];
+    let mut col_sums = vec![0.0; m];
+    let row_total: f64 = row_targets.iter().sum();
+    let col_total: f64 = col_targets.iter().sum();
+    if row_total == 0.0 || col_total == 0.0 {
+        return Some(w);
+    }
+    let scale = row_total / col_total;
+    for (slot, &v) in cols.iter_mut().zip(col_targets.iter()) {
+        *slot = v * scale;
+    }
+    w.as_mut_slice().copy_from_slice(x.as_slice());
+    for i in 0..n {
+        if row_targets[i] > 0.0 && w.row(i).iter().all(|&v| v == 0.0) {
+            for j in 0..m {
+                w[(i, j)] = 1.0;
+            }
+        }
+    }
+    for j in 0..m {
+        if cols[j] > 0.0 && (0..n).all(|i| w[(i, j)] == 0.0) {
+            for i in 0..n {
+                w[(i, j)] = 1.0;
+            }
+        }
+    }
+    for _ in 0..options.max_iterations {
+        for i in 0..n {
+            let sum: f64 = w.row(i).iter().sum();
+            if sum > 0.0 {
+                let s = row_targets[i] / sum;
+                for v in w.row_mut(i) {
+                    *v *= s;
+                }
+            } else if row_targets[i] == 0.0 {
+                for v in w.row_mut(i) {
+                    *v = 0.0;
+                }
+            }
+        }
+        col_sums.fill(0.0);
+        for i in 0..n {
+            for (s, &v) in col_sums.iter_mut().zip(w.row(i).iter()) {
+                *s += v;
+            }
+        }
+        for j in 0..m {
+            if col_sums[j] > 0.0 {
+                let s = cols[j] / col_sums[j];
+                for i in 0..n {
+                    w[(i, j)] *= s;
+                }
+            } else if cols[j] == 0.0 {
+                for i in 0..n {
+                    w[(i, j)] = 0.0;
+                }
+            }
+        }
+        let mut worst = 0.0_f64;
+        for i in 0..n {
+            let sum: f64 = w.row(i).iter().sum();
+            let target = row_targets[i];
+            if target > 0.0 {
+                worst = worst.max((sum - target).abs() / target);
+            } else {
+                worst = worst.max(sum.abs() / row_total);
+            }
+        }
+        if worst < options.tolerance {
+            break;
+        }
+    }
+    Some(w)
+}
+
+/// Splitmix64 draw in `[0, 1)` for stream position `k` of `seed`.
+fn unit(seed: u64, k: u64) -> f64 {
+    let mut z = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+}
+
+/// An `n × m` IPF problem drawn from `seed`: a seed matrix with zero
+/// rows, zero columns and zero cells; targets with zeros and mismatched
+/// totals; one draw in eight idle (every target zero).
+fn ipf_problem(n: usize, m: usize, seed: u64) -> (Matrix, Vec<f64>, Vec<f64>) {
+    let u = |k: usize| unit(seed, k as u64);
+    let zero_row: Vec<bool> = (0..n).map(|i| u(i) < 0.2).collect();
+    let zero_col: Vec<bool> = (0..m).map(|j| u(100 + j) < 0.2).collect();
+    let mut x = Matrix::zeros(n, m);
+    for i in 0..n {
+        for j in 0..m {
+            let k = 1000 + i * m + j;
+            if !zero_row[i] && !zero_col[j] && u(k) >= 0.1 {
+                x[(i, j)] = 0.01 + 100.0 * u(k + 500);
+            }
+        }
+    }
+    let idle = u(200) < 0.125;
+    let target = |k: usize| {
+        if idle || u(k) < 0.2 {
+            0.0
+        } else {
+            0.5 + 50.0 * u(k + 50)
+        }
+    };
+    let rows = (0..n).map(|i| target(300 + i)).collect();
+    let cols = (0..m).map(|j| target(400 + j)).collect();
+    (x, rows, cols)
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ipf_fit_with`, the width-1 case of the interleaved kernel, is
+    /// bit-identical to the per-bin oracle: zero rows, columns and
+    /// targets, idle problems, mismatched totals, and 1 to 5 sweeps or the
+    /// default budget, through one workspace reused across shapes.
+    #[test]
+    fn ipf_fit_with_matches_per_bin_oracle(
+        n in 1usize..13,
+        m in 1usize..13,
+        sweeps in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let options = if sweeps == 6 {
+            IpfOptions::default()
+        } else {
+            IpfOptions::default().with_max_iterations(sweeps)
+        };
+        let mut ws = IpfWorkspace::new();
+        for (k, (r, c)) in [(n, m), (m, n), (n, m)].into_iter().enumerate() {
+            let (x, rows, cols) = ipf_problem(r, c, seed.wrapping_add(k as u64));
+            let want = oracle_ipf(&x, &rows, &cols, options).unwrap();
+            ipf_fit_with(&x, &rows, &cols, options, &mut ws).unwrap();
+            prop_assert_eq!(bits(ws.fitted()), bits(&want));
+        }
+    }
+
+    /// The gravity prior writes the series layout directly, bit-identical
+    /// to the per-bin `gravity_from_marginals` loop, zero marginals and an
+    /// idle bin included.
+    #[test]
+    fn gravity_prior_matches_per_bin_gravity(
+        n in 1usize..13,
+        bins in 1usize..10,
+        seed in any::<u64>(),
+    ) {
+        let idle = (seed % bins as u64) as usize;
+        let mut ingress = Matrix::zeros(n, bins);
+        let mut egress = Matrix::zeros(n, bins);
+        for i in 0..n {
+            for t in (0..bins).filter(|&t| t != idle) {
+                let k = 2 * (i * bins + t) as u64;
+                for (marginal, k) in [(&mut ingress, k), (&mut egress, k + 1)] {
+                    if unit(seed, k) >= 0.2 {
+                        marginal[(i, t)] = 1e3 * unit(seed, k + 1000);
+                    }
+                }
+            }
+        }
+        let obs = Observations { y: Matrix::zeros(0, bins), ingress, egress, bin_seconds: 300.0 };
+        let prior = GravityPrior.prior_series(&obs).unwrap();
+        for t in 0..bins {
+            let want = gravity_from_marginals(&obs.ingress_at(t), &obs.egress_at(t)).unwrap();
+            prop_assert_eq!(bits(&prior.snapshot(t).unwrap()), bits(&want));
+        }
     }
 }
