@@ -4,12 +4,13 @@
 //! to be repeated across [`EstimationPipeline`](crate::EstimationPipeline),
 //! the streaming estimator, and the scenario builder into one value:
 //! step options (fit, tomogravity, IPF), the cross-cutting solver policy,
-//! the network decomposition, and the optional stage-metrics handle. Every
-//! consumer accepts it through a single `.config(..)` call, its only
-//! configuration entry point.
+//! and the optional stage-metrics handle. Every consumer accepts it through
+//! a single `.config(..)` call, its only configuration entry point. The
+//! multilevel decomposition is not a setting here: a caller who wants it
+//! builds a [`MultilevelPipeline`](crate::MultilevelPipeline) from a
+//! partition.
 
 use crate::ipf::IpfOptions;
-use crate::multilevel::DecompositionPolicy;
 use crate::pipeline::PipelineMetrics;
 use crate::tomogravity::TomogravityOptions;
 use ic_core::FitOptions;
@@ -36,21 +37,13 @@ pub struct EstimationConfig {
     pub tomogravity: TomogravityOptions,
     /// IPF options (step 3).
     pub ipf: IpfOptions,
-    /// Network decomposition: [`DecompositionPolicy::Flat`] (the default)
-    /// runs the classic whole-network pipeline untouched;
-    /// [`DecompositionPolicy::Multilevel`] opts size-aware consumers
-    /// (`MultilevelPipeline::from_config`, the benchmark harness) into the
-    /// partition-aware two-level solve. Flat consumers ignore the field
-    /// entirely, so setting it never perturbs a flat estimate
-    /// (proptest-locked).
-    pub decomposition: DecompositionPolicy,
     /// Optional pre-registered pipeline stage metrics.
     pub metrics: Option<Arc<PipelineMetrics>>,
 }
 
 impl EstimationConfig {
     /// A default configuration: default step options, the `Auto` solver
-    /// policy, flat decomposition, no metrics.
+    /// policy, no metrics.
     pub fn new() -> Self {
         EstimationConfig::default()
     }
@@ -82,12 +75,6 @@ impl EstimationConfig {
         self
     }
 
-    /// Selects the network decomposition policy.
-    pub fn with_decomposition(mut self, decomposition: DecompositionPolicy) -> Self {
-        self.decomposition = decomposition;
-        self
-    }
-
     /// Attaches pipeline stage metrics.
     pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
         self.metrics = Some(metrics);
@@ -106,20 +93,6 @@ mod tests {
         assert!(c.metrics.is_none());
         assert_eq!(c.tomogravity, TomogravityOptions::default());
         assert_eq!(c.ipf, IpfOptions::default());
-        assert_eq!(c.decomposition, DecompositionPolicy::Flat);
-    }
-
-    #[test]
-    fn with_decomposition_stores_the_policy() {
-        use crate::multilevel::MultilevelOptions;
-
-        let c = EstimationConfig::new().with_decomposition(DecompositionPolicy::Multilevel(
-            MultilevelOptions::default().with_seed(7),
-        ));
-        match c.decomposition {
-            DecompositionPolicy::Multilevel(opts) => assert_eq!(opts.seed, 7),
-            DecompositionPolicy::Flat => panic!("policy not stored"),
-        }
     }
 
     #[test]

@@ -36,10 +36,7 @@ pub mod tomogravity;
 pub use config::EstimationConfig;
 pub use evaluate::{rel_l2_spatial, spatial_error_by_volume, top_flow_error};
 pub use ipf::{ipf_fit, ipf_fit_with, IpfOptions, IpfWorkspace};
-pub use multilevel::{
-    stacked_row_blocks, DecompositionPolicy, MultilevelEstimate, MultilevelMetrics,
-    MultilevelOptions, MultilevelPipeline,
-};
+pub use multilevel::{MultilevelEstimate, MultilevelMetrics, MultilevelPipeline};
 pub use observe::{ObservationModel, Observations};
 pub use pipeline::{
     compare_priors, compare_priors_with, ComparisonResult, EstimationPipeline, PipelineMetrics,
@@ -67,7 +64,6 @@ const _: () = {
     _assert_send_sync::<IpfWorkspace>();
     _assert_send_sync::<MultilevelPipeline>();
     _assert_send_sync::<MultilevelEstimate>();
-    _assert_send_sync::<DecompositionPolicy>();
     _assert_send_sync::<EstimationError>();
 };
 

@@ -40,9 +40,12 @@
 //! `(n/k)²` entries per bin. Every projection fits the prior's own
 //! `n_c² × bins` series in place, all bins at once (see [`crate::ipf`]),
 //! so a cluster costs one allocation per call and a few passes over its
-//! block per IPF sweep. The same partition also accelerates the *flat*
-//! solve: [`stacked_row_blocks`] feeds the block-Jacobi PCG
-//! preconditioner.
+//! block per IPF sweep.
+//!
+//! The caller supplies the partition: the generator's own grouping where
+//! the structure is known ([`Partition::from_assignment`]), or seeded
+//! [`label_propagation`](ic_topology::label_propagation) for an arbitrary
+//! graph.
 
 use crate::config::EstimationConfig;
 use crate::ipf::{ipf_fit_series, ipf_fit_with, IpfOptions, IpfWorkspace};
@@ -53,48 +56,9 @@ use ic_core::TmSeries;
 use ic_engine::{Engine, WorkspacePool};
 use ic_linalg::Matrix;
 use ic_obs::{Gauge, Histogram, MetricsRegistry};
-use ic_topology::{
-    label_propagation, ClusterId, NodeId, Partition, RoutingMatrix, RoutingScheme, Topology,
-};
+use ic_topology::{ClusterId, NodeId, Partition, RoutingMatrix, RoutingScheme, Topology};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How the estimation stack decomposes the network.
-///
-/// Carried by [`EstimationConfig::decomposition`]
-/// (`EstimationConfig::with_decomposition`). [`DecompositionPolicy::Flat`]
-/// is the default and leaves every existing entry point bit-identical —
-/// flat consumers never read the field. Size-aware consumers
-/// ([`MultilevelPipeline::from_config`], the `estimation_perf` benchmark)
-/// dispatch on it.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum DecompositionPolicy {
-    /// One whole-network solve (the classic pipeline).
-    #[default]
-    Flat,
-    /// Partition-aware two-level solve with the given options.
-    Multilevel(MultilevelOptions),
-}
-
-/// Options for the multilevel decomposition.
-///
-/// Marked `#[non_exhaustive]`: construct via
-/// [`MultilevelOptions::default`] and the `with_*` setters.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[non_exhaustive]
-pub struct MultilevelOptions {
-    /// Seed for the [`label_propagation`] fallback when no ground-truth
-    /// partition is supplied.
-    pub seed: u64,
-}
-
-impl MultilevelOptions {
-    /// Sets the label-propagation seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
 
 /// Pre-registered metric handles for the multilevel solve, under
 /// `multilevel.*`.
@@ -168,7 +132,9 @@ pub struct MultilevelPipeline {
 }
 
 impl MultilevelPipeline {
-    /// Builds the two-level pipeline from an explicit partition.
+    /// Builds the two-level pipeline from an explicit partition. For a
+    /// topology without known structure, pass seeded
+    /// [`label_propagation`](ic_topology::label_propagation)`(topo, seed)`.
     ///
     /// Routes the partition's quotient topology under `scheme` and keeps
     /// its through-traffic weights; of `config` only the IPF options are
@@ -210,40 +176,6 @@ impl MultilevelPipeline {
             links: topo.link_count(),
             metrics: None,
         })
-    }
-
-    /// Builds the pipeline with the partition chosen automatically by
-    /// seeded [`label_propagation`] — the route for topologies without
-    /// known structure.
-    pub fn auto(
-        topo: &Topology,
-        scheme: RoutingScheme,
-        options: MultilevelOptions,
-        config: EstimationConfig,
-    ) -> Result<Self> {
-        let partition = label_propagation(topo, options.seed);
-        MultilevelPipeline::new(topo, scheme, partition, config)
-    }
-
-    /// Builds the pipeline according to the config's
-    /// [`DecompositionPolicy`]. Fails with an invalid-parameter error
-    /// under [`DecompositionPolicy::Flat`] — a flat solve is an
-    /// [`crate::EstimationPipeline`], and refusing here keeps the two
-    /// paths impossible to confuse.
-    pub fn from_config(
-        topo: &Topology,
-        scheme: RoutingScheme,
-        config: &EstimationConfig,
-    ) -> Result<Self> {
-        match config.decomposition {
-            DecompositionPolicy::Flat => Err(EstimationError::InvalidParameter {
-                name: "decomposition",
-                constraint: "must be Multilevel(..) to build a MultilevelPipeline",
-            }),
-            DecompositionPolicy::Multilevel(options) => {
-                MultilevelPipeline::auto(topo, scheme, options, config.clone())
-            }
-        }
     }
 
     /// Attaches pre-registered `multilevel.*` metric handles. Purely
@@ -743,49 +675,14 @@ fn local_index(nodes: &[NodeId], parent: NodeId) -> usize {
         .expect("assignment and cluster_nodes are consistent by construction")
 }
 
-/// Partition-aligned row blocks of the stacked observation operator
-/// `[R; H; G]`, for [`ic_linalg::NormalSolverWorkspace::set_row_blocks`]:
-/// one block per cluster (its intra links plus its members' ingress and
-/// egress rows) and one final block holding the boundary links. This is
-/// the flat-solve companion of the multilevel decomposition — the same
-/// partition that shards the network also block-diagonalizes `A W Aᵀ`,
-/// which is what makes block-Jacobi PCG converge in fewer iterations on
-/// hierarchical topologies.
-pub fn stacked_row_blocks(topo: &Topology, partition: &Partition) -> Vec<Vec<usize>> {
-    let links = topo.link_count();
-    let n = topo.node_count();
-    let k = partition.cluster_count();
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let boundary = partition.boundary_links();
-    let mut is_boundary = vec![false; links];
-    for &l in boundary {
-        is_boundary[l] = true;
-    }
-    for (id, l) in topo.links().iter().enumerate() {
-        if !is_boundary[id] {
-            blocks[partition.cluster_of(l.from)].push(id);
-        }
-    }
-    for i in 0..n {
-        let c = partition.cluster_of(i);
-        blocks[c].push(links + i); // ingress row of node i
-        blocks[c].push(links + n + i); // egress row of node i
-    }
-    if !boundary.is_empty() {
-        blocks.push(boundary.to_vec());
-    }
-    blocks.retain(|b| !b.is_empty());
-    blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observe::ObservationModel;
-    use crate::pipeline::{EstimationPipeline, PipelineWorkspace};
+    use crate::pipeline::EstimationPipeline;
     use crate::prior::GravityPrior;
     use ic_core::mean_rel_l2;
-    use ic_topology::{hierarchical, HierarchicalConfig};
+    use ic_topology::{hierarchical, label_propagation, HierarchicalConfig};
 
     /// A hierarchical network with its ground-truth partition.
     fn hier(backbones: usize, pops: usize, seed: u64) -> (Topology, Partition) {
@@ -1139,10 +1036,13 @@ mod tests {
     #[test]
     fn auto_partitioning_builds_and_estimates() {
         let (topo, _) = hier(4, 6, 3);
-        let config = EstimationConfig::default().with_decomposition(
-            DecompositionPolicy::Multilevel(MultilevelOptions::default().with_seed(1)),
-        );
-        let ml = MultilevelPipeline::from_config(&topo, RoutingScheme::Ecmp, &config).unwrap();
+        let ml = MultilevelPipeline::new(
+            &topo,
+            RoutingScheme::Ecmp,
+            label_propagation(&topo, 1),
+            EstimationConfig::default(),
+        )
+        .unwrap();
         assert!(ml.partition().cluster_count() > 1);
         let truth = local_truth(&topo, ml.partition(), 1);
         let om = full_model(&topo);
@@ -1150,87 +1050,6 @@ mod tests {
         let est = ml.estimate(&GravityPrior, &obs).unwrap();
         assert_eq!(est.nodes(), topo.node_count());
         assert_eq!(est.bins(), 1);
-        // Flat policy refuses to build a multilevel pipeline.
-        assert!(MultilevelPipeline::from_config(
-            &topo,
-            RoutingScheme::Ecmp,
-            &EstimationConfig::default()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn stacked_row_blocks_cover_all_rows_disjointly() {
-        let (topo, part) = hier(4, 5, 11);
-        let blocks = stacked_row_blocks(&topo, &part);
-        let rows = topo.link_count() + 2 * topo.node_count();
-        let mut seen = vec![0usize; rows];
-        for b in &blocks {
-            assert!(!b.is_empty());
-            for &r in b {
-                assert!(r < rows);
-                seen[r] += 1;
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s == 1),
-            "every row in exactly one block"
-        );
-        // One block per cluster plus the boundary block.
-        assert_eq!(blocks.len(), part.cluster_count() + 1);
-    }
-
-    /// Block-Jacobi through the flat pipeline: partition-aligned row
-    /// blocks keep the refined series numerically equal to the scalar
-    /// PCG path while never costing iterations — and the `None` reset
-    /// restores the scalar path bit-identically.
-    #[test]
-    fn flat_pcg_with_partition_blocks_matches_scalar() {
-        use ic_linalg::SolverPolicy;
-
-        let (topo, part) = hier(4, 5, 11);
-        let truth = local_truth(&topo, &part, 2);
-        let om = full_model(&topo);
-        let obs = om.observe(&truth).unwrap();
-        let pipe = EstimationPipeline::new(om)
-            .config(EstimationConfig::new().with_solver(SolverPolicy::Pcg));
-
-        let mut ws_scalar = PipelineWorkspace::new();
-        let scalar = pipe
-            .estimate_with(&GravityPrior, &obs, &mut ws_scalar)
-            .unwrap();
-
-        let mut ws_block = PipelineWorkspace::new();
-        ws_block.set_solver_row_blocks(Some(stacked_row_blocks(&topo, &part)));
-        let block = pipe
-            .estimate_with(&GravityPrior, &obs, &mut ws_block)
-            .unwrap();
-
-        let scale = scalar.as_matrix().max_abs().max(1.0);
-        for (x, y) in scalar
-            .as_matrix()
-            .as_slice()
-            .iter()
-            .zip(block.as_matrix().as_slice().iter())
-        {
-            assert!((x - y).abs() <= 1e-7 * scale, "{x} vs {y}");
-        }
-        let (ss, sb) = (ws_scalar.solve_stats(), ws_block.solve_stats());
-        assert!(sb.pcg_solves > 0);
-        assert!(
-            sb.pcg_iterations <= ss.pcg_iterations,
-            "block {} vs scalar {} iterations",
-            sb.pcg_iterations,
-            ss.pcg_iterations
-        );
-
-        // Clearing the blocks restores the scalar path bit-identically.
-        ws_block.set_solver_row_blocks(None);
-        ws_block.reset_solve_stats();
-        let again = pipe
-            .estimate_with(&GravityPrior, &obs, &mut ws_block)
-            .unwrap();
-        assert_eq!(again, scalar);
     }
 
     fn bits(tm: &TmSeries) -> Vec<u64> {

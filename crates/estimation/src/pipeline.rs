@@ -118,17 +118,6 @@ impl PipelineWorkspace {
     pub fn reset_solve_stats(&mut self) {
         self.tomo.reset_solve_stats();
     }
-
-    /// Installs (or clears) partition-aligned row blocks on the embedded
-    /// tomogravity solver: under the PCG policy, every bin refined
-    /// through this workspace preconditions with block-Jacobi over the
-    /// given stacked-operator row blocks
-    /// (`ic_estimation::stacked_row_blocks` derives them from a
-    /// [`ic_topology::Partition`]). `None` restores the scalar path
-    /// bit-identically.
-    pub fn set_solver_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
-        self.tomo.set_row_blocks(blocks);
-    }
 }
 
 /// The three-step estimation pipeline.

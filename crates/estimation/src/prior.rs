@@ -172,6 +172,7 @@ impl TmPrior for StableFpPrior {
     }
 
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
+        obs.check_shape()?;
         let n = obs.nodes();
         if self.preference.len() != n {
             return Err(EstimationError::DimensionMismatch {
@@ -241,6 +242,7 @@ impl TmPrior for StableFPrior {
     }
 
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
+        obs.check_shape()?;
         if !(0.0..=1.0).contains(&self.f) {
             return Err(EstimationError::InvalidParameter {
                 name: "f",
@@ -433,6 +435,73 @@ mod tests {
         }
         .prior_series(&obs)
         .is_err());
+    }
+
+    /// The exact-IC observations with one field replaced, run through
+    /// `prior`: a mis-shaped marginal must be a dimension error, not a
+    /// panic or a prior read from the wrong entries.
+    fn assert_rejects_mis_shaped(prior: &dyn TmPrior, edit: impl Fn(&mut Observations)) {
+        let (topo, tm, _) = setup(0.25);
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+        let mut obs = om.observe(&tm).unwrap();
+        edit(&mut obs);
+        let result = prior.prior_series(&obs);
+        assert!(
+            matches!(result, Err(EstimationError::DimensionMismatch { .. })),
+            "{}: {result:?}",
+            prior.name()
+        );
+    }
+
+    fn egress_one_bin_short(obs: &mut Observations) {
+        obs.egress = Matrix::filled(obs.nodes(), obs.bins() - 1, 1e3);
+    }
+
+    fn egress_one_node_short(obs: &mut Observations) {
+        obs.egress = Matrix::filled(obs.nodes() - 1, obs.bins(), 1e3);
+    }
+
+    fn marginals_longer_than_link_loads(obs: &mut Observations) {
+        let (n, bins) = (obs.nodes(), obs.bins() + 2);
+        obs.ingress = Matrix::filled(n, bins, 1e3);
+        obs.egress = Matrix::filled(n, bins, 1e3);
+    }
+
+    fn stable_fp() -> StableFpPrior {
+        StableFpPrior {
+            f: 0.25,
+            preference: vec![0.4, 0.3, 0.2, 0.1],
+        }
+    }
+
+    #[test]
+    fn stable_fp_prior_rejects_egress_one_bin_short() {
+        assert_rejects_mis_shaped(&stable_fp(), egress_one_bin_short);
+    }
+
+    #[test]
+    fn stable_fp_prior_rejects_egress_one_node_short() {
+        assert_rejects_mis_shaped(&stable_fp(), egress_one_node_short);
+    }
+
+    #[test]
+    fn stable_fp_prior_rejects_marginals_longer_than_link_loads() {
+        assert_rejects_mis_shaped(&stable_fp(), marginals_longer_than_link_loads);
+    }
+
+    #[test]
+    fn stable_f_prior_rejects_egress_one_bin_short() {
+        assert_rejects_mis_shaped(&StableFPrior { f: 0.25 }, egress_one_bin_short);
+    }
+
+    #[test]
+    fn stable_f_prior_rejects_egress_one_node_short() {
+        assert_rejects_mis_shaped(&StableFPrior { f: 0.25 }, egress_one_node_short);
+    }
+
+    #[test]
+    fn stable_f_prior_rejects_marginals_longer_than_link_loads() {
+        assert_rejects_mis_shaped(&StableFPrior { f: 0.25 }, marginals_longer_than_link_loads);
     }
 
     #[test]

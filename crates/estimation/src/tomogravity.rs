@@ -16,11 +16,11 @@
 //!
 //! where `A` stacks the routing matrix with the marginal operators and `b`
 //! the corresponding counts. `A W Aᵀ` is symmetric positive semi-definite;
-//! it is solved through the pluggable [`ic_linalg::NormalSolver`] layer —
-//! a scale-aware ridge Cholesky with an SVD pseudo-inverse fallback on
-//! small systems, matrix-free Jacobi-PCG (the gram matrix is never
-//! materialized) on large ones — selected per problem by the
-//! [`SolverPolicy`] in [`TomogravityOptions`].
+//! it is solved by the workspace's [`NormalSolverWorkspace`] — a
+//! scale-aware ridge Cholesky with an SVD pseudo-inverse fallback on small
+//! systems, matrix-free Jacobi-PCG (the gram matrix is never materialized)
+//! on large ones — selected per problem by the [`SolverPolicy`] in
+//! [`TomogravityOptions`].
 
 use crate::observe::{ObservationModel, Observations};
 use crate::{EstimationError, Result};
@@ -141,17 +141,6 @@ impl TomogravityWorkspace {
     pub fn reset_solve_stats(&mut self) {
         self.solver.reset_stats();
     }
-
-    /// Installs (or clears) row blocks on the embedded normal solver:
-    /// under the PCG policy, subsequent refinements precondition with
-    /// block-Jacobi over these stacked-operator row blocks (see
-    /// [`ic_linalg::NormalSolverWorkspace::set_row_blocks`] and
-    /// `ic_estimation::stacked_row_blocks` for partition-aligned blocks).
-    /// `None` restores the scalar-Jacobi path bit-identically; the dense
-    /// path ignores blocks entirely.
-    pub fn set_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
-        self.solver.set_row_blocks(blocks);
-    }
 }
 
 /// The tomogravity estimator.
@@ -244,13 +233,7 @@ impl Tomogravity {
         ws: &mut TomogravityWorkspace,
     ) -> Result<()> {
         let (rows, cols) = a.shape();
-        if x_prior.len() != cols || b.len() != rows {
-            return Err(EstimationError::DimensionMismatch {
-                context: "tomogravity refine_bin",
-                expected: cols,
-                actual: x_prior.len(),
-            });
-        }
+        check_bin_lengths(rows, cols, x_prior, b)?;
         ws.ensure(rows, cols);
         // An all-zero prior pins the answer: W → 0 turns the WLS update
         // into a no-op (x = x_p), while flooring the weights at
@@ -308,13 +291,7 @@ impl Tomogravity {
     /// keeps the dense baseline tractable on mid-size topologies.
     pub fn refine_bin(&self, a: &Matrix, x_prior: &[f64], b: &[f64]) -> Result<Vec<f64>> {
         let (rows, cols) = a.shape();
-        if x_prior.len() != cols || b.len() != rows {
-            return Err(EstimationError::DimensionMismatch {
-                context: "tomogravity refine_bin",
-                expected: cols,
-                actual: x_prior.len(),
-            });
-        }
+        check_bin_lengths(rows, cols, x_prior, b)?;
         // All-zero prior: W → 0 pins x = x_p (see the sparse path).
         if x_prior.iter().all(|&v| v == 0.0) {
             return Ok(x_prior.to_vec());
@@ -369,6 +346,27 @@ impl Tomogravity {
     }
 }
 
+/// Length checks shared by the dense and sparse bin refinements, each
+/// naming the input that is wrong: one prior entry per operator column,
+/// one observation per operator row.
+fn check_bin_lengths(rows: usize, cols: usize, x_prior: &[f64], b: &[f64]) -> Result<()> {
+    if x_prior.len() != cols {
+        return Err(EstimationError::DimensionMismatch {
+            context: "tomogravity refine_bin",
+            expected: cols,
+            actual: x_prior.len(),
+        });
+    }
+    if b.len() != rows {
+        return Err(EstimationError::DimensionMismatch {
+            context: "tomogravity refine_bin b",
+            expected: rows,
+            actual: b.len(),
+        });
+    }
+    Ok(())
+}
+
 /// Weight floor shared by the dense and sparse bin refinements.
 fn weight_floor(x_prior: &[f64], weight_floor: f64) -> f64 {
     let mean_prior = x_prior.iter().sum::<f64>() / x_prior.len() as f64;
@@ -381,7 +379,7 @@ mod tests {
     use crate::observe::ObservationModel;
     use crate::prior::{GravityPrior, TmPrior};
     use ic_core::{mean_rel_l2, simplified_ic};
-    use ic_topology::{RoutingScheme, Topology};
+    use ic_topology::{geant22, RoutingScheme, Topology};
 
     fn square_topology() -> Topology {
         let mut t = Topology::new("sq");
@@ -483,6 +481,39 @@ mod tests {
         assert!(tomo.refine_bin(&a, &[1.0], &[1.0, 1.0, 1.0]).is_err());
     }
 
+    /// A short observation vector is reported as itself, not as the
+    /// prior (whose length is right).
+    #[test]
+    fn short_observation_vector_is_named_in_the_error() {
+        let om = ObservationModel::new(&geant22(), RoutingScheme::Ecmp).unwrap();
+        let a = om.stacked_sparse();
+        let x_prior = vec![1e6; a.cols()];
+        let b = vec![1e6; a.rows() - 1];
+        let want = EstimationError::DimensionMismatch {
+            context: "tomogravity refine_bin b",
+            expected: a.rows(),
+            actual: a.rows() - 1,
+        };
+        let tomo = Tomogravity::new(TomogravityOptions::default());
+        let mut ws = TomogravityWorkspace::new();
+        let sparse = tomo.refine_bin_sparse_with(a, om.stacked_transpose(), &x_prior, &b, &mut ws);
+        assert_eq!(sparse, Err(want.clone()));
+        let dense = tomo.refine_bin(&om.stacked().unwrap(), &x_prior, &b);
+        assert_eq!(dense, Err(want));
+        // A short prior still names the prior.
+        let b = vec![1e6; a.rows()];
+        let sparse =
+            tomo.refine_bin_sparse_with(a, om.stacked_transpose(), &x_prior[1..], &b, &mut ws);
+        assert_eq!(
+            sparse,
+            Err(EstimationError::DimensionMismatch {
+                context: "tomogravity refine_bin",
+                expected: a.cols(),
+                actual: a.cols() - 1,
+            })
+        );
+    }
+
     #[test]
     fn pcg_policy_matches_dense_and_counts_work() {
         let topo = square_topology();
@@ -517,7 +548,9 @@ mod tests {
         let sp = ws_p.solve_stats();
         assert_eq!(sp.pcg_solves, 2);
         assert_eq!(sp.dense_solves, 0);
-        assert!(sp.pcg_iterations > 0);
+        // Exact work: 49 iterations over the two 16-row solves, no stall.
+        assert_eq!(sp.pcg_iterations, 49);
+        assert_eq!(sp.pcg_stalls, 0);
         // Auto resolves dense at this (tiny) size: bit-identical to Dense.
         let auto = Tomogravity::new(TomogravityOptions::default());
         let mut ws_a = TomogravityWorkspace::new();

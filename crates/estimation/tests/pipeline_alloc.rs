@@ -1,11 +1,12 @@
 //! Allocation gate for the per-bin pipeline: once the workspace is warm,
 //! an [`EstimationPipeline::estimate_with`] sweep performs a
 //! **bin-count-independent** number of heap allocations — i.e. zero
-//! allocations per bin. The test compares the allocation counts of warm
-//! sweeps over different bin counts instead of asserting an absolute
-//! number, so per-call constants (the prior series, the output series'
-//! single backing `Vec`) cannot mask a real per-bin allocation creeping
-//! into the kernels.
+//! allocations per bin — on both sides of the normal solver: the default
+//! policy (dense at this size) and forced PCG. The test compares the
+//! allocation counts of warm sweeps over different bin counts instead of
+//! asserting an absolute number, so per-call constants (the prior series,
+//! the output series' single backing `Vec`) cannot mask a real per-bin
+//! allocation creeping into the kernels.
 //!
 //! The allocator counts per thread: the test harness runs each test on
 //! its own thread, and its other threads allocate while a test runs. A
@@ -13,7 +14,8 @@
 
 use ic_core::TmSeries;
 use ic_estimation::{
-    EstimationPipeline, GravityPrior, ObservationModel, Observations, PipelineWorkspace, TmPrior,
+    EstimationConfig, EstimationPipeline, GravityPrior, ObservationModel, Observations,
+    PipelineWorkspace, SolverPolicy, TmPrior,
 };
 use ic_topology::{hierarchical, HierarchicalConfig, RoutingScheme};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,11 +84,12 @@ fn model_and_series(bins: usize) -> (ObservationModel, TmSeries) {
     (om, tm)
 }
 
-/// Allocation count of one warm `estimate_with` sweep over `bins` bins.
-fn warm_sweep_allocs(bins: usize) -> u64 {
+/// Allocation count of one warm `estimate_with` sweep over `bins` bins
+/// under the given solver policy.
+fn warm_sweep_allocs(bins: usize, policy: SolverPolicy) -> u64 {
     let (om, tm) = model_and_series(bins);
     let obs = om.observe(&tm).unwrap();
-    let pipeline = EstimationPipeline::new(om);
+    let pipeline = EstimationPipeline::new(om).config(EstimationConfig::new().with_solver(policy));
     let prior = FixedPrior(GravityPrior.prior_series(&obs).unwrap());
     let mut ws = PipelineWorkspace::new();
     // Two warm-up sweeps: the first sizes the workspace buffers, the
@@ -101,15 +104,17 @@ fn warm_sweep_allocs(bins: usize) -> u64 {
 
 #[test]
 fn warm_per_bin_sweep_allocates_nothing_per_bin() {
-    let short = warm_sweep_allocs(8);
-    let long = warm_sweep_allocs(32);
-    assert!(short > 0, "the output series went uncounted");
-    // Same allocation count at 8 and 32 bins: everything the warm sweep
-    // allocates is a per-call constant (the prior and output series), so
-    // the per-bin allocation count is exactly zero.
-    assert_eq!(
-        short, long,
-        "warm sweep allocations grew with bin count: \
-         {short} allocs at 8 bins vs {long} at 32 bins"
-    );
+    for policy in [SolverPolicy::Auto, SolverPolicy::Pcg] {
+        let short = warm_sweep_allocs(8, policy);
+        let long = warm_sweep_allocs(32, policy);
+        assert!(short > 0, "{policy:?}: the output series went uncounted");
+        // Same allocation count at 8 and 32 bins: everything the warm
+        // sweep allocates is a per-call constant (the prior and output
+        // series), so the per-bin allocation count is exactly zero.
+        assert_eq!(
+            short, long,
+            "{policy:?}: warm sweep allocations grew with bin count: \
+             {short} allocs at 8 bins vs {long} at 32 bins"
+        );
+    }
 }

@@ -289,39 +289,6 @@ proptest! {
         prop_assert_eq!(&warm, &serial);
     }
 
-    /// `DecompositionPolicy::Flat` is inert: a config carrying it (or any
-    /// decomposition policy) produces the bit-identical estimate of a
-    /// default config through every flat entry point — the lock that
-    /// guards the existing paths while the multilevel machinery exists
-    /// alongside them.
-    #[test]
-    fn flat_decomposition_policy_is_bit_identical(
-        (om, tm) in topo_and_long_series(),
-        threads in 1usize..5,
-        multilevel in any::<bool>(),
-    ) {
-        use ic_estimation::{DecompositionPolicy, MultilevelOptions};
-        let obs = om.observe(&tm).unwrap();
-        let policy = if multilevel {
-            DecompositionPolicy::Multilevel(MultilevelOptions::default().with_seed(3))
-        } else {
-            DecompositionPolicy::Flat
-        };
-        let plain = EstimationPipeline::new(om.clone());
-        let tagged = EstimationPipeline::new(om)
-            .config(EstimationConfig::new().with_decomposition(policy));
-        let want = plain.estimate(&GravityPrior, &obs).unwrap();
-        prop_assert_eq!(&tagged.estimate(&GravityPrior, &obs).unwrap(), &want);
-        let mut ws = PipelineWorkspace::new();
-        prop_assert_eq!(&tagged.estimate_with(&GravityPrior, &obs, &mut ws).unwrap(), &want);
-        let engine = Engine::new().with_threads(threads).with_shard_bins(2);
-        let pool = WorkspacePool::new();
-        prop_assert_eq!(
-            &tagged.estimate_parallel_pooled(&GravityPrior, &obs, &engine, &pool).unwrap(),
-            &want
-        );
-    }
-
     /// The engine-backed multi-prior comparison equals the serial
     /// `compare_priors` exactly — errors, improvements, and means — and
     /// the serial errors are those of the per-bin `estimate` path.

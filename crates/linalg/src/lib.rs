@@ -37,7 +37,6 @@ pub mod matrix;
 pub mod nnls;
 pub mod pcg;
 pub mod pinv;
-pub mod precond;
 pub mod qr;
 pub mod solver;
 pub mod sparse;
@@ -48,12 +47,8 @@ pub use matrix::Matrix;
 pub use nnls::{nnls, NnlsOptions};
 pub use pcg::{PcgSolve, PcgWorkspace, PCG_MAX_ITERATIONS, PCG_REL_TOLERANCE};
 pub use pinv::pseudo_inverse;
-pub use precond::BlockJacobiPreconditioner;
 pub use qr::Qr;
-pub use solver::{
-    DenseNormalSolver, NormalSolver, NormalSolverWorkspace, PcgNormalSolver, SolveStats,
-    SolverKind, SolverPolicy,
-};
+pub use solver::{NormalSolverWorkspace, SolveStats, SolverKind, SolverPolicy};
 pub use sparse::SparseMatrix;
 pub use svd::Svd;
 
@@ -71,9 +66,6 @@ const _: () = {
     _assert_send_sync::<Qr>();
     _assert_send_sync::<Svd>();
     _assert_send_sync::<PcgWorkspace>();
-    _assert_send_sync::<BlockJacobiPreconditioner>();
-    _assert_send_sync::<DenseNormalSolver>();
-    _assert_send_sync::<PcgNormalSolver>();
     _assert_send_sync::<NormalSolverWorkspace>();
     _assert_send_sync::<SolverPolicy>();
     _assert_send_sync::<SolveStats>();

@@ -186,116 +186,6 @@ impl PcgWorkspace {
         })
     }
 
-    /// Solves `(M + ridge·I) x = b` with a caller-supplied preconditioner:
-    /// `apply` computes `y = M·v` exactly as in [`PcgWorkspace::solve`],
-    /// and `precond` computes `z = P⁻¹·r` for an SPD approximation `P` of
-    /// `M + ridge·I` (e.g. the block-Jacobi
-    /// [`crate::BlockJacobiPreconditioner`]).
-    ///
-    /// Same start, stopping rule and iteration budget as
-    /// [`PcgWorkspace::solve`]; the existing scalar-Jacobi path is left
-    /// untouched (and bit-identical) — this is the generalization the
-    /// multilevel estimation work rides, where per-cluster diagonal
-    /// blocks capture the coupling a scalar preconditioner misses. A
-    /// preconditioner that is not positive definite on the running
-    /// residual surfaces as a non-converged solve on the best iterate, as
-    /// with an indefinite operator.
-    pub fn solve_preconditioned(
-        &mut self,
-        ridge: f64,
-        b: &[f64],
-        x: &mut [f64],
-        mut apply: impl FnMut(&[f64], &mut [f64]) -> Result<()>,
-        mut precond: impl FnMut(&[f64], &mut [f64]) -> Result<()>,
-    ) -> Result<PcgSolve> {
-        let n = b.len();
-        if n == 0 {
-            return Err(LinalgError::InvalidArgument("pcg: empty system"));
-        }
-        if x.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "pcg_solve_preconditioned",
-                lhs: (n, 1),
-                rhs: (x.len(), 1),
-            });
-        }
-        if !(ridge >= 0.0) {
-            return Err(LinalgError::InvalidArgument(
-                "pcg: ridge must be non-negative",
-            ));
-        }
-        self.ensure(n);
-
-        // x = 0, r = b.
-        x.fill(0.0);
-        self.r.copy_from_slice(b);
-        let b_norm2 = dot(b, b);
-        if b_norm2 == 0.0 {
-            return Ok(PcgSolve {
-                iterations: 0,
-                converged: true,
-            });
-        }
-        let tol2 = PCG_REL_TOLERANCE * PCG_REL_TOLERANCE * b_norm2;
-        precond(&self.r, &mut self.z)?;
-        self.p.copy_from_slice(&self.z);
-        let mut rz = dot(&self.r, &self.z);
-        if !(rz > 0.0) || !rz.is_finite() {
-            // The preconditioner is not SPD on this residual; x = 0 is
-            // the best iterate we can certify.
-            return Ok(PcgSolve {
-                iterations: 0,
-                converged: false,
-            });
-        }
-        let max_iterations = (2 * n).clamp(32, PCG_MAX_ITERATIONS);
-        for iteration in 1..=max_iterations {
-            apply(&self.p, &mut self.ap)?;
-            if ridge > 0.0 {
-                for (ap, &p) in self.ap.iter_mut().zip(self.p.iter()) {
-                    *ap += ridge * p;
-                }
-            }
-            let pap = dot(&self.p, &self.ap);
-            if !(pap > 0.0) || !pap.is_finite() {
-                return Ok(PcgSolve {
-                    iterations: iteration,
-                    converged: false,
-                });
-            }
-            let alpha = rz / pap;
-            for (xi, &pi) in x.iter_mut().zip(self.p.iter()) {
-                *xi += alpha * pi;
-            }
-            for (ri, &api) in self.r.iter_mut().zip(self.ap.iter()) {
-                *ri -= alpha * api;
-            }
-            if dot(&self.r, &self.r) <= tol2 {
-                return Ok(PcgSolve {
-                    iterations: iteration,
-                    converged: true,
-                });
-            }
-            precond(&self.r, &mut self.z)?;
-            let rz_next = dot(&self.r, &self.z);
-            if !(rz_next > 0.0) || !rz_next.is_finite() {
-                return Ok(PcgSolve {
-                    iterations: iteration,
-                    converged: false,
-                });
-            }
-            let beta = rz_next / rz;
-            rz = rz_next;
-            for (p, &z) in self.p.iter_mut().zip(self.z.iter()) {
-                *p = z + beta * *p;
-            }
-        }
-        Ok(PcgSolve {
-            iterations: max_iterations,
-            converged: false,
-        })
-    }
-
     fn ensure(&mut self, n: usize) {
         if self.r.len() != n {
             self.r.resize(n, 0.0);

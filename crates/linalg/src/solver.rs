@@ -1,4 +1,4 @@
-//! Pluggable solvers for the weighted normal equations.
+//! The solver for the weighted normal equations.
 //!
 //! Every estimator in the workspace bottoms out in the same system: given
 //! a sparse operator `A` and positive weights `w`, solve
@@ -8,29 +8,27 @@
 //! ```
 //!
 //! where `scale` is the magnitude of the gram matrix, making the ridge
-//! relative. [`NormalSolver`] abstracts *how* that system is solved so
+//! relative. [`NormalSolverWorkspace`] solves it one of two ways, so
 //! upper layers (tomogravity, the BCD fits, the streaming pipeline) pick a
 //! strategy per problem size instead of hard-coding one:
 //!
-//! * [`DenseNormalSolver`] — the original path: materialize `A W Aᵀ` via
+//! * **dense** — the original path: materialize `A W Aᵀ` via
 //!   [`SparseMatrix::awat_into`] and factor it with
 //!   [`crate::CholeskyWorkspace`], falling back to the SVD pseudo-inverse
 //!   when the ridge cannot rescue rank deficiency. Exact and fast while
 //!   `rows` is small; `O(rows²)` memory, `O(rows³)` time.
-//! * [`PcgNormalSolver`] — matrix-free Jacobi-preconditioned conjugate
-//!   gradients ([`crate::PcgWorkspace`]): the gram matrix is never formed,
-//!   each iteration costs two CSR matvecs, and memory stays `O(rows +
-//!   cols)`. This is what lets estimation scale to thousands of nodes.
+//! * **PCG** — matrix-free Jacobi-preconditioned conjugate gradients
+//!   ([`crate::PcgWorkspace`]): the gram matrix is never formed, each
+//!   iteration costs two CSR matvecs, and memory stays `O(rows + cols)`.
+//!   This is what lets estimation scale to thousands of nodes.
 //!
 //! [`SolverPolicy`] selects between them ([`SolverPolicy::Auto`] switches
-//! on row count), and [`NormalSolverWorkspace`] bundles both behind the
-//! policy with cumulative, observable [`SolveStats`] — replacing the old
-//! silent `pseudo_inverse` fallback with counted events.
+//! on row count), and the workspace counts every solve, PCG iteration,
+//! stall and pseudo-inverse fallback in observable [`SolveStats`].
 
 use crate::matrix::Matrix;
 use crate::pcg::PcgWorkspace;
 use crate::pinv::pseudo_inverse;
-use crate::precond::BlockJacobiPreconditioner;
 use crate::sparse::SparseMatrix;
 use crate::{CholeskyWorkspace, Result};
 
@@ -142,65 +140,85 @@ impl SolveStats {
     }
 }
 
-/// A solver for the weighted normal equations
-/// `(A·diag(w)·Aᵀ + scale·ridge·I) x = b`.
+/// The weighted-normal-equations solver the estimation workspaces hold:
+/// the dense and PCG buffers behind one [`SolverPolicy`], with cumulative
+/// [`SolveStats`].
 ///
-/// `ridge` is relative: implementations multiply it by their estimate of
-/// the gram matrix's magnitude (its largest absolute entry — which for a
-/// PSD matrix lies on the diagonal, so the matrix-free path can compute it
-/// without forming the matrix). `transpose` must be the precomputed
-/// [`SparseMatrix::transpose`] of `a`, letting per-bin callers amortize
-/// it. Implementations reuse internal buffers and are allocation-free
-/// once warm at a fixed problem shape.
-pub trait NormalSolver {
-    /// Solves into `x` (length `a.rows()`), accumulating counters into
-    /// `stats`.
-    // Seven problem inputs plus the counter sink; bundling them into a
-    // struct would force every per-bin caller to rebuild borrows it
-    // already holds disjointly.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_normal(
-        &mut self,
-        a: &SparseMatrix,
-        transpose: &SparseMatrix,
-        weights: &[f64],
-        ridge: f64,
-        b: &[f64],
-        x: &mut [f64],
-        stats: &mut SolveStats,
-    ) -> Result<()>;
-}
-
-/// The historical dense path: materialize `A W Aᵀ`, ridge-regularized
-/// Cholesky, SVD pseudo-inverse fallback on rank deficiency.
-///
-/// Numerically byte-for-byte the sequence `ic-estimation`'s tomogravity
-/// used before the solver layer existed, so policies that resolve to
-/// dense reproduce historical results exactly.
+/// [`NormalSolverWorkspace::solve`] solves
+/// `(A·diag(w)·Aᵀ + scale·ridge·I) x = b`. `ridge` is relative: each path
+/// multiplies it by the gram matrix's largest absolute entry, which for a
+/// PSD matrix lies on the diagonal, so the matrix-free path reads the same
+/// scale without forming the matrix. Buffers on the unused side stay
+/// empty (both sides size lazily), so an always-dense or always-PCG
+/// workload pays nothing for the other path, and either path is
+/// allocation-free once warm at a fixed problem shape.
 #[derive(Debug, Clone)]
-pub struct DenseNormalSolver {
+pub struct NormalSolverWorkspace {
+    policy: SolverPolicy,
+    stats: SolveStats,
+    // Dense path: the materialized `A W Aᵀ` and its Cholesky factor.
     awat: Matrix,
     chol: CholeskyWorkspace,
+    // PCG path: the CG vectors, the Jacobi diagonal and the `Aᵀv`
+    // scratch of the operator.
+    pcg: PcgWorkspace,
+    diag: Vec<f64>,
+    scratch: Vec<f64>,
 }
 
-impl Default for DenseNormalSolver {
+impl Default for NormalSolverWorkspace {
     fn default() -> Self {
-        DenseNormalSolver::new()
+        NormalSolverWorkspace::new()
     }
 }
 
-impl DenseNormalSolver {
-    /// An empty solver; buffers are sized on first solve.
+impl NormalSolverWorkspace {
+    /// An empty workspace with the default ([`SolverPolicy::Auto`])
+    /// policy.
     pub fn new() -> Self {
-        DenseNormalSolver {
+        NormalSolverWorkspace::with_policy(SolverPolicy::default())
+    }
+
+    /// An empty workspace with the given policy.
+    pub fn with_policy(policy: SolverPolicy) -> Self {
+        NormalSolverWorkspace {
+            policy,
+            stats: SolveStats::default(),
             awat: Matrix::zeros(0, 0),
             chol: CholeskyWorkspace::new(),
+            pcg: PcgWorkspace::new(),
+            diag: Vec::new(),
+            scratch: Vec::new(),
         }
     }
-}
 
-impl NormalSolver for DenseNormalSolver {
-    fn solve_normal(
+    /// The active policy.
+    pub fn policy(&self) -> SolverPolicy {
+        self.policy
+    }
+
+    /// Changes the policy (existing buffers are kept).
+    pub fn set_policy(&mut self, policy: SolverPolicy) {
+        self.policy = policy;
+    }
+
+    /// Cumulative counters since construction (or the last
+    /// [`reset_stats`](NormalSolverWorkspace::reset_stats)).
+    pub fn stats(&self) -> SolveStats {
+        self.stats
+    }
+
+    /// Zeroes the counters.
+    pub fn reset_stats(&mut self) {
+        self.stats = SolveStats::default();
+    }
+
+    /// Solves the weighted normal equations into `x` (length `a.rows()`)
+    /// with the solver the policy picks for this system's row count.
+    ///
+    /// `transpose` must be the precomputed [`SparseMatrix::transpose`] of
+    /// `a`, letting per-bin callers amortize it.
+    pub fn solve(
         &mut self,
         a: &SparseMatrix,
         transpose: &SparseMatrix,
@@ -208,7 +226,26 @@ impl NormalSolver for DenseNormalSolver {
         ridge: f64,
         b: &[f64],
         x: &mut [f64],
-        stats: &mut SolveStats,
+    ) -> Result<()> {
+        match self.policy.resolve(a.rows()) {
+            SolverKind::Dense => self.solve_dense(a, transpose, weights, ridge, b, x),
+            SolverKind::Pcg => self.solve_pcg(a, transpose, weights, ridge, b, x),
+        }
+    }
+
+    /// The historical dense path: materialize `A W Aᵀ`, ridge-regularized
+    /// Cholesky, counted SVD pseudo-inverse fallback on rank deficiency.
+    /// Byte for byte the sequence tomogravity used before the solver
+    /// layer existed, so policies that resolve to dense reproduce
+    /// historical results exactly.
+    fn solve_dense(
+        &mut self,
+        a: &SparseMatrix,
+        transpose: &SparseMatrix,
+        weights: &[f64],
+        ridge: f64,
+        b: &[f64],
+        x: &mut [f64],
     ) -> Result<()> {
         let rows = a.rows();
         if self.awat.shape() != (rows, rows) {
@@ -221,37 +258,21 @@ impl NormalSolver for DenseNormalSolver {
             Ok(()) => self.chol.solve_into(b, x)?,
             Err(_) => {
                 // Rank-deficient beyond what the ridge absorbs: SVD route.
-                stats.fallbacks += 1;
+                self.stats.fallbacks += 1;
                 let pinv = pseudo_inverse(&self.awat, None)?;
                 let l = pinv.matvec(b)?;
                 x.copy_from_slice(&l);
             }
         }
-        stats.dense_solves += 1;
+        self.stats.dense_solves += 1;
         Ok(())
     }
-}
 
-/// Matrix-free PCG on the weighted normal equations: the operator is
-/// applied as `y = A·(w ⊙ (Aᵀv))` through the CSR `_into` kernels, the
-/// Jacobi preconditioner comes from [`SparseMatrix::awat_diag_into`], and
-/// the `rows×rows` gram matrix is never allocated.
-#[derive(Debug, Clone, Default)]
-pub struct PcgNormalSolver {
-    pcg: PcgWorkspace,
-    diag: Vec<f64>,
-    scratch: Vec<f64>,
-}
-
-impl PcgNormalSolver {
-    /// An empty solver; buffers are sized on first solve.
-    pub fn new() -> Self {
-        PcgNormalSolver::default()
-    }
-}
-
-impl NormalSolver for PcgNormalSolver {
-    fn solve_normal(
+    /// Matrix-free PCG: the operator is applied as `y = A·(w ⊙ (Aᵀv))`
+    /// through the CSR `_into` kernels, the Jacobi preconditioner comes
+    /// from [`SparseMatrix::awat_diag_into`], and the `rows×rows` gram
+    /// matrix is never allocated.
+    fn solve_pcg(
         &mut self,
         a: &SparseMatrix,
         transpose: &SparseMatrix,
@@ -259,7 +280,6 @@ impl NormalSolver for PcgNormalSolver {
         ridge: f64,
         b: &[f64],
         x: &mut [f64],
-        stats: &mut SolveStats,
     ) -> Result<()> {
         let (rows, cols) = a.shape();
         if self.diag.len() != rows {
@@ -287,169 +307,10 @@ impl NormalSolver for PcgNormalSolver {
             }
             a.matvec_into(scratch, y)
         })?;
-        stats.pcg_solves += 1;
-        stats.pcg_iterations += out.iterations as u64;
+        self.stats.pcg_solves += 1;
+        self.stats.pcg_iterations += out.iterations as u64;
         if !out.converged {
-            stats.pcg_stalls += 1;
-        }
-        Ok(())
-    }
-}
-
-/// Both solver implementations behind one [`SolverPolicy`], with
-/// cumulative [`SolveStats`] — the field the estimation workspaces hold.
-///
-/// Buffers on the unused side stay empty (both sides size lazily), so an
-/// always-dense or always-PCG workload pays nothing for the other path.
-#[derive(Debug, Clone, Default)]
-pub struct NormalSolverWorkspace {
-    policy: SolverPolicy,
-    dense: DenseNormalSolver,
-    pcg: PcgNormalSolver,
-    stats: SolveStats,
-    row_blocks: Option<Vec<Vec<usize>>>,
-    bj: BlockJacobiPreconditioner,
-}
-
-impl NormalSolverWorkspace {
-    /// An empty workspace with the default ([`SolverPolicy::Auto`])
-    /// policy.
-    pub fn new() -> Self {
-        NormalSolverWorkspace::default()
-    }
-
-    /// An empty workspace with the given policy.
-    pub fn with_policy(policy: SolverPolicy) -> Self {
-        NormalSolverWorkspace {
-            policy,
-            ..NormalSolverWorkspace::default()
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> SolverPolicy {
-        self.policy
-    }
-
-    /// Changes the policy (existing buffers are kept).
-    pub fn set_policy(&mut self, policy: SolverPolicy) {
-        self.policy = policy;
-    }
-
-    /// Cumulative counters since construction (or the last
-    /// [`reset_stats`](NormalSolverWorkspace::reset_stats)).
-    pub fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    /// Zeroes the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolveStats::default();
-    }
-
-    /// Installs (or clears) disjoint row blocks for block-Jacobi
-    /// preconditioning of the PCG paths.
-    ///
-    /// With blocks installed, PCG solves precondition with per-block
-    /// dense Cholesky inverses of `A·W·Aᵀ + ridge·I`
-    /// ([`BlockJacobiPreconditioner`]) instead of the scalar diagonal —
-    /// on partitioned operators this captures the intra-cluster coupling
-    /// and cuts the iteration count. `None` (the default) keeps the
-    /// historical scalar-Jacobi path bit-identical. The dense path
-    /// ignores blocks (it factors the full gram matrix exactly).
-    pub fn set_row_blocks(&mut self, blocks: Option<Vec<Vec<usize>>>) {
-        self.row_blocks = blocks;
-    }
-
-    /// The installed block-Jacobi row blocks, if any.
-    pub fn row_blocks(&self) -> Option<&[Vec<usize>]> {
-        self.row_blocks.as_deref()
-    }
-
-    /// Solves the weighted normal equations with the solver the policy
-    /// picks for this system's row count (see [`NormalSolver`] for the
-    /// contract).
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve(
-        &mut self,
-        a: &SparseMatrix,
-        transpose: &SparseMatrix,
-        weights: &[f64],
-        ridge: f64,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        match self.policy.resolve(a.rows()) {
-            SolverKind::Dense => {
-                self.dense
-                    .solve_normal(a, transpose, weights, ridge, b, x, &mut self.stats)
-            }
-            SolverKind::Pcg => {
-                if self.row_blocks.is_some() {
-                    self.solve_pcg_block(a, transpose, weights, ridge, b, x)
-                } else {
-                    self.pcg
-                        .solve_normal(a, transpose, weights, ridge, b, x, &mut self.stats)
-                }
-            }
-        }
-    }
-
-    /// The block-Jacobi PCG path: same operator, scale, and absolute
-    /// ridge as [`PcgNormalSolver`], preconditioned with the installed
-    /// row blocks instead of the scalar diagonal.
-    fn solve_pcg_block(
-        &mut self,
-        a: &SparseMatrix,
-        transpose: &SparseMatrix,
-        weights: &[f64],
-        ridge: f64,
-        b: &[f64],
-        x: &mut [f64],
-    ) -> Result<()> {
-        let NormalSolverWorkspace {
-            pcg: solver,
-            bj,
-            row_blocks,
-            stats,
-            ..
-        } = self;
-        let blocks = row_blocks
-            .as_deref()
-            .expect("solve_pcg_block called without row blocks");
-        let (rows, cols) = a.shape();
-        if solver.diag.len() != rows {
-            solver.diag.resize(rows, 0.0);
-        }
-        if solver.scratch.len() != cols {
-            solver.scratch.resize(cols, 0.0);
-        }
-        a.awat_diag_into(weights, &mut solver.diag)?;
-        let scale = solver
-            .diag
-            .iter()
-            .fold(0.0_f64, |m, &d| m.max(d))
-            .max(f64::MIN_POSITIVE);
-        let ridge_abs = scale * ridge;
-        bj.factor(a, weights, ridge_abs, blocks)?;
-        let scratch = &mut solver.scratch;
-        let out = solver.pcg.solve_preconditioned(
-            ridge_abs,
-            b,
-            x,
-            |v, y| {
-                transpose.matvec_into(v, scratch)?;
-                for (s, &w) in scratch.iter_mut().zip(weights.iter()) {
-                    *s *= w;
-                }
-                a.matvec_into(scratch, y)
-            },
-            |r, z| bj.apply(r, z),
-        )?;
-        stats.pcg_solves += 1;
-        stats.pcg_iterations += out.iterations as u64;
-        if !out.converged {
-            stats.pcg_stalls += 1;
+            self.stats.pcg_stalls += 1;
         }
         Ok(())
     }
@@ -477,21 +338,22 @@ mod tests {
     #[test]
     fn dense_and_pcg_agree() {
         let (a, at, w, b) = sample_system();
-        let mut stats = SolveStats::default();
+        let mut dense = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
         let mut xd = vec![0.0; 3];
-        DenseNormalSolver::new()
-            .solve_normal(&a, &at, &w, 1e-10, &b, &mut xd, &mut stats)
-            .unwrap();
+        dense.solve(&a, &at, &w, 1e-10, &b, &mut xd).unwrap();
+        let mut pcg = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
         let mut xp = vec![0.0; 3];
-        PcgNormalSolver::new()
-            .solve_normal(&a, &at, &w, 1e-10, &b, &mut xp, &mut stats)
-            .unwrap();
+        pcg.solve(&a, &at, &w, 1e-10, &b, &mut xp).unwrap();
         for (d, p) in xd.iter().zip(xp.iter()) {
             assert!((d - p).abs() < 1e-8, "dense {d} vs pcg {p}");
         }
+        let mut stats = dense.stats();
+        stats.merge(&pcg.stats());
         assert_eq!(stats.dense_solves, 1);
         assert_eq!(stats.pcg_solves, 1);
-        assert!(stats.pcg_iterations > 0);
+        // Exact: three iterations for three rows, converged.
+        assert_eq!(stats.pcg_iterations, 3);
+        assert_eq!(stats.pcg_stalls, 0);
         assert_eq!(stats.fallbacks, 0);
         assert_eq!(stats.solves(), 2);
     }
@@ -532,68 +394,16 @@ mod tests {
         let at = a.transpose();
         let w = vec![1.0, -1.0];
         let b = vec![2.0, -3.0];
-        let mut stats = SolveStats::default();
+        let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
         let mut x = vec![0.0; 2];
-        DenseNormalSolver::new()
-            .solve_normal(&a, &at, &w, 0.0, &b, &mut x, &mut stats)
-            .unwrap();
+        ws.solve(&a, &at, &w, 0.0, &b, &mut x).unwrap();
+        let stats = ws.stats();
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.dense_solves, 1);
         let back = a.awat(&w).unwrap().matvec(&x).unwrap();
         for (got, want) in back.iter().zip(b.iter()) {
             assert!((got - want).abs() < 1e-9);
         }
-    }
-
-    /// A 6x4 operator whose gram splits into two tightly coupled 3-row
-    /// blocks with weak cross-coupling — the shape a partitioned topology
-    /// produces.
-    fn clustered_system() -> (SparseMatrix, SparseMatrix, Vec<f64>, Vec<f64>) {
-        let d = Matrix::from_rows(&[
-            &[2.0, 1.0, 0.0, 0.0],
-            &[1.0, 2.0, 0.0, 0.0],
-            &[0.5, 0.5, 0.1, 0.0],
-            &[0.0, 0.0, 2.0, 1.0],
-            &[0.0, 0.0, 1.0, 2.0],
-            &[0.0, 0.1, 0.5, 0.5],
-        ])
-        .unwrap();
-        let a = SparseMatrix::from_dense(&d);
-        let at = a.transpose();
-        let w = vec![1.0, 0.5, 2.0, 1.5];
-        let b = vec![3.0, -1.0, 2.0, 0.5, -2.0, 1.0];
-        (a, at, w, b)
-    }
-
-    #[test]
-    fn row_blocks_cut_iterations_and_match_scalar() {
-        let (a, at, w, b) = clustered_system();
-        let mut scalar = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        let mut x_scalar = vec![0.0; 6];
-        scalar.solve(&a, &at, &w, 1e-10, &b, &mut x_scalar).unwrap();
-        let mut block = NormalSolverWorkspace::with_policy(SolverPolicy::Pcg);
-        block.set_row_blocks(Some(vec![vec![0, 1, 2], vec![3, 4, 5]]));
-        assert_eq!(block.row_blocks().unwrap().len(), 2);
-        let mut x_block = vec![0.0; 6];
-        block.solve(&a, &at, &w, 1e-10, &b, &mut x_block).unwrap();
-        assert_eq!(block.stats().pcg_solves, 1);
-        assert_eq!(block.stats().pcg_stalls, 0);
-        assert!(
-            block.stats().pcg_iterations < scalar.stats().pcg_iterations,
-            "block-Jacobi should iterate less: {} vs {}",
-            block.stats().pcg_iterations,
-            scalar.stats().pcg_iterations
-        );
-        for (s, bl) in x_scalar.iter().zip(x_block.iter()) {
-            assert!((s - bl).abs() <= 1e-10 * (1.0 + s.abs()), "{s} vs {bl}");
-        }
-        // Clearing the blocks restores the scalar path bit-identically.
-        block.set_row_blocks(None);
-        block.reset_stats();
-        let mut x_again = vec![0.0; 6];
-        block.solve(&a, &at, &w, 1e-10, &b, &mut x_again).unwrap();
-        assert_eq!(x_again, x_scalar);
-        assert_eq!(block.stats(), scalar.stats());
     }
 
     #[test]

@@ -396,150 +396,6 @@ impl SparseMatrix {
         })
     }
 
-    /// Selects rows by index (in the given order) into a new matrix.
-    ///
-    /// Used to slice routing matrices down to an instrumented subset of
-    /// links. Indices may repeat.
-    pub fn select_rows(&self, rows: &[usize]) -> Result<SparseMatrix> {
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for &r in rows {
-            if r >= self.rows {
-                return Err(LinalgError::InvalidArgument(
-                    "select_rows: row index out of bounds",
-                ));
-            }
-            let (cols, vals) = self.row(r);
-            col_idx.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            row_ptr.push(col_idx.len());
-        }
-        Ok(SparseMatrix {
-            rows: rows.len(),
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Selects columns by index (in the given order) into a new matrix.
-    ///
-    /// Used to slice a routing matrix down to a subset of OD pairs.
-    /// Duplicate column indices are rejected.
-    pub fn select_cols(&self, cols: &[usize]) -> Result<SparseMatrix> {
-        let mut map = vec![usize::MAX; self.cols];
-        for (new, &old) in cols.iter().enumerate() {
-            if old >= self.cols {
-                return Err(LinalgError::InvalidArgument(
-                    "select_cols: column index out of bounds",
-                ));
-            }
-            if map[old] != usize::MAX {
-                return Err(LinalgError::InvalidArgument(
-                    "select_cols: duplicate column index",
-                ));
-            }
-            map[old] = new;
-        }
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for i in 0..self.rows {
-            scratch.clear();
-            let (rcols, rvals) = self.row(i);
-            for (&c, &v) in rcols.iter().zip(rvals.iter()) {
-                if map[c] != usize::MAX {
-                    scratch.push((map[c], v));
-                }
-            }
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                col_idx.push(c);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(SparseMatrix {
-            rows: self.rows,
-            cols: cols.len(),
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Symmetric permutation of a square matrix: returns `P·self·Pᵀ`
-    /// where `out[i][j] = self[perm[i]][perm[j]]`.
-    ///
-    /// `perm` must be a true permutation of `0..rows`. Values only move —
-    /// they are never recombined — so permuting by `perm` and then by its
-    /// inverse reproduces the original matrix bit-identically. This is
-    /// what reorders an operator into cluster-block form for the
-    /// block-Jacobi preconditioner.
-    pub fn permute_symmetric(&self, perm: &[usize]) -> Result<SparseMatrix> {
-        if self.rows != self.cols {
-            return Err(LinalgError::InvalidArgument(
-                "permute_symmetric: matrix must be square",
-            ));
-        }
-        if perm.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "sparse_permute_symmetric",
-                lhs: self.shape(),
-                rhs: (perm.len(), 1),
-            });
-        }
-        // inv[old] = new; doubles as the permutation validity check.
-        let mut inv = vec![usize::MAX; self.rows];
-        for (new, &old) in perm.iter().enumerate() {
-            if old >= self.rows || inv[old] != usize::MAX {
-                return Err(LinalgError::InvalidArgument(
-                    "permute_symmetric: perm is not a permutation",
-                ));
-            }
-            inv[old] = new;
-        }
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
-        for &old_row in perm {
-            scratch.clear();
-            let (cols, vals) = self.row(old_row);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                scratch.push((inv[c], v));
-            }
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            for &(c, v) in &scratch {
-                col_idx.push(c);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(SparseMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Extracts the submatrix at the given row and column indices (in the
-    /// given order): [`SparseMatrix::select_rows`] composed with
-    /// [`SparseMatrix::select_cols`]. Row indices may repeat; duplicate
-    /// column indices are rejected. This is the block-extraction primitive
-    /// of the partition-aware decomposition.
-    pub fn submatrix(&self, rows: &[usize], cols: &[usize]) -> Result<SparseMatrix> {
-        self.select_rows(rows)?.select_cols(cols)
-    }
-
     /// True when every stored value is finite.
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
@@ -700,69 +556,5 @@ mod tests {
         assert_eq!(stacked.to_dense(), d.vstack(&d).unwrap());
         let other = SparseMatrix::zeros(1, 3);
         assert!(s.vstack(&other).is_err());
-    }
-
-    #[test]
-    fn symmetric_permutation_matches_dense_and_round_trips() {
-        let d = Matrix::from_rows(&[
-            &[1.0, 2.0, 0.0, 0.0],
-            &[0.0, 3.0, 4.0, 0.0],
-            &[5.0, 0.0, 6.0, 7.0],
-            &[0.0, 8.0, 0.0, 9.0],
-        ])
-        .unwrap();
-        let s = SparseMatrix::from_dense(&d);
-        let perm = [2usize, 0, 3, 1];
-        let p = s.permute_symmetric(&perm).unwrap();
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_eq!(p.to_dense()[(i, j)], d[(perm[i], perm[j])]);
-            }
-        }
-        // Permuting back by the inverse reproduces the original exactly.
-        let mut inv = [0usize; 4];
-        for (new, &old) in perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        assert_eq!(p.permute_symmetric(&inv).unwrap(), s);
-        // Identity permutation is a bit-identical no-op.
-        assert_eq!(s.permute_symmetric(&[0, 1, 2, 3]).unwrap(), s);
-        // Rejections: non-square, wrong length, repeated or out-of-range.
-        let rect = SparseMatrix::zeros(2, 3);
-        assert!(rect.permute_symmetric(&[0, 1]).is_err());
-        assert!(s.permute_symmetric(&[0, 1]).is_err());
-        assert!(s.permute_symmetric(&[0, 0, 1, 2]).is_err());
-        assert!(s.permute_symmetric(&[0, 1, 2, 9]).is_err());
-    }
-
-    #[test]
-    fn submatrix_composes_row_and_col_selection() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        let sub = s.submatrix(&[2, 0], &[3, 0, 1]).unwrap();
-        assert_eq!(sub.shape(), (2, 3));
-        let sd = sub.to_dense();
-        assert_eq!(sd[(0, 0)], d[(2, 3)]);
-        assert_eq!(sd[(0, 1)], d[(2, 0)]);
-        assert_eq!(sd[(0, 2)], d[(2, 1)]);
-        assert_eq!(sd[(1, 0)], d[(0, 3)]);
-        assert!(s.submatrix(&[9], &[0]).is_err());
-        assert!(s.submatrix(&[0], &[1, 1]).is_err());
-    }
-
-    #[test]
-    fn row_and_col_selection() {
-        let d = sample_dense();
-        let s = SparseMatrix::from_dense(&d);
-        let top = s.select_rows(&[2, 0]).unwrap();
-        assert_eq!(top.to_dense().row(0), d.row(2));
-        assert_eq!(top.to_dense().row(1), d.row(0));
-        assert!(s.select_rows(&[9]).is_err());
-        let sub = s.select_cols(&[3, 0]).unwrap();
-        assert_eq!(sub.shape(), (3, 2));
-        assert_eq!(sub.to_dense().col(0), d.col(3));
-        assert_eq!(sub.to_dense().col(1), d.col(0));
-        assert!(s.select_cols(&[9]).is_err());
-        assert!(s.select_cols(&[0, 0]).is_err());
     }
 }
