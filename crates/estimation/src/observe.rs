@@ -208,6 +208,20 @@ impl Observations {
         Ok(())
     }
 
+    /// [`Self::check_shape`], then one scan of the values: a negative,
+    /// infinite or NaN count would reach every entry of a prior built from
+    /// it, so every prior that reads the marginals stops here.
+    pub(crate) fn check_marginals(&self) -> Result<()> {
+        self.check_shape()?;
+        let mut values = self.ingress.as_slice().iter().chain(self.egress.as_slice());
+        if values.any(|&v| v < 0.0 || !v.is_finite()) {
+            return Err(EstimationError::BadData(
+                "observation marginals must be finite and non-negative",
+            ));
+        }
+        Ok(())
+    }
+
     /// Ingress counts at one bin.
     pub fn ingress_at(&self, bin: usize) -> Vec<f64> {
         self.ingress.col(bin)

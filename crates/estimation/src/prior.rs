@@ -9,8 +9,8 @@
 use crate::observe::Observations;
 use crate::{EstimationError, Result};
 use ic_core::model::StableFpParams;
-use ic_core::{stable_fp_series, IcError, TmSeries};
-use ic_linalg::{pseudo_inverse, Matrix};
+use ic_core::{stable_fp_series, TmSeries};
+use ic_linalg::Matrix;
 
 /// A prior construction strategy.
 ///
@@ -38,19 +38,10 @@ impl TmPrior for GravityPrior {
     /// [`ic_core::gravity_from_marginals`] per bin: each bin's total sums
     /// its ingress counts in node order, and an idle bin stays all zeros.
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
-        obs.check_shape()?;
+        obs.check_marginals()?;
         let (n, bins) = (obs.nodes(), obs.bins());
         let mut out = TmSeries::zeros(n, bins, obs.bin_seconds)?;
         let (ingress, egress) = (obs.ingress.as_slice(), obs.egress.as_slice());
-        if ingress
-            .iter()
-            .chain(egress)
-            .any(|&v| v < 0.0 || !v.is_finite())
-        {
-            return Err(
-                IcError::BadData("gravity marginals must be finite and non-negative").into(),
-            );
-        }
         let totals: Vec<f64> = (0..bins)
             .map(|t| (0..n).map(|i| ingress[i * bins + t]).sum())
             .collect();
@@ -105,12 +96,24 @@ impl TmPrior for MeasuredIcPrior {
 }
 
 /// Section 6.2: `f` and `{P_i}` measured in a previous week; `{A_i(t)}`
-/// estimated per bin from ingress/egress counts via the pseudo-inverse of
-/// `QΦ` (paper Eq. 7–9).
+/// estimated per bin from ingress/egress counts `u`, `v` (paper Eq. 7–9).
 ///
-/// `Φ` is the linear map from activities to the vectorized TM under the
-/// stable-fP model; `Q = [H; G]` maps the TM to its marginals. Then
-/// `Ã(t) = (QΦ)⁺ [ingress(t); egress(t)]` and the prior is `Φ Ã(t)`.
+/// The paper takes `Ã(t) = (QΦ)⁺ [u; v]`, with `Φ` the stable-fP map from
+/// activities to the TM and `Q = [H; G]` its marginals. With `p` the
+/// normalized preference, `QΦ = [f·I + (1−f)·p1ᵀ ; (1−f)·I + f·p1ᵀ]` has
+/// full column rank for every `f`, and its Gram `c₀·I + β·(p1ᵀ + 1pᵀ) +
+/// γ·11ᵀ` (`β = 2f(1−f)`, `c₀ = 1 − β`, `π = ‖p‖²`, `γ = c₀π`) leaves one
+/// 2×2 solve per bin, for `s = 1ᵀa` and `q = pᵀa`:
+///
+/// ```text
+/// r = f·u + (1−f)·v + ((1−f)·pᵀu + f·pᵀv)·1
+/// [1 + γn, βn; βπ + γ, 1]·(s, q) = (1ᵀr, pᵀr)
+/// Ã = max(0, (r − β·(s·p + q·1) − γs·1) / c₀)
+/// ```
+///
+/// Its determinant is `1 + nπ(2f − 1)² ≥ 1`, so no `f` is singular. The
+/// clamp keeps a noisy bin's activities physical. The prior is the
+/// stable-fP evaluation of `(f, P, Ã)` that [`MeasuredIcPrior`] uses.
 #[derive(Debug, Clone)]
 pub struct StableFpPrior {
     /// Previously measured forward ratio.
@@ -131,39 +134,6 @@ impl StableFpPrior {
             preference: fit.params.preference.clone(),
         }
     }
-
-    /// Builds `Φ` (`n² x n`) for the stored `f` and `P`.
-    fn phi(&self, p: &[f64]) -> Matrix {
-        let n = p.len();
-        let f = self.f;
-        let mut phi = Matrix::zeros(n * n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let row = i * n + j;
-                phi[(row, i)] += f * p[j];
-                phi[(row, j)] += (1.0 - f) * p[i];
-            }
-        }
-        phi
-    }
-}
-
-/// `QΦ = [H; G]·Φ` without forming the `n × n²` incidence matrices: row
-/// `i` sums Φ's rows `(i, j)` and row `n + i` its rows `(j, i)`, for `j`
-/// ascending. Those are the rows, in the order, that `matmul` adds for the
-/// dense product, so the bits are the same.
-fn marginal_image(phi: &Matrix, n: usize) -> Matrix {
-    let mut qphi = Matrix::zeros(2 * n, n);
-    for i in 0..n {
-        for j in 0..n {
-            for (dst, src) in [(i, i * n + j), (n + i, j * n + i)] {
-                for (o, &v) in qphi.row_mut(dst).iter_mut().zip(phi.row(src)) {
-                    *o += v;
-                }
-            }
-        }
-    }
-    qphi
 }
 
 impl TmPrior for StableFpPrior {
@@ -172,8 +142,8 @@ impl TmPrior for StableFpPrior {
     }
 
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
-        obs.check_shape()?;
-        let n = obs.nodes();
+        obs.check_marginals()?;
+        let (n, bins) = (obs.nodes(), obs.bins());
         if self.preference.len() != n {
             return Err(EstimationError::DimensionMismatch {
                 context: "StableFpPrior preference",
@@ -188,35 +158,47 @@ impl TmPrior for StableFpPrior {
             });
         }
         let mass: f64 = self.preference.iter().sum();
-        if !(mass > 0.0) {
-            return Err(EstimationError::BadData(
-                "preference must have positive mass",
-            ));
+        if !(mass > 0.0) || self.preference.iter().any(|&v| v < 0.0 || !v.is_finite()) {
+            return Err(EstimationError::InvalidParameter {
+                name: "preference",
+                constraint: "entries must be finite and non-negative, with positive mass",
+            });
         }
+        // The normalization `stable_fp_series` applies, so `p` has its bits.
         let p: Vec<f64> = self.preference.iter().map(|&v| v / mass).collect();
-        let phi = self.phi(&p);
-        let pinv = pseudo_inverse(&marginal_image(&phi, n), None).map_err(EstimationError::from)?;
+        let f = self.f;
+        let beta = 2.0 * f * (1.0 - f);
+        let c0 = 1.0 - beta;
+        let pi: f64 = p.iter().map(|&v| v * v).sum();
+        let gamma = c0 * pi;
+        let (g11, g12, g21) = (1.0 + gamma * n as f64, beta * n as f64, beta * pi + gamma);
+        let det = g11 - g12 * g21;
 
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        for t in 0..obs.bins() {
-            let mut counts = obs.ingress_at(t);
-            counts.extend(obs.egress_at(t));
-            let mut a = pinv.matvec(&counts).map_err(EstimationError::from)?;
-            // Physical activities are non-negative; the unconstrained
-            // pseudo-inverse can dip below zero on noisy bins.
-            for v in &mut a {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            let x = phi.matvec(&a).map_err(EstimationError::from)?;
-            for i in 0..n {
-                for j in 0..n {
-                    out.set(i, j, t, x[i * n + j])?;
-                }
+        let dot = |x: &[f64], y: &[f64]| -> f64 { x.iter().zip(y).map(|(x, y)| x * y).sum() };
+        let mut activity = Matrix::zeros(n, bins);
+        for t in 0..bins {
+            let (u, v) = (obs.ingress_at(t), obs.egress_at(t));
+            let shift = (1.0 - f) * dot(&p, &u) + f * dot(&p, &v);
+            let r: Vec<f64> = u
+                .iter()
+                .zip(&v)
+                .map(|(u, v)| f * u + (1.0 - f) * v + shift)
+                .collect();
+            let (sum_r, p_r) = (r.iter().sum::<f64>(), dot(&p, &r));
+            let s = (sum_r - g12 * p_r) / det;
+            let q = (g11 * p_r - g21 * sum_r) / det;
+            for (i, (&r, &p)) in r.iter().zip(&p).enumerate() {
+                let a = (r - beta * (s * p + q) - gamma * s) / c0;
+                // Not `max`: an overflow's NaN must reach the activity check.
+                activity[(i, t)] = if a < 0.0 { 0.0 } else { a };
             }
         }
-        Ok(out)
+        let params = StableFpParams {
+            f,
+            preference: self.preference.clone(),
+            activity,
+        };
+        Ok(stable_fp_series(&params, obs.bin_seconds)?)
     }
 }
 
@@ -242,7 +224,7 @@ impl TmPrior for StableFPrior {
     }
 
     fn prior_series(&self, obs: &Observations) -> Result<TmSeries> {
-        obs.check_shape()?;
+        obs.check_marginals()?;
         if !(0.0..=1.0).contains(&self.f) {
             return Err(EstimationError::InvalidParameter {
                 name: "f",
@@ -357,18 +339,32 @@ mod tests {
     #[test]
     fn stable_fp_prior_recovers_exact_ic_data() {
         // With the true f and P, activities recovered from marginals alone
-        // must reproduce the exact IC series.
-        let (topo, tm, params) = setup(0.25);
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let obs = om.observe(&tm).unwrap();
-        let prior = StableFpPrior {
-            f: params.f,
-            preference: params.preference.clone(),
+        // must reproduce the exact IC series: at both ends of `f`, at
+        // `f = 1/2` (singular for `StableFPrior`, determinant 1 here), and
+        // with a node of zero preference.
+        for (f, zero_node) in [
+            (0.25, None),
+            (0.0, None),
+            (0.5, None),
+            (1.0, None),
+            (0.25, Some(2)),
+        ] {
+            let (topo, _, mut params) = setup(f);
+            if let Some(k) = zero_node {
+                params.preference[k] = 0.0;
+            }
+            let tm = stable_fp_series(&params, 300.0).unwrap();
+            let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+            let obs = om.observe(&tm).unwrap();
+            let prior = StableFpPrior {
+                f: params.f,
+                preference: params.preference.clone(),
+            }
+            .prior_series(&obs)
+            .unwrap();
+            let err = mean_rel_l2(&tm, &prior).unwrap();
+            assert!(err < 1e-9, "f {f}, zero node {zero_node:?}: error {err}");
         }
-        .prior_series(&obs)
-        .unwrap();
-        let err = mean_rel_l2(&tm, &prior).unwrap();
-        assert!(err < 1e-9, "stable-fP prior error {err}");
     }
 
     #[test]
@@ -435,6 +431,57 @@ mod tests {
         }
         .prior_series(&obs)
         .is_err());
+        // Positive mass, but entries no preference can hold.
+        for preference in [
+            vec![0.5, -0.1, 0.6, 0.0],
+            vec![f64::INFINITY, 1.0, 1.0, 1.0],
+        ] {
+            let result = StableFpPrior {
+                f: 0.25,
+                preference,
+            }
+            .prior_series(&obs);
+            assert!(
+                matches!(
+                    result,
+                    Err(EstimationError::InvalidParameter {
+                        name: "preference",
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn priors_reject_a_non_finite_or_negative_marginal() {
+        let (topo, tm, _) = setup(0.25);
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+        let obs = om.observe(&tm).unwrap();
+        let priors: [&dyn TmPrior; 3] = [&GravityPrior, &StableFPrior { f: 0.25 }, &stable_fp()];
+        for prior in priors {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                for egress in [false, true] {
+                    let mut obs = obs.clone();
+                    let marginal = if egress {
+                        &mut obs.egress
+                    } else {
+                        &mut obs.ingress
+                    };
+                    marginal[(1, 2)] = bad;
+                    assert_eq!(
+                        prior.prior_series(&obs).unwrap_err(),
+                        EstimationError::BadData(
+                            "observation marginals must be finite and non-negative"
+                        ),
+                        "{} with {bad} in {}",
+                        prior.name(),
+                        if egress { "egress" } else { "ingress" }
+                    );
+                }
+            }
+        }
     }
 
     /// The exact-IC observations with one field replaced, run through
@@ -502,35 +549,6 @@ mod tests {
     #[test]
     fn stable_f_prior_rejects_marginals_longer_than_link_loads() {
         assert_rejects_mis_shaped(&StableFPrior { f: 0.25 }, marginals_longer_than_link_loads);
-    }
-
-    #[test]
-    fn marginal_image_is_bit_identical_to_the_dense_incidence_product() {
-        // Splitmix-style draws in (0, 1].
-        let draw = |k: u64| {
-            let z = (k + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let z = (z ^ (z >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-        };
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for n in [2, 5, 22, 23, 50] {
-            let q = ic_topology::ingress_incidence(n)
-                .vstack(&ic_topology::egress_incidence(n))
-                .unwrap();
-            let mut p: Vec<f64> = (0..n as u64).map(|k| draw(k + 100)).collect();
-            p[n / 2] = 0.0;
-            let mass: f64 = p.iter().sum();
-            let p: Vec<f64> = p.iter().map(|&v| v / mass).collect();
-            for f in [0.0, 0.5, 1.0, draw(n as u64)] {
-                let phi = StableFpPrior {
-                    f,
-                    preference: p.clone(),
-                }
-                .phi(&p);
-                let want = q.matmul(&phi).unwrap();
-                assert_eq!(bits(&marginal_image(&phi, n)), bits(&want), "n {n} f {f}");
-            }
-        }
     }
 
     #[test]

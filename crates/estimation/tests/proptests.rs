@@ -4,18 +4,20 @@
 //! IPF, and the full pipeline agree with their dense / allocating
 //! references bit-for-bit (or within 1e-12 where an ordering difference is
 //! fundamental). The IPF kernel and the gravity prior also match the
-//! per-bin loops they replaced, kept here as oracles, bit for bit.
+//! per-bin loops they replaced, kept here as oracles, bit for bit, and the
+//! closed-form stable-fP prior matches paper Eq. 7–9 taken literally (the
+//! SVD pseudo-inverse of `QΦ`) to rounding.
 
 use ic_core::{gravity_from_marginals, rel_l2_series, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
     compare_priors, compare_priors_with, ipf_fit, ipf_fit_with, EstimationConfig,
     EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace, ObservationModel, Observations,
-    PipelineWorkspace, StableFPrior, TmPrior, Tomogravity, TomogravityOptions,
+    PipelineWorkspace, StableFPrior, StableFpPrior, TmPrior, Tomogravity, TomogravityOptions,
     TomogravityWorkspace,
 };
-use ic_linalg::Matrix;
-use ic_topology::{waxman, RoutingScheme, WaxmanConfig};
+use ic_linalg::{pseudo_inverse, Matrix};
+use ic_topology::{egress_incidence, ingress_incidence, waxman, RoutingScheme, WaxmanConfig};
 use proptest::prelude::*;
 
 fn nonneg_matrix(n: usize) -> impl Strategy<Value = Matrix> {
@@ -455,6 +457,44 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Paper Eq. 7–9 as written, the oracle of the closed-form
+/// `StableFpPrior`: `Φ` (`n² × n`) built entry by entry, `Q = [H; G]` from
+/// the incidence matrices, `Ã(t) = (QΦ)⁺[ingress(t); egress(t)]` through
+/// the SVD pseudo-inverse with negative activities clamped to zero, and
+/// the prior `Φ·Ã(t)`.
+fn svd_stable_fp_prior(f: f64, preference: &[f64], obs: &Observations) -> TmSeries {
+    let n = preference.len();
+    let mass: f64 = preference.iter().sum();
+    let p: Vec<f64> = preference.iter().map(|&v| v / mass).collect();
+    let mut phi = Matrix::zeros(n * n, n);
+    for i in 0..n {
+        for j in 0..n {
+            phi[(i * n + j, i)] += f * p[j];
+            phi[(i * n + j, j)] += (1.0 - f) * p[i];
+        }
+    }
+    let q = ingress_incidence(n).vstack(&egress_incidence(n)).unwrap();
+    let pinv = pseudo_inverse(&q.matmul(&phi).unwrap(), None).unwrap();
+    let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds).unwrap();
+    for t in 0..obs.bins() {
+        let mut counts = obs.ingress_at(t);
+        counts.extend(obs.egress_at(t));
+        let mut a = pinv.matvec(&counts).unwrap();
+        for v in &mut a {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let x = phi.matvec(&a).unwrap();
+        for i in 0..n {
+            for j in 0..n {
+                out.set(i, j, t, x[i * n + j]).unwrap();
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -511,5 +551,47 @@ proptest! {
             let want = gravity_from_marginals(&obs.ingress_at(t), &obs.egress_at(t)).unwrap();
             prop_assert_eq!(bits(&prior.snapshot(t).unwrap()), bits(&want));
         }
+    }
+
+    /// The closed-form `StableFpPrior` agrees with the SVD oracle to 1e-12
+    /// of the largest prior entry: `f` at 0, 1/2, 1 and inside (0, 1),
+    /// preferences with zero entries, and marginals that are IC counts
+    /// with ±50% noise and dropped entries, so the least squares leaves a
+    /// residual and some activities clamp.
+    #[test]
+    fn stable_fp_prior_matches_svd_oracle(
+        n in 1usize..41,
+        bins in 1usize..4,
+        f_pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let f = [0.0, 0.5, 1.0, unit(seed, 0)][f_pick];
+        let mut preference: Vec<f64> = (0..n)
+            .map(|i| if unit(seed, 1 + i as u64) < 0.2 { 0.0 } else { unit(seed, 100 + i as u64) })
+            .collect();
+        preference[(seed % n as u64) as usize] += 0.1;
+        let mass: f64 = preference.iter().sum();
+        let mut ingress = Matrix::zeros(n, bins);
+        let mut egress = Matrix::zeros(n, bins);
+        for t in 0..bins {
+            let a: Vec<f64> = (0..n).map(|i| 1e3 * unit(seed, (200 + i * bins + t) as u64)).collect();
+            let total: f64 = a.iter().sum();
+            for i in 0..n {
+                let p = preference[i] / mass;
+                let k = 4 * (i * bins + t) as u64 + 10_000;
+                let noisy = |exact: f64, k: u64| {
+                    if unit(seed, k) < 0.1 { 0.0 } else { exact * (0.5 + unit(seed, k + 1)) }
+                };
+                ingress[(i, t)] = noisy(f * a[i] + (1.0 - f) * p * total, k);
+                egress[(i, t)] = noisy(f * p * total + (1.0 - f) * a[i], k + 2);
+            }
+        }
+        let obs = Observations { y: Matrix::zeros(0, bins), ingress, egress, bin_seconds: 300.0 };
+        let prior = StableFpPrior { f, preference: preference.clone() }.prior_series(&obs).unwrap();
+        let want = svd_stable_fp_prior(f, &preference, &obs);
+        let (got, want) = (prior.as_matrix().as_slice(), want.as_matrix().as_slice());
+        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let worst = got.iter().zip(want).fold(0.0f64, |m, (g, w)| m.max((g - w).abs()));
+        prop_assert!(worst <= 1e-12 * scale, "n {} f {}: {:e} of {:e}", n, f, worst, scale);
     }
 }

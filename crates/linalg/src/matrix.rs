@@ -1,9 +1,8 @@
 //! Row-major dense matrix type and elementwise / BLAS-like operations.
 //!
 //! [`Matrix`] is the workhorse container for every numerical pipeline in the
-//! workspace: traffic matrices organized as vectors, routing matrices,
-//! design matrices of the fitting sub-problems, and the `Φ`/`Q` operators of
-//! the stable-fP estimation prior all live in this type.
+//! workspace: traffic matrices organized as vectors, routing matrices and
+//! the design matrices of the fitting sub-problems all live in this type.
 
 use crate::{LinalgError, Result};
 
@@ -446,9 +445,6 @@ impl Matrix {
     }
 
     /// Vertical concatenation `[self ; rhs]`; column counts must match.
-    ///
-    /// This builds the block operator `Q = [H; G]` of the stable-fP prior
-    /// (paper Section 6.2).
     pub fn vstack(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::ShapeMismatch {

@@ -1,9 +1,9 @@
 //! Moore–Penrose pseudo-inverse.
 //!
-//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. The stable-fP
-//! estimation prior (paper Eq. 8) premultiplies ingress/egress counts by
-//! `(QΦ)⁺` once per calibration week; materializing the pseudo-inverse and
-//! reusing it across the week's bins is the efficient formulation.
+//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. Its callers are the
+//! fallbacks for a normal matrix the ridged Cholesky cannot factor (the
+//! normal solver and the dense tomogravity `refine_bin`) and the tall
+//! NNLS's fallback on a collinear sub-problem.
 
 use crate::matrix::Matrix;
 use crate::svd::Svd;
