@@ -13,15 +13,22 @@
 //! the bilinear structure: with two of the three blocks fixed, each of
 //! `A(t)`, `P`, `f` solves a *convex least-squares* problem in closed form.
 //!
-//! * **Activity step.** For fixed `(f, P)` the per-bin design matrix has the
-//!   Gram form `(f² + (1−f)²)·‖P‖²·I + 2f(1−f)·PPᵀ` — identical for every
-//!   bin — so one Cholesky factorization serves the whole week. Bins whose
-//!   unconstrained solution goes negative are re-solved with NNLS.
+//! * **Activity step.** For fixed `(f, P)` each bin's normal equations
+//!   have the two-term Gram `c1·‖P‖²·I + c2·PPᵀ`, with `c1 = f² + (1−f)²`
+//!   and `c2 = 2f(1−f)`: a diagonal plus one rank-one term. Its
+//!   non-negative least squares is exact in closed form, with no
+//!   factorization and no iteration: `A(t) = max(0, (r − c2·μ·P)/(c1·‖P‖²))`,
+//!   where the scalar `μ = PᵀA(t)` is the root of a monotone
+//!   piecewise-linear equation found in one pass over its sorted
+//!   breakpoints.
 //! * **Preference step.** The per-bin Gram has the same two-term form with
-//!   `A(t)` in place of `P`; it is accumulated over bins (with the per-bin
-//!   objective weights) and solved once with NNLS, then renormalized to the
-//!   simplex — the model is invariant under `(P, A) → (cP, A/c)`, so the
-//!   normalization is absorbed by rescaling `A`.
+//!   `A(t)` in place of `P`. The stable-f and time-varying fits solve it
+//!   per bin with the same closed form. The stable-fP fit accumulates it
+//!   over bins (with the per-bin objective weights); the sum carries one
+//!   rank-one term per bin, so it is solved once per sweep with NNLS.
+//!   Either way the result is renormalized to the simplex — the model is
+//!   invariant under `(P, A) → (cP, A/c)`, so the normalization is absorbed
+//!   by rescaling `A`.
 //! * **f step.** `X̂` is affine in `f`; the scalar minimizer is closed-form
 //!   and clamped to `[0, 1]`.
 //!
@@ -42,9 +49,7 @@ use crate::model::{
 use crate::tm::TmSeries;
 use crate::{IcError, Result};
 use ic_linalg::nnls::nnls_from_normal_equations;
-use ic_linalg::{
-    CholeskyWorkspace, Matrix, NnlsOptions, PcgWorkspace, SolveStats, SolverKind, SolverPolicy,
-};
+use ic_linalg::{Matrix, NnlsOptions};
 
 /// Which scalarization of the Section 5.1 objective to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,10 +113,6 @@ pub struct FitOptions {
     /// Optional warm-start point replacing the Eq. 11–12 cold
     /// initialization (default `None`).
     pub initial: Option<WarmStart>,
-    /// Normal-equations solver for the activity/preference subproblems
-    /// (default [`SolverPolicy::Auto`]: dense Cholesky below the row
-    /// threshold, matrix-free PCG above).
-    pub solver: SolverPolicy,
 }
 
 impl Default for FitOptions {
@@ -123,7 +124,6 @@ impl Default for FitOptions {
             objective: Objective::WeightedSse,
             fix_f: false,
             initial: None,
-            solver: SolverPolicy::Auto,
         }
     }
 }
@@ -174,17 +174,33 @@ impl FitOptions {
         self
     }
 
-    /// Selects the normal-equations solver for the subproblem solves.
-    pub fn with_solver(mut self, solver: SolverPolicy) -> Self {
-        self.solver = solver;
-        self
+    /// Checks the options every fit would otherwise trip over: a
+    /// non-finite `initial_f`, and a `tolerance` that is NaN or negative
+    /// (a negative one never lets the fit converge). `tolerance = 0` is
+    /// valid: the fit then stops as soon as a sweep fails to improve.
+    pub fn validate(&self) -> Result<()> {
+        if !self.initial_f.is_finite() {
+            return Err(IcError::InvalidParameter {
+                name: "initial_f",
+                constraint: "must be finite",
+            });
+        }
+        if !(self.tolerance >= 0.0) {
+            return Err(IcError::InvalidParameter {
+                name: "tolerance",
+                constraint: "must be non-negative",
+            });
+        }
+        Ok(())
     }
 }
 
 /// Result of fitting a family member `M`: the fitted parameterization plus
 /// the optimization trace. The uniform report type behind
 /// [`crate::ic_model::Fit`] — generic code can fit any variant and consume
-/// the result identically.
+/// the result identically. It carries no solver counters: the activity and
+/// per-bin preference steps are closed forms, and the stable-fP preference
+/// step's NNLS has no fallback to count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitReport<M> {
     /// Fitted parameters.
@@ -194,10 +210,6 @@ pub struct FitReport<M> {
     pub objective_history: Vec<f64>,
     /// Whether the tolerance was reached before the sweep budget.
     pub converged: bool,
-    /// Solver counters accumulated over the subproblem solves: how many
-    /// went through dense Cholesky vs PCG, total PCG iterations, and how
-    /// often the unconstrained solve fell back to NNLS.
-    pub solve_stats: SolveStats,
 }
 
 impl<M: crate::ic_model::IcModel> FitReport<M> {
@@ -214,152 +226,58 @@ impl<M> FitReport<M> {
     }
 }
 
-/// Builds the two-term Gram matrix `(c1·s2)·I + c2·v·vᵀ` of the
-/// activity/preference subproblems into a reusable buffer, with
-/// `c1 = f² + (1−f)²`, `c2 = 2f(1−f)`, `s2 = ‖v‖²`.
-fn two_term_gram_into(f: f64, v: &[f64], g: &mut Matrix) {
-    let n = v.len();
-    if g.shape() != (n, n) {
-        *g = Matrix::zeros(n, n);
-    }
+/// Exact non-negative least squares of the activity and per-bin preference
+/// steps: `min ½aᵀGa − rᵀa` subject to `a ≥ 0`, for the two-term
+/// `G = c1·s·I + c2·v·vᵀ` with `c1 = f² + (1−f)²`, `c2 = 2f(1−f)`,
+/// `s = ‖v‖²` and `v ≥ 0`, into `out`.
+///
+/// The KKT point is `a_i = max(0, (r_i − c2·μ·v_i)/(c1·s))` with the scalar
+/// `μ = vᵀa`. Entry `i` is positive exactly while `μ` is below its
+/// breakpoint `r_i/(c2·v_i)`, so `μ − vᵀa(μ)` is strictly increasing and
+/// linear between breakpoints. Sorting the positive breakpoints in
+/// descending order (in the reused `order`) and admitting entries one at a
+/// time finds the piece that holds its root in one pass. Entries with
+/// `v_i = 0` or `r_i ≤ 0` never enter `μ`; `s = 0` gives `a = 0`.
+fn two_term_nnls_into(
+    f: f64,
+    v: &[f64],
+    r: &[f64],
+    order: &mut Vec<(f64, usize)>,
+    out: &mut [f64],
+) {
     let c1 = f * f + (1.0 - f) * (1.0 - f);
     let c2 = 2.0 * f * (1.0 - f);
-    let s2: f64 = v.iter().map(|&x| x * x).sum();
-    for k in 0..n {
-        for l in 0..n {
-            g[(k, l)] = c2 * v[k] * v[l];
-        }
-        g[(k, k)] += c1 * s2;
+    let c1s = c1 * v.iter().map(|&x| x * x).sum::<f64>();
+    if c1s == 0.0 {
+        out.fill(0.0);
+        return;
     }
-}
-
-/// Scale-aware ridge guarding bins where `v` is (nearly) zero.
-fn two_term_ridge(f: f64, v: &[f64]) -> f64 {
-    let c1 = f * f + (1.0 - f) * (1.0 - f);
-    let s2: f64 = v.iter().map(|&x| x * x).sum();
-    (c1 * s2).max(f64::MIN_POSITIVE) * 1e-12
-}
-
-/// Shared solver for the activity/preference subproblems, holding its Gram
-/// matrix and Cholesky factor in reusable buffers so refactoring per sweep
-/// (stable-fP) or per bin (stable-f, time-varying) allocates nothing once
-/// warm.
-///
-/// Under [`SolverPolicy::Pcg`] (or `Auto` above the row threshold) the
-/// `n×n` Gram is never materialized for the solve: the two-term operator
-/// `(c1·s2)·I + c2·v·vᵀ` is applied matrix-free in `O(n)` per iteration,
-/// and — having exactly two distinct eigenvalues — CG converges in a
-/// couple of iterations. The dense Gram is built lazily only when the
-/// NNLS fallback needs it.
-struct TwoTermGram {
-    g: Matrix,
-    g_valid: bool,
-    chol: CholeskyWorkspace,
-    policy: SolverPolicy,
-    kind: SolverKind,
-    pcg: PcgWorkspace,
-    f: f64,
-    v: Vec<f64>,
-    c1s2: f64,
-    c2: f64,
-    ridge: f64,
-    diag: Vec<f64>,
-    stats: SolveStats,
-}
-
-impl TwoTermGram {
-    fn new(policy: SolverPolicy) -> Self {
-        TwoTermGram {
-            g: Matrix::zeros(0, 0),
-            g_valid: false,
-            chol: CholeskyWorkspace::new(),
-            policy,
-            kind: SolverKind::Dense,
-            pcg: PcgWorkspace::new(),
-            f: 0.0,
-            v: Vec::new(),
-            c1s2: 0.0,
-            c2: 0.0,
-            ridge: 0.0,
-            diag: Vec::new(),
-            stats: SolveStats::default(),
+    order.clear();
+    if c2 > 0.0 {
+        order.extend(
+            v.iter()
+                .zip(r)
+                .enumerate()
+                .filter(|&(_, (&vi, &ri))| vi > 0.0 && ri > 0.0)
+                .map(|(i, (&vi, &ri))| (ri / (c2 * vi), i)),
+        );
+        // Descending by breakpoint, ties by index: a total order, so the
+        // in-place unstable sort gives one answer.
+        order.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+    }
+    let (mut vv, mut vr, mut mu) = (0.0, 0.0, 0.0);
+    for (k, &(_, i)) in order.iter().enumerate() {
+        vv += v[i] * v[i];
+        vr += v[i] * r[i];
+        let den = c1s + c2 * vv;
+        let next = order.get(k + 1).map_or(0.0, |&(b, _)| b);
+        if next * den <= vr {
+            mu = vr / den;
+            break;
         }
     }
-
-    fn factor(&mut self, f: f64, v: &[f64]) -> Result<()> {
-        let c1 = f * f + (1.0 - f) * (1.0 - f);
-        let s2: f64 = v.iter().map(|&x| x * x).sum();
-        self.f = f;
-        self.v.resize(v.len(), 0.0);
-        self.v.copy_from_slice(v);
-        self.c1s2 = c1 * s2;
-        self.c2 = 2.0 * f * (1.0 - f);
-        self.ridge = two_term_ridge(f, v);
-        self.g_valid = false;
-        self.kind = self.policy.resolve(v.len());
-        match self.kind {
-            SolverKind::Dense => {
-                two_term_gram_into(f, v, &mut self.g);
-                self.g_valid = true;
-                self.chol
-                    .factor_regularized(&self.g, self.ridge)
-                    .map_err(IcError::from)
-            }
-            SolverKind::Pcg => {
-                self.diag.resize(v.len(), 0.0);
-                for (d, &vk) in self.diag.iter_mut().zip(v.iter()) {
-                    *d = self.c1s2 + self.c2 * vk * vk;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn solve_into(&mut self, rhs: &[f64], out: &mut [f64]) -> Result<()> {
-        match self.kind {
-            SolverKind::Dense => {
-                self.chol.solve_into(rhs, out).map_err(IcError::from)?;
-                self.stats.dense_solves += 1;
-            }
-            SolverKind::Pcg => {
-                let (c1s2, c2) = (self.c1s2, self.c2);
-                let v = &self.v;
-                let solve = self
-                    .pcg
-                    .solve(&self.diag, self.ridge, rhs, out, |x, y| {
-                        let vx: f64 = v.iter().zip(x.iter()).map(|(&a, &b)| a * b).sum();
-                        for ((yk, &xk), &vk) in y.iter_mut().zip(x.iter()).zip(v.iter()) {
-                            *yk = c1s2 * xk + c2 * vk * vx;
-                        }
-                        Ok(())
-                    })
-                    .map_err(IcError::from)?;
-                self.stats.pcg_solves += 1;
-                self.stats.pcg_iterations += solve.iterations as u64;
-                if !solve.converged {
-                    self.stats.pcg_stalls += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The materialized Gram matrix (for the NNLS fallback path), built
-    /// lazily under the matrix-free policy.
-    fn gram(&mut self) -> &Matrix {
-        if !self.g_valid {
-            two_term_gram_into(self.f, &self.v, &mut self.g);
-            self.g_valid = true;
-        }
-        &self.g
-    }
-
-    fn note_fallback(&mut self) {
-        self.stats.fallbacks += 1;
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
+    for ((slot, &vi), &ri) in out.iter_mut().zip(v).zip(r) {
+        *slot = ((ri - c2 * mu * vi) / c1s).max(0.0);
     }
 }
 
@@ -393,21 +311,6 @@ fn preference_rhs_into(x: &TmSeries, bin: usize, f: f64, a: &[f64], rhs: &mut [f
         }
         *slot = f * into_l + (1.0 - f) * out_of_l;
     }
-}
-
-/// Solves one bin's activity with the shared factorization into `out`,
-/// falling back to NNLS when the unconstrained solution leaves the
-/// feasible orthant (rare; the only allocating path of the loop).
-fn solve_activity_bin_into(gram: &mut TwoTermGram, rhs: &[f64], out: &mut [f64]) -> Result<()> {
-    gram.solve_into(rhs, out)?;
-    if out.iter().all(|&v| v >= 0.0) {
-        return Ok(());
-    }
-    gram.note_fallback();
-    let a = nnls_from_normal_equations(gram.gram(), rhs, NnlsOptions::default())
-        .map_err(IcError::from)?;
-    out.copy_from_slice(&a);
-    Ok(())
 }
 
 /// Per-bin objective weights, into a reused buffer.
@@ -606,22 +509,22 @@ fn initialize(x: &TmSeries, f0: f64) -> (Vec<f64>, Matrix) {
 /// assert!(fit.final_objective() < 1e-3);
 /// ```
 pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<StableFpParams>> {
+    options.validate()?;
     validate_input(x)?;
     let bins = x.bins();
     let n = x.nodes();
     let (mut f, mut p, mut activity) = initial_point(x, &options)?;
-    let mut history = Vec::with_capacity(options.max_sweeps);
+    let mut history = Vec::new();
     let mut converged = false;
     let mut residual_norms: Option<Vec<f64>> = None;
 
     // Per-fit workspace: every per-bin buffer of the BCD inner loops lives
-    // here, so the sweeps below allocate only in the NNLS solves (the
-    // preference step's, every sweep, and the activity fallback's) and the
-    // per-sweep objective evaluation.
+    // here, so the sweeps below allocate only in the preference step's NNLS
+    // and the per-sweep objective evaluation.
     let mut weights = vec![0.0; bins];
     let mut rhs = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
-    let mut gram = TwoTermGram::new(options.solver);
+    let mut order = Vec::with_capacity(n);
     let mut g = Matrix::zeros(n, n);
     let mut h = vec![0.0; n];
 
@@ -633,11 +536,10 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
             &mut weights,
         );
 
-        // Activity step: shared factorization across bins.
-        gram.factor(f, &p)?;
+        // Activity step, per bin in closed form.
         for t in 0..bins {
             activity_rhs_into(x, t, f, &p, &mut rhs);
-            solve_activity_bin_into(&mut gram, &rhs, &mut a_buf)?;
+            two_term_nnls_into(f, &p, &rhs, &mut order, &mut a_buf);
             for (i, &v) in a_buf.iter().enumerate() {
                 activity[(i, t)] = v;
             }
@@ -724,13 +626,13 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
         },
         objective_history: history,
         converged,
-        solve_stats: gram.stats(),
     })
 }
 
 /// Fits the **stable-f** model (Eq. 4): constant `f`, per-bin activity and
 /// preference. Used by the Section 6.3 estimation scenario analyses.
 pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<StableFParams>> {
+    options.validate()?;
     validate_input(x)?;
     let n = x.nodes();
     let bins = x.bins();
@@ -741,16 +643,16 @@ pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stabl
             preference[(i, t)] = p_init[i];
         }
     }
-    let mut history = Vec::with_capacity(options.max_sweeps);
+    let mut history = Vec::new();
     let mut converged = false;
 
     // Reused per-bin buffers (see fit_stable_fp).
     let mut weights = vec![0.0; bins];
     let mut p_buf = vec![0.0; n];
+    let mut p_new = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
     let mut rhs = vec![0.0; n];
-    let mut gram = TwoTermGram::new(options.solver);
-    let mut g2 = Matrix::zeros(n, n);
+    let mut order = Vec::with_capacity(n);
 
     for _sweep in 0..options.max_sweeps {
         bin_weights_into(x, Objective::WeightedSse, None, &mut weights);
@@ -762,14 +664,11 @@ pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stabl
             for (i, slot) in p_buf.iter_mut().enumerate() {
                 *slot = preference[(i, t)];
             }
-            gram.factor(f, &p_buf)?;
             activity_rhs_into(x, t, f, &p_buf, &mut rhs);
-            solve_activity_bin_into(&mut gram, &rhs, &mut a_buf)?;
+            two_term_nnls_into(f, &p_buf, &rhs, &mut order, &mut a_buf);
             // Per-bin preference step.
-            two_term_gram_into(f, &a_buf, &mut g2);
             preference_rhs_into(x, t, f, &a_buf, &mut rhs);
-            let p_new = nnls_from_normal_equations(&g2, &rhs, NnlsOptions::default())
-                .map_err(IcError::from)?;
+            two_term_nnls_into(f, &a_buf, &rhs, &mut order, &mut p_new);
             let mass: f64 = p_new.iter().sum();
             if mass > 0.0 {
                 for (slot, &v) in p_buf.iter_mut().zip(p_new.iter()) {
@@ -816,7 +715,6 @@ pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stabl
         },
         objective_history: history,
         converged,
-        solve_stats: gram.stats(),
     })
 }
 
@@ -862,6 +760,7 @@ fn solve_f_per_bin_preference(
 /// Each bin is an independent small BCD problem; with `3n` parameters per
 /// `n²` observations this is the loosest (best-fitting) family member.
 pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<TimeVaryingParams>> {
+    options.validate()?;
     validate_input(x)?;
     let n = x.nodes();
     let bins = x.bins();
@@ -873,15 +772,15 @@ pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<T
             preference[(i, t)] = p_init[i];
         }
     }
-    let mut history = Vec::with_capacity(options.max_sweeps);
+    let mut history = Vec::new();
     let mut converged = false;
 
     // Reused per-bin buffers (see fit_stable_fp).
     let mut p_buf = vec![0.0; n];
+    let mut p_new = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
     let mut rhs = vec![0.0; n];
-    let mut gram = TwoTermGram::new(options.solver);
-    let mut g2 = Matrix::zeros(n, n);
+    let mut order = Vec::with_capacity(n);
 
     for _sweep in 0..options.max_sweeps {
         for t in 0..bins {
@@ -893,14 +792,11 @@ pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<T
             }
             let mut f_t = fs[t];
             // Activity.
-            gram.factor(f_t, &p_buf)?;
             activity_rhs_into(x, t, f_t, &p_buf, &mut rhs);
-            solve_activity_bin_into(&mut gram, &rhs, &mut a_buf)?;
+            two_term_nnls_into(f_t, &p_buf, &rhs, &mut order, &mut a_buf);
             // Preference.
-            two_term_gram_into(f_t, &a_buf, &mut g2);
             preference_rhs_into(x, t, f_t, &a_buf, &mut rhs);
-            let p_new = nnls_from_normal_equations(&g2, &rhs, NnlsOptions::default())
-                .map_err(IcError::from)?;
+            two_term_nnls_into(f_t, &a_buf, &rhs, &mut order, &mut p_new);
             let mass: f64 = p_new.iter().sum();
             if mass > 0.0 {
                 for (slot, &v) in p_buf.iter_mut().zip(p_new.iter()) {
@@ -960,7 +856,6 @@ pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<T
         },
         objective_history: history,
         converged,
-        solve_stats: gram.stats(),
     })
 }
 
@@ -968,6 +863,7 @@ pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<T
 mod tests {
     use super::*;
     use crate::model::simplified_ic;
+    use proptest::prelude::*;
 
     /// Builds an exact stable-fP series from known parameters.
     fn exact_series(f: f64, p: &[f64], activities: &[Vec<f64>]) -> TmSeries {
@@ -1269,39 +1165,6 @@ mod tests {
         assert!(fit_time_varying(&tm, bad).is_err());
     }
 
-    #[test]
-    fn pcg_solver_matches_dense_bcd() {
-        let p = [0.5, 0.3, 0.15, 0.05];
-        let acts = varied_activities(4, 10);
-        let tm = exact_series(0.25, &p, &acts);
-        let dense =
-            fit_stable_fp(&tm, FitOptions::default().with_solver(SolverPolicy::Dense)).unwrap();
-        let pcg = fit_stable_fp(&tm, FitOptions::default().with_solver(SolverPolicy::Pcg)).unwrap();
-        // The activity subproblem operator has exactly two distinct
-        // eigenvalues, so CG converges essentially exactly and the two
-        // descents track each other to tight tolerance.
-        assert!((dense.params.f - pcg.params.f).abs() < 1e-6);
-        for (a, b) in dense
-            .params
-            .preference
-            .iter()
-            .zip(pcg.params.preference.iter())
-        {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
-        assert!((dense.final_objective() - pcg.final_objective()).abs() < 1e-6);
-        // Work is counted on the right ledger.
-        assert!(dense.solve_stats.dense_solves > 0);
-        assert_eq!(dense.solve_stats.pcg_solves, 0);
-        assert!(pcg.solve_stats.pcg_solves > 0);
-        assert!(pcg.solve_stats.pcg_iterations > 0);
-        assert_eq!(pcg.solve_stats.dense_solves, 0);
-        // Auto resolves dense at this size (4 nodes, far below threshold).
-        let auto = fit_stable_fp(&tm, FitOptions::default()).unwrap();
-        assert_eq!(auto.solve_stats.pcg_solves, 0);
-        assert_eq!(auto.params.f, dense.params.f);
-    }
-
     /// A window of `serve-mixed`-style synthetic traffic at forward ratio `f`.
     fn synthetic_window(seed: u64, f: f64) -> TmSeries {
         crate::synth::generate_synthetic(
@@ -1317,25 +1180,61 @@ mod tests {
     }
 
     #[test]
-    fn regime_switch_refit_takes_the_nnls_fallback() {
+    fn regime_switch_refit_keeps_its_sweeps_and_objective() {
         // A warm start from an f = 0.25 fit onto an f = 0.6 window: the
-        // stale (f, P) drive activity solves negative, so the activity step
-        // falls back to NNLS. The sweep count, fallback count and objective
-        // were recorded with the tall-QR NNLS the Gram-native one replaced.
+        // stale (f, P) push activities against their bound, where the
+        // closed-form step clamps them exactly. The sweep count and
+        // objective were recorded with the Lawson–Hanson NNLS on the
+        // materialized Gram that the closed form replaced.
         let prev = fit_stable_fp(&synthetic_window(42, 0.25), FitOptions::default()).unwrap();
         let window = synthetic_window(42 ^ 0xFF, 0.6);
         let fit = fit_stable_fp(&window, FitOptions::default().with_initial(&prev)).unwrap();
-        assert!(fit.solve_stats.fallbacks > 0);
         // Finite, non-negative activities and preferences.
         assert!(fit.params.validate().is_ok());
         assert_eq!(fit.objective_history.len(), 11);
-        assert_eq!(fit.solve_stats.fallbacks, 12);
         let recorded = 0.1552804489619356;
         assert!(
             (fit.final_objective() - recorded).abs() <= 1e-9 * recorded,
             "objective {}",
             fit.final_objective()
         );
+    }
+
+    #[test]
+    fn unbounded_sweep_budget_stops_at_convergence() {
+        // The sweep budget is a bound, never an allocation size.
+        let p = [0.5, 0.3, 0.2];
+        let tm = exact_series(0.25, &p, &varied_activities(3, 6));
+        let opts = FitOptions::default().with_max_sweeps(usize::MAX);
+        let fit = fit_stable_fp(&tm, opts.clone()).unwrap();
+        assert!(fit.converged);
+        assert!(fit_stable_f(&tm, opts.clone()).unwrap().converged);
+        assert!(fit_time_varying(&tm, opts).unwrap().converged);
+    }
+
+    #[test]
+    fn invalid_options_are_rejected_by_every_fit() {
+        let p = [0.6, 0.4];
+        let tm = exact_series(0.3, &p, &varied_activities(2, 4));
+        let invalid = |r: std::result::Result<(), IcError>| {
+            matches!(r, Err(IcError::InvalidParameter { .. }))
+        };
+        for bad in [
+            FitOptions::default().with_initial_f(f64::NAN),
+            FitOptions::default().with_initial_f(f64::INFINITY),
+            FitOptions::default().with_tolerance(f64::NAN),
+            FitOptions::default().with_tolerance(-1.0),
+        ] {
+            assert!(invalid(bad.validate()), "{bad:?}");
+            assert!(invalid(fit_stable_fp(&tm, bad.clone()).map(drop)));
+            assert!(invalid(fit_stable_f(&tm, bad.clone()).map(drop)));
+            assert!(invalid(fit_time_varying(&tm, bad).map(drop)));
+        }
+        // A zero tolerance is valid: the fit stops at the first sweep that
+        // does not improve.
+        let zero = FitOptions::default().with_tolerance(0.0);
+        assert!(zero.validate().is_ok());
+        assert!(fit_stable_fp(&tm, zero).is_ok());
     }
 
     #[test]
@@ -1349,5 +1248,91 @@ mod tests {
         assert_eq!(pred.nodes(), tm.nodes());
         let e = mean_rel_l2(&tm, &pred).unwrap();
         assert!((e - fit.final_objective()).abs() < 1e-12);
+    }
+
+    /// Uniform in `[0, 1)` from a seed and a stream index (splitmix64).
+    fn unit(seed: u64, k: u64) -> f64 {
+        let mut z = seed.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+    }
+
+    /// The two-term Gram `c1·‖v‖²·I + c2·v·vᵀ`, materialized.
+    fn two_term_gram(f: f64, v: &[f64]) -> Matrix {
+        let c1 = f * f + (1.0 - f) * (1.0 - f);
+        let c2 = 2.0 * f * (1.0 - f);
+        let s: f64 = v.iter().map(|&x| x * x).sum();
+        let mut g = Matrix::zeros(v.len(), v.len());
+        for k in 0..v.len() {
+            for l in 0..v.len() {
+                g[(k, l)] = c2 * v[k] * v[l];
+            }
+            g[(k, k)] += c1 * s;
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The closed-form two-term NNLS against Lawson–Hanson on the
+        /// materialized Gram, to 1e-10 of the largest entry, and against its
+        /// own KKT conditions: `a ≥ 0`, `Ga − r ≥ 0` and `a_i·(Ga − r)_i = 0`
+        /// to rounding. `f` at 0, 1/2, 1 and inside (0, 1); `v` with zero
+        /// entries and a 4-decade spread, or all zero; `r` from a target
+        /// with negative entries, or independent of `v` with mixed signs,
+        /// or all negative.
+        #[test]
+        fn two_term_nnls_matches_the_gram_nnls_and_meets_kkt(
+            n in 1usize..41,
+            f_pick in 0usize..4,
+            v_pick in 0usize..8,
+            r_pick in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let f = [0.0, 0.5, 1.0, unit(seed, 0)][f_pick];
+            let v: Vec<f64> = (0..n as u64)
+                .map(|i| {
+                    if v_pick == 0 || unit(seed, 1 + i) < 0.2 {
+                        0.0
+                    } else {
+                        10f64.powf(4.0 * unit(seed, 100 + i))
+                    }
+                })
+                .collect();
+            let g = two_term_gram(f, &v);
+            let r: Vec<f64> = match r_pick {
+                0 => (0..n as u64).map(|i| -1e3 * unit(seed, 200 + i)).collect(),
+                1 => (0..n as u64).map(|i| 1e3 * (unit(seed, 200 + i) - 0.3)).collect(),
+                _ => {
+                    let target: Vec<f64> =
+                        (0..n as u64).map(|i| unit(seed, 200 + i) - 0.3).collect();
+                    g.matvec(&target).unwrap()
+                }
+            };
+            let mut order = Vec::new();
+            let mut a = vec![f64::NAN; n];
+            two_term_nnls_into(f, &v, &r, &mut order, &mut a);
+            if v.iter().all(|&x| x == 0.0) {
+                // With `v = 0` the Gram is zero and the problem has no
+                // minimum; the kernel answers 0.
+                prop_assert!(a.iter().all(|&x| x == 0.0), "{:?}", a);
+            } else {
+                let want = nnls_from_normal_equations(&g, &r, NnlsOptions::default()).unwrap();
+                let scale = a.iter().chain(&want).fold(0.0f64, |m, x| m.max(x.abs()));
+                let worst = a.iter().zip(&want).fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+                prop_assert!(worst <= 1e-10 * scale, "n {} f {}: {:e} of {:e}", n, f, worst, scale);
+                let grad = g.matvec(&a).unwrap();
+                for i in 0..n {
+                    let gi = grad[i] - r[i];
+                    let tol = 1e-12
+                        * ((0..n).map(|j| (g[(i, j)] * a[j]).abs()).sum::<f64>() + r[i].abs());
+                    prop_assert!(a[i] >= 0.0, "a[{}] = {:e}", i, a[i]);
+                    prop_assert!(gi >= -tol, "gradient[{}] = {:e} below -{:e}", i, gi, tol);
+                    prop_assert!(a[i] == 0.0 || gi.abs() <= tol, "slack[{}] = {:e}", i, gi);
+                }
+            }
+        }
     }
 }

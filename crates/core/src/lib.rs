@@ -63,10 +63,6 @@ pub use model::{
 pub use synth::{generate_synthetic, synth_process, SynthConfig, SynthOutput, SynthProcess};
 pub use tm::{TmSeries, TmWindowIter};
 
-// Re-exported so downstream crates can pick a solver for the BCD fits
-// without depending on ic-linalg directly.
-pub use ic_linalg::{SolveStats, SolverPolicy};
-
 /// Errors produced by the IC model library.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IcError {

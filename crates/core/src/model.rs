@@ -273,12 +273,16 @@ pub fn stable_fp_series(params: &StableFpParams, bin_seconds: f64) -> Result<TmS
     let t_total = params.bins();
     let mut out = TmSeries::zeros(n, t_total, bin_seconds)?;
     let p = normalized_preference(&params.preference)?;
-    for t in 0..t_total {
-        let a: Vec<f64> = (0..n).map(|i| params.activity[(i, t)]).collect();
-        for i in 0..n {
-            for j in 0..n {
-                let v = params.f * a[i] * p[j] + (1.0 - params.f) * a[j] * p[i];
-                out.set(i, j, t, v)?;
+    let f = params.f;
+    // Row `i·n + j` of the series holds OD pair (i, j) across all bins,
+    // as activity row `i` holds `A_i` across all bins.
+    let m = out.as_matrix_mut();
+    for i in 0..n {
+        let a_i = params.activity.row(i);
+        for j in 0..n {
+            let a_j = params.activity.row(j);
+            for ((x, &ai), &aj) in m.row_mut(i * n + j).iter_mut().zip(a_i).zip(a_j) {
+                *x = f * ai * p[j] + (1.0 - f) * aj * p[i];
             }
         }
     }

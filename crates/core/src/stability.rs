@@ -301,7 +301,6 @@ mod tests {
             params,
             objective_history: vec![0.0],
             converged: true,
-            solve_stats: Default::default(),
         };
         let ex = activity_extremes(&fit);
         assert_eq!(ex.len(), 3);

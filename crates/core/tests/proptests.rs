@@ -170,3 +170,50 @@ proptest! {
         prop_assert!(fit.params.activity.as_slice().iter().all(|&v| v >= 0.0));
     }
 }
+
+/// Uniform in `[0, 1)` from a seed and a stream index (splitmix64).
+fn unit(seed: u64, k: u64) -> f64 {
+    let mut z = seed.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `stable_fp_series` fills each OD pair's row across all bins at once;
+    /// every bin of it equals `simplified_ic` of that bin bit for bit. `f`
+    /// at 0, 1/2, 1 and inside (0, 1), preferences with zero entries, and
+    /// bins whose activities are all zero.
+    #[test]
+    fn stable_fp_series_matches_simplified_ic_bit_for_bit(
+        n in 1usize..31,
+        bins in 1usize..10,
+        f_pick in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let f = [0.0, 0.5, 1.0, unit(seed, 0)][f_pick];
+        let mut preference: Vec<f64> = (0..n as u64)
+            .map(|i| if unit(seed, 1 + i) < 0.2 { 0.0 } else { unit(seed, 100 + i) })
+            .collect();
+        preference[(seed % n as u64) as usize] += 0.1;
+        let mut activity = Matrix::zeros(n, bins);
+        for t in 0..bins {
+            if unit(seed, 300 + t as u64) < 0.2 {
+                continue;
+            }
+            for i in 0..n {
+                activity[(i, t)] = 1e3 * unit(seed, (400 + i * bins + t) as u64);
+            }
+        }
+        let params = StableFpParams { f, preference: preference.clone(), activity };
+        let series = stable_fp_series(&params, 300.0).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for t in 0..bins {
+            let a: Vec<f64> = (0..n).map(|i| params.activity[(i, t)]).collect();
+            let want = simplified_ic(f, &a, &preference).unwrap();
+            prop_assert_eq!(bits(&series.snapshot(t).unwrap()), bits(&want), "bin {}", t);
+        }
+    }
+}

@@ -3,12 +3,14 @@
 //! [`EstimationConfig`] collapses the parallel `with_*` ladders that used
 //! to be repeated across [`EstimationPipeline`](crate::EstimationPipeline),
 //! the streaming estimator, and the scenario builder into one value:
-//! step options (fit, tomogravity, IPF), the cross-cutting solver policy,
-//! and the optional stage-metrics handle. Every consumer accepts it through
-//! a single `.config(..)` call, its only configuration entry point. The
-//! multilevel decomposition is not a setting here: a caller who wants it
-//! builds a [`MultilevelPipeline`](crate::MultilevelPipeline) from a
-//! partition.
+//! step options (fit, tomogravity, IPF) and the optional stage-metrics
+//! handle. Every consumer accepts it through a single `.config(..)` call,
+//! its only configuration entry point. The solver policy
+//! ([`EstimationConfig::with_solver`]) reaches the one stage that solves a
+//! normal-equation system, the tomogravity refinement; the fits solve
+//! their subproblems in closed form. The multilevel decomposition is not
+//! a setting here: a caller who wants it builds a
+//! [`MultilevelPipeline`](crate::MultilevelPipeline) from a partition.
 
 use crate::ipf::IpfOptions;
 use crate::pipeline::PipelineMetrics;
@@ -66,11 +68,10 @@ impl EstimationConfig {
         self
     }
 
-    /// Selects the normal-equations solver policy for **every** stage
-    /// that solves one (the fit subproblems and the tomogravity
-    /// refinement), keeping their other options intact.
+    /// Selects the normal-equations solver policy of the tomogravity
+    /// refinement, keeping its other options intact. The fits need none:
+    /// their subproblems are solved in closed form.
     pub fn with_solver(mut self, policy: SolverPolicy) -> Self {
-        self.fit = self.fit.with_solver(policy);
         self.tomogravity = self.tomogravity.with_solver(policy);
         self
     }
@@ -96,10 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn with_solver_reaches_fit_and_tomogravity() {
+    fn with_solver_sets_the_refine_alone() {
         let c = EstimationConfig::new().with_solver(SolverPolicy::Pcg);
-        assert_eq!(c.fit.solver, SolverPolicy::Pcg);
         assert_eq!(c.tomogravity.solver, SolverPolicy::Pcg);
+        assert_eq!(c.fit, FitOptions::default());
     }
 
     #[test]

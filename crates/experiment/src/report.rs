@@ -38,9 +38,10 @@ pub struct ScenarioReport {
     /// of the report and both emitters carry them.
     pub drift_events: Vec<DriftEvent>,
     /// Solver-health counters accumulated over every normal-equations
-    /// solve the scenario performed (prior fits, tomogravity refinement,
-    /// streaming windows). All-zero for tasks that never solve
-    /// (gravity-gap).
+    /// solve the scenario performed: the tomogravity refinement, in one
+    /// pass or per streaming window. The fits solve in closed form and
+    /// count nothing, so tasks that never refine (fit-improvement,
+    /// gravity-gap) report all zeros.
     pub solve_stats: SolveStats,
 }
 

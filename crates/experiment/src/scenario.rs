@@ -300,11 +300,9 @@ impl Scenario {
         // Step 1: construct the prior per the measurement scenario.
         let mut fitted_f = None;
         let mut fit_objective = None;
-        let mut solve_stats = SolveStats::default();
         let mut record_fit = |fit: &FitReport<StableFpParams>| {
             fitted_f = Some(fit.params.f);
             fit_objective = Some(fit.final_objective());
-            solve_stats.merge(&fit.solve_stats);
         };
         let prior: Box<dyn TmPrior> = match &self.prior {
             PriorStrategy::Gravity => Box::new(GravityPrior),
@@ -339,7 +337,6 @@ impl Scenario {
         let obs = om.observe(target)?;
         let pipeline = EstimationPipeline::new(om).config(self.config.clone());
         let cmp = compare_priors_with(&pipeline, prior.as_ref(), target, &obs, engine)?;
-        solve_stats.merge(&cmp.solve_stats);
 
         Ok(ScenarioReport {
             name: self.name.clone(),
@@ -353,7 +350,7 @@ impl Scenario {
             fitted_f,
             fit_objective,
             drift_events: Vec::new(),
-            solve_stats,
+            solve_stats: cmp.solve_stats,
         })
     }
 
@@ -381,7 +378,7 @@ impl Scenario {
             fitted_f: Some(fit.params.f),
             fit_objective: Some(fit.final_objective()),
             drift_events: Vec::new(),
-            solve_stats: fit.solve_stats,
+            solve_stats: SolveStats::default(),
         })
     }
 
@@ -734,8 +731,8 @@ mod tests {
         assert!(report.fitted_f.is_some());
         // Synthetic data is exactly IC, so the fit dominates gravity.
         assert!(report.mean_improvement > 0.0);
-        // The fit's activity subproblems surface as solver-health counters.
-        assert!(report.solve_stats.solves() > 0);
+        // The fit solves its subproblems in closed form: no counted solve.
+        assert_eq!(report.solve_stats, Default::default());
     }
 
     #[test]
@@ -789,20 +786,22 @@ mod tests {
     }
 
     #[test]
-    fn solver_builder_applies_to_fit_and_tomogravity() {
-        use ic_core::SolverPolicy;
+    fn solver_builder_applies_to_tomogravity() {
+        use ic_linalg::SolverPolicy;
 
-        // One `with_solver` in the config reaches both the fits and the
-        // tomogravity refinement.
+        // `with_solver` in the config reaches the tomogravity refinement,
+        // the one stage that solves a normal-equation system.
         let sc = Scenario::builder("pcg")
             .synth(tiny_synth())
             .geant22()
             .config(EstimationConfig::new().with_solver(SolverPolicy::Pcg))
             .build()
             .unwrap();
-        assert_eq!(sc.config.fit.solver, SolverPolicy::Pcg);
         assert_eq!(sc.config.tomogravity.solver, SolverPolicy::Pcg);
         let pcg = sc.run().unwrap();
+        // The counters are the refine's alone.
+        assert!(pcg.solve_stats.pcg_solves > 0);
+        assert_eq!(pcg.solve_stats.dense_solves, 0);
         let dense = Scenario::builder("dense")
             .synth(tiny_synth())
             .geant22()

@@ -191,8 +191,8 @@ struct ServiceMetrics {
     poll: Arc<Histogram>,
     /// `serve.polls_total`.
     polls: Arc<Counter>,
-    /// `solver.dense_solves_total` — live view of [`SolveStats`]
-    /// accumulated across all tenants' windows.
+    /// `solver.dense_solves_total` — live view of the tomogravity
+    /// refinement's [`SolveStats`] accumulated across all tenants' windows.
     ///
     /// [`SolveStats`]: ic_linalg::SolveStats
     dense_solves: Arc<Counter>,

@@ -15,17 +15,19 @@ use crate::codec::{Dec, Enc};
 use crate::spec::TenantSpec;
 use crate::{Result, ServeError};
 use ic_core::{FitReport, StableFpParams};
-use ic_linalg::{Matrix, SolveStats};
+use ic_linalg::Matrix;
 use ic_stream::{
     DriftDetectorState, ParamForecasterState, StreamingTomogravityState, WindowerState,
 };
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"ICSV";
-/// Current snapshot format version. Version 3 drops the batched-execution
-/// pair (a batch-width `usize` and a precision byte) that version 2 added
-/// to every embedded tenant spec; the per-bin path is now the only one.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. Version 4 drops the five solver
+/// counters (`u64` words) that version 3 wrote after the rolling fit: the
+/// fit solves in closed form and counts nothing. Version 3 had dropped the
+/// batched-execution pair (a batch-width `usize` and a precision byte)
+/// that version 2 added to every embedded tenant spec.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// One tenant's complete persisted state.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,11 +129,6 @@ fn encode_fit(e: &mut Enc, fit: Option<&FitReport<StableFpParams>>) {
     e.put_f64s(fit.params.activity.as_slice());
     e.put_f64s(&fit.objective_history);
     e.put_bool(fit.converged);
-    e.put_u64(fit.solve_stats.dense_solves);
-    e.put_u64(fit.solve_stats.pcg_solves);
-    e.put_u64(fit.solve_stats.pcg_iterations);
-    e.put_u64(fit.solve_stats.pcg_stalls);
-    e.put_u64(fit.solve_stats.fallbacks);
 }
 
 fn decode_fit(d: &mut Dec<'_>) -> Result<Option<FitReport<StableFpParams>>> {
@@ -146,13 +143,6 @@ fn decode_fit(d: &mut Dec<'_>) -> Result<Option<FitReport<StableFpParams>>> {
         .map_err(|e| ServeError::Codec(format!("snapshot activity matrix: {e}")))?;
     let objective_history = d.take_f64s()?;
     let converged = d.take_bool()?;
-    let solve_stats = SolveStats {
-        dense_solves: d.take_u64()?,
-        pcg_solves: d.take_u64()?,
-        pcg_iterations: d.take_u64()?,
-        pcg_stalls: d.take_u64()?,
-        fallbacks: d.take_u64()?,
-    };
     Ok(Some(FitReport {
         params: StableFpParams {
             f,
@@ -161,7 +151,6 @@ fn decode_fit(d: &mut Dec<'_>) -> Result<Option<FitReport<StableFpParams>>> {
         },
         objective_history,
         converged,
-        solve_stats,
     }))
 }
 
@@ -263,13 +252,6 @@ mod tests {
                     },
                     objective_history: vec![0.5, 0.1, 0.05],
                     converged: true,
-                    solve_stats: SolveStats {
-                        dense_solves: 12,
-                        pcg_solves: 3,
-                        pcg_iterations: 77,
-                        pcg_stalls: 1,
-                        fallbacks: 0,
-                    },
                 }),
             },
             forecaster: ParamForecasterState {

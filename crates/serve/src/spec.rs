@@ -49,10 +49,11 @@ pub struct TenantSpec {
     pub window_bins: usize,
     /// Window stride; `None` means tumbling.
     pub stride: Option<usize>,
-    /// Rolling per-window fit options. The `solver` field also selects
-    /// the estimation pipeline's normal-equations solver (applied through
-    /// [`ic_estimation::EstimationConfig::with_solver`]).
+    /// Rolling per-window fit options.
     pub fit: FitOptions,
+    /// Normal-equations solver of the tomogravity refinement (applied
+    /// through [`ic_estimation::EstimationConfig::with_solver`]).
+    pub solver: SolverPolicy,
     /// Parameter-forecasting options.
     pub forecast: ForecastOptions,
     /// Change-detection options.
@@ -81,6 +82,7 @@ impl TenantSpec {
             window_bins: 288,
             stride: None,
             fit: FitOptions::default(),
+            solver: SolverPolicy::Auto,
             forecast: ForecastOptions::default(),
             drift: DriftOptions::default(),
         }
@@ -158,6 +160,12 @@ impl TenantSpec {
                 self.name
             )));
         }
+        if let Err(e) = self.fit.validate() {
+            return Err(ServeError::BadRequest(format!(
+                "tenant {}: fit options: {e}",
+                self.name
+            )));
+        }
         if self.fit.initial.is_some() {
             return Err(ServeError::BadRequest(format!(
                 "tenant {}: spec fit options must not carry a warm start (carried fits are \
@@ -195,7 +203,7 @@ impl TenantSpec {
     pub fn estimation_config(&self) -> EstimationConfig {
         EstimationConfig::new()
             .with_fit(self.fit.clone())
-            .with_solver(self.fit.solver)
+            .with_solver(self.solver)
     }
 
     /// The equivalent offline replay options: feeding a tenant's journal
@@ -242,7 +250,8 @@ impl TenantSpec {
             None => e.put_bool(false),
         }
         // FitOptions subset: every field except the warm start (always
-        // empty in a spec; enforced by validate()).
+        // empty in a spec; enforced by validate()), then the refine's
+        // solver.
         e.put_usize(self.fit.max_sweeps);
         e.put_f64(self.fit.tolerance);
         e.put_f64(self.fit.initial_f);
@@ -251,7 +260,7 @@ impl TenantSpec {
             Objective::SumRelL2 => 1,
         });
         e.put_bool(self.fit.fix_f);
-        e.put_u8(match self.fit.solver {
+        e.put_u8(match self.solver {
             SolverPolicy::Auto => 0,
             SolverPolicy::Dense => 1,
             SolverPolicy::Pcg => 2,
@@ -315,8 +324,7 @@ impl TenantSpec {
             .with_tolerance(tolerance)
             .with_initial_f(initial_f)
             .with_objective(objective)
-            .with_fix_f(fix_f)
-            .with_solver(solver);
+            .with_fix_f(fix_f);
         let forecast = ForecastOptions::default()
             .with_ewma_alpha(d.take_f64()?)
             .with_season_length(d.take_usize()?)
@@ -335,6 +343,7 @@ impl TenantSpec {
             window_bins,
             stride,
             fit,
+            solver,
             forecast,
             drift,
         })
@@ -360,18 +369,18 @@ mod tests {
     #[test]
     fn spec_round_trips_and_rebuilds_the_topology() {
         let topo = ring(5);
-        let spec = TenantSpec::new("backbone-a", &topo, RoutingScheme::Ecmp)
+        let mut spec = TenantSpec::new("backbone-a", &topo, RoutingScheme::Ecmp)
             .with_bin_seconds(60.0)
             .with_window_bins(12)
             .with_stride(6)
             .with_fit_options(
                 FitOptions::default()
                     .with_max_sweeps(17)
-                    .with_objective(Objective::SumRelL2)
-                    .with_solver(SolverPolicy::Pcg),
+                    .with_objective(Objective::SumRelL2),
             )
             .with_forecast(ForecastOptions::default().with_season_length(7))
             .with_drift(DriftOptions::default().with_max_f_jump(0.2));
+        spec.solver = SolverPolicy::Pcg;
         spec.validate().unwrap();
         assert_eq!(spec.nodes(), 5);
         assert_eq!(spec.column_len(), 25);
@@ -387,6 +396,9 @@ mod tests {
         assert_eq!(rebuilt.link_count(), topo.link_count());
         assert_eq!(rebuilt.node_names(), topo.node_names());
         assert_eq!(back.replay_options().window_bins, 12);
+        let config = back.estimation_config();
+        assert_eq!(config.tomogravity.solver, SolverPolicy::Pcg);
+        assert_eq!(config.fit, spec.fit);
     }
 
     #[test]
@@ -412,6 +424,22 @@ mod tests {
             preference: vec![0.5, 0.3, 0.2],
         });
         assert!(bad.validate().is_err());
+        for fit in [
+            FitOptions::default().with_initial_f(f64::NAN),
+            FitOptions::default().with_tolerance(f64::NAN),
+            FitOptions::default().with_tolerance(-1.0),
+        ] {
+            let mut bad = ok.clone();
+            bad.fit = fit;
+            assert!(
+                matches!(bad.validate(), Err(ServeError::BadRequest(_))),
+                "{:?}",
+                bad.fit
+            );
+        }
+        let mut zero_tolerance = ok.clone();
+        zero_tolerance.fit = FitOptions::default().with_tolerance(0.0);
+        assert!(zero_tolerance.validate().is_ok());
         let mut bad = ok;
         bad.node_names.clear();
         bad.links.clear();

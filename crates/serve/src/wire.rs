@@ -710,10 +710,14 @@ mod tests {
     /// A version-2 peer appends the batched-execution pair (a `usize`
     /// batch width and a precision byte) to every tenant spec. Its
     /// `Register` payload and its snapshots must fail with a typed codec
-    /// error, never a panic or a silently truncated spec.
+    /// error, never a panic or a silently truncated spec. So must a
+    /// version-3 snapshot, whose rolling fit still carries five solver
+    /// counters.
     #[test]
     fn v2_register_and_snapshot_fail_with_codec_errors() {
         use crate::snapshot::{TenantSnapshot, SNAPSHOT_MAGIC};
+        use ic_core::{FitReport, StableFpParams};
+        use ic_linalg::Matrix;
         use ic_stream::StreamingTomogravityState;
 
         let spec = spec();
@@ -742,8 +746,9 @@ mod tests {
             forecaster: Default::default(),
             detector: Default::default(),
         };
-        let v3 = snap.to_bytes();
-        let body = &v3[SNAPSHOT_MAGIC.len() + 4..];
+        let current = snap.to_bytes();
+        let header = SNAPSHOT_MAGIC.len() + 4;
+        let body = &current[header..];
         assert_eq!(&body[..spec_bytes.len()], &spec_bytes[..]);
         let mut e = Enc::new();
         e.put_raw(&SNAPSHOT_MAGIC);
@@ -757,6 +762,57 @@ mod tests {
                 Err(ServeError::Codec(_))
             ),
             "v2 snapshot must be a codec error"
+        );
+
+        // Version 3 wrote five `u64` solver counters after the rolling
+        // fit's `converged` flag. The carried-fit snapshot shares every
+        // byte with the cold one up to the fit's presence flag, and the
+        // forecaster and detector bytes after the fit.
+        let carried = TenantSnapshot {
+            estimator: StreamingTomogravityState {
+                previous: Some(FitReport {
+                    params: StableFpParams {
+                        f: 0.27,
+                        preference: vec![0.6, 0.4],
+                        activity: Matrix::from_vec(2, 1, vec![3.0, 5.0]).unwrap(),
+                    },
+                    objective_history: vec![0.5, 0.1],
+                    converged: true,
+                }),
+            },
+            ..snap
+        }
+        .to_bytes();
+        let fit_at = current
+            .iter()
+            .zip(&carried)
+            .position(|(a, b)| a != b)
+            .unwrap();
+        let tail = current.len() - fit_at - 1;
+        let mut e = Enc::new();
+        e.put_raw(&SNAPSHOT_MAGIC);
+        e.put_u32(3);
+        e.put_raw(&carried[header..carried.len() - tail]);
+        for counter in [12, 3, 77, 1, 0] {
+            e.put_u64(counter);
+        }
+        e.put_raw(&carried[carried.len() - tail..]);
+        let v3 = e.into_bytes();
+        assert!(
+            matches!(TenantSnapshot::from_bytes(&v3), Err(ServeError::Codec(_))),
+            "v3 snapshot must be a codec error"
+        );
+        // Read as the current version, the counters would not parse
+        // either: the version bump is what names the cause.
+        let mut relabeled = v3;
+        relabeled[SNAPSHOT_MAGIC.len()..header]
+            .copy_from_slice(&current[SNAPSHOT_MAGIC.len()..header]);
+        assert!(
+            matches!(
+                TenantSnapshot::from_bytes(&relabeled),
+                Err(ServeError::Codec(_))
+            ),
+            "the v3 fit must not parse as v4"
         );
     }
 

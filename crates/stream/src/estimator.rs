@@ -54,8 +54,9 @@ pub struct WindowEstimate {
     pub sweeps: Option<usize>,
     /// Whether this window's fit was warm-started from a previous window.
     pub warm: bool,
-    /// Normal-equations solver work this window consumed (refinement +
-    /// rolling fit); all-zero for estimators that never solve.
+    /// Normal-equations solver work of this window's tomogravity
+    /// refinement; all-zero for estimators that never refine. The rolling
+    /// fit solves its subproblems in closed form and counts nothing.
     pub solve_stats: SolveStats,
 }
 
@@ -250,7 +251,7 @@ impl OnlineEstimator for WarmStartIcFit {
             fit_objective: Some(fit.final_objective()),
             sweeps: Some(fit.objective_history.len()),
             warm,
-            solve_stats: fit.solve_stats,
+            solve_stats: SolveStats::default(),
         };
         self.previous = Some(fit);
         Ok(out)
@@ -420,8 +421,7 @@ impl OnlineEstimator for StreamingTomogravity {
             None => self.fit_options.clone(),
         };
         let fit = fit_stable_fp(&window.series, options).map_err(StreamError::from)?;
-        let mut solve_stats = self.pool_solve_stats().since(&stats_before);
-        solve_stats.merge(&fit.solve_stats);
+        let solve_stats = self.pool_solve_stats().since(&stats_before);
         let out = WindowEstimate {
             window: window.index,
             start_bin: window.start_bin,
@@ -608,9 +608,9 @@ mod tests {
             .take_windows(&mut stream, None)
             .unwrap();
         let mut dense = StreamingTomogravity::new(EstimationPipeline::new(om.clone()))
-            .config(EstimationConfig::new().with_solver(ic_core::SolverPolicy::Dense));
+            .config(EstimationConfig::new().with_solver(ic_linalg::SolverPolicy::Dense));
         let mut pcg = StreamingTomogravity::new(EstimationPipeline::new(om))
-            .config(EstimationConfig::new().with_solver(ic_core::SolverPolicy::Pcg));
+            .config(EstimationConfig::new().with_solver(ic_linalg::SolverPolicy::Pcg));
         for w in &ws {
             let ed = dense.process(w).unwrap();
             let ep = pcg.process(w).unwrap();
@@ -630,7 +630,8 @@ mod tests {
     }
 
     /// One `config(..)` call reaches both consumers: the pipeline's
-    /// refinement and the rolling fit run the configured solver.
+    /// refinement runs the configured solver and the rolling fit the
+    /// configured fit options.
     #[test]
     fn streaming_config_reaches_pipeline_and_fit() {
         let topo = ring_topology(4);
@@ -644,12 +645,13 @@ mod tests {
         let mut est = StreamingTomogravity::new(EstimationPipeline::new(om)).config(
             EstimationConfig::new()
                 .with_fit(FitOptions::default().with_max_sweeps(7))
-                .with_solver(ic_core::SolverPolicy::Pcg),
+                .with_solver(ic_linalg::SolverPolicy::Pcg),
         );
         for w in &ws {
             let e = est.process(w).unwrap();
             assert!(e.solve_stats.pcg_solves > 0, "window {}", w.index);
             assert_eq!(e.solve_stats.dense_solves, 0, "window {}", w.index);
+            assert!(e.sweeps.unwrap() <= 7, "window {}", w.index);
         }
     }
 

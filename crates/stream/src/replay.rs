@@ -147,8 +147,9 @@ pub struct WindowReport {
     pub forecast_f_error: Option<f64>,
     /// Change-detection events fired at this window.
     pub drift_events: Vec<DriftEvent>,
-    /// Normal-equations solver work the candidate spent on this window
-    /// (PCG iterations, stalls, dense fallbacks).
+    /// Normal-equations solver work the candidate's tomogravity
+    /// refinement spent on this window (PCG iterations, stalls, dense
+    /// fallbacks); the rolling fit counts nothing.
     pub solve_stats: SolveStats,
 }
 
