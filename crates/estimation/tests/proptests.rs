@@ -6,18 +6,23 @@
 //! fundamental). The IPF kernel and the gravity prior also match the
 //! per-bin loops they replaced, kept here as oracles, bit for bit, and the
 //! closed-form stable-fP prior matches paper Eq. 7–9 taken literally (the
-//! SVD pseudo-inverse of `QΦ`) to rounding.
+//! SVD pseudo-inverse of `QΦ`) to rounding. A multilevel pipeline that
+//! refills a dropped estimate's cluster blocks gives a fresh pipeline's
+//! estimate bit for bit.
 
 use ic_core::{gravity_from_marginals, rel_l2_series, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
     compare_priors, compare_priors_with, ipf_fit, ipf_fit_with, EstimationConfig,
-    EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace, ObservationModel, Observations,
-    PipelineWorkspace, StableFPrior, StableFpPrior, TmPrior, Tomogravity, TomogravityOptions,
-    TomogravityWorkspace,
+    EstimationPipeline, GravityPrior, IpfOptions, IpfWorkspace, MultilevelEstimate,
+    MultilevelPipeline, ObservationModel, Observations, PipelineWorkspace, StableFPrior,
+    StableFpPrior, TmPrior, Tomogravity, TomogravityOptions, TomogravityWorkspace,
 };
 use ic_linalg::{pseudo_inverse, Matrix};
-use ic_topology::{egress_incidence, ingress_incidence, waxman, RoutingScheme, WaxmanConfig};
+use ic_topology::{
+    egress_incidence, hierarchical, ingress_incidence, waxman, HierarchicalConfig, Partition,
+    RoutingScheme, WaxmanConfig,
+};
 use proptest::prelude::*;
 
 fn nonneg_matrix(n: usize) -> impl Strategy<Value = Matrix> {
@@ -524,15 +529,16 @@ proptest! {
     }
 
     /// The gravity prior writes the series layout directly, bit-identical
-    /// to the per-bin `gravity_from_marginals` loop, zero marginals and an
-    /// idle bin included.
+    /// to the per-bin `gravity_from_marginals` loop, zero marginals
+    /// included. One case in two zeroes a bin; the others mostly have
+    /// every bin busy, which takes the fill's loop without the idle test.
     #[test]
     fn gravity_prior_matches_per_bin_gravity(
         n in 1usize..13,
         bins in 1usize..10,
         seed in any::<u64>(),
     ) {
-        let idle = (seed % bins as u64) as usize;
+        let idle = if seed % 2 == 0 { (seed / 2 % bins as u64) as usize } else { bins };
         let mut ingress = Matrix::zeros(n, bins);
         let mut egress = Matrix::zeros(n, bins);
         for i in 0..n {
@@ -593,5 +599,114 @@ proptest! {
         let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let worst = got.iter().zip(want).fold(0.0f64, |m, (g, w)| m.max((g - w).abs()));
         prop_assert!(worst <= 1e-12 * scale, "n {} f {}: {:e} of {:e}", n, f, worst, scale);
+    }
+}
+
+/// A 15-node hierarchical network in its 3 clusters of 5 nodes, with
+/// its observation model.
+fn clustered_network() -> (ic_topology::Topology, Partition, ObservationModel) {
+    let cfg = HierarchicalConfig::new(3, 4, 7);
+    let topo = hierarchical(&cfg).unwrap();
+    let partition = Partition::from_assignment(&topo, &cfg.cluster_assignment()).unwrap();
+    let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+    (topo, partition, om)
+}
+
+/// A `bins`-bin window drawn from `seed`: positive traffic observed
+/// through `om`, then zero marginals (one node's ingress, and the egress
+/// of every member of one cluster, so its shares fall back to uniform) and,
+/// when `idle` is set, one bin with every count zero.
+fn multilevel_window(
+    om: &ObservationModel,
+    partition: &Partition,
+    bins: usize,
+    seed: u64,
+    idle: bool,
+) -> Observations {
+    let n = om.nodes();
+    let mut tm = TmSeries::zeros(n, bins, 300.0).unwrap();
+    for t in 0..bins {
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let v = 1e3 * (0.1 + unit(seed, ((i * n + j) * bins + t) as u64));
+                tm.set(i, j, t, v).unwrap();
+            }
+        }
+    }
+    let mut obs = om.observe(&tm).unwrap();
+    let t = (seed % bins as u64) as usize;
+    obs.ingress[((seed >> 8) as usize % n, t)] = 0.0;
+    let cluster = (seed >> 16) as usize % partition.cluster_count();
+    for &i in partition.members(cluster) {
+        obs.egress[(i, (t + 1) % bins)] = 0.0;
+    }
+    if idle {
+        let t = (t + 2) % bins;
+        for l in 0..obs.y.rows() {
+            obs.y[(l, t)] = 0.0;
+        }
+        for i in 0..n {
+            obs.ingress[(i, t)] = 0.0;
+            obs.egress[(i, t)] = 0.0;
+        }
+    }
+    obs
+}
+
+/// Every value of a multilevel estimate: coarse matrix, cluster blocks
+/// and shares.
+fn multilevel_bits(est: &MultilevelEstimate) -> Vec<u64> {
+    let mut values = bits(est.coarse.as_matrix());
+    for block in &est.clusters {
+        values.extend(bits(block.as_matrix()));
+    }
+    values.extend(bits(&est.out_share));
+    values.extend(bits(&est.in_share));
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Estimating window A, dropping it, then estimating window B on the
+    /// same pipeline gives a fresh pipeline's estimate of B bit for bit,
+    /// and so does estimating B again after dropping the first B. The
+    /// gravity prior refills the handed-back blocks in place, the
+    /// stable-f prior through the default `prior_series_into`; serial and
+    /// on two threads; windows of 1 to 5 bins (so A's blocks may be of
+    /// another shape), with zero marginals and an idle bin.
+    #[test]
+    fn multilevel_reuse_matches_a_fresh_pipeline(
+        bins_a in 1usize..6,
+        bins_b in 1usize..6,
+        idle in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let (topo, partition, om) = clustered_network();
+        let a = multilevel_window(&om, &partition, bins_a, seed, idle & 1 == 1);
+        let b = multilevel_window(&om, &partition, bins_b, seed ^ 0x5EED, idle & 2 == 2);
+        let pipeline = || {
+            MultilevelPipeline::new(&topo, RoutingScheme::Ecmp, partition.clone(), EstimationConfig::new())
+                .unwrap()
+        };
+        let priors: [&dyn TmPrior; 2] = [&GravityPrior, &StableFPrior { f: 0.3 }];
+        for prior in priors {
+            for engine in [Engine::serial(), Engine::new().with_threads(2)] {
+                let want = multilevel_bits(&pipeline().estimate_parallel(prior, &b, &engine).unwrap());
+                let reused = pipeline();
+                drop(reused.estimate_parallel(prior, &a, &engine).unwrap());
+                for pass in 0..2 {
+                    let got = reused.estimate_parallel(prior, &b, &engine).unwrap();
+                    prop_assert_eq!(
+                        multilevel_bits(&got),
+                        want.clone(),
+                        "{} on {} threads, pass {}",
+                        prior.name(),
+                        engine.threads(),
+                        pass
+                    );
+                }
+            }
+        }
     }
 }
