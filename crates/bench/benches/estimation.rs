@@ -1,9 +1,10 @@
 #![allow(missing_docs)]
-//! Criterion benches for the estimation pipeline: prior construction,
-//! tomogravity refinement (sparse vs dense), and IPF on the Géant
+//! Criterion benches for the estimation pipeline: prior construction, the
+//! per-bin tomogravity refinement, the full pipeline and IPF on the Géant
 //! topology, a cluster-sized IPF, and one multilevel estimate call on a
-//! 500-node hierarchical network. The scale sweep lives in the
-//! `estimation_perf` bin; these benches track the PoP-scale kernels.
+//! 500-node hierarchical network. These benches track the PoP-scale
+//! kernels; end-to-end and per-layer numbers at scale come from
+//! `perfbench` (`python3 perfbench/run.py --workload <name>`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ic_core::{generate_synthetic, SynthConfig};
@@ -60,13 +61,8 @@ fn bench_refinement(c: &mut Criterion) {
     let obs = om.observe(&tm).unwrap();
     let prior = GravityPrior.prior_series(&obs).unwrap();
     let tomo = Tomogravity::new(TomogravityOptions::default());
-    c.bench_function("tomogravity_refine_geant_12bins", |b| {
-        b.iter(|| black_box(tomo.refine(&om, &obs, &prior).unwrap()))
-    });
-    // Sparse vs dense single-bin refinement on the same inputs.
     let xp = prior.column(0);
     let bvec = obs.stacked_at(0);
-    let a_dense = om.stacked().unwrap();
     let a = om.stacked_sparse();
     let at = om.stacked_transpose();
     let mut ws = TomogravityWorkspace::new();
@@ -76,9 +72,6 @@ fn bench_refinement(c: &mut Criterion) {
                 .unwrap();
             black_box(ws.solution()[0])
         })
-    });
-    c.bench_function("tomogravity_bin_dense_geant", |b| {
-        b.iter(|| black_box(tomo.refine_bin(&a_dense, &xp, &bvec).unwrap()))
     });
     let pipeline = EstimationPipeline::new(om);
     c.bench_function("full_pipeline_geant_12bins", |b| {

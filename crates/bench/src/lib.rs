@@ -1,10 +1,11 @@
 //! # ic-bench — experiment harness for the paper's figures
 //!
-//! One binary per reproducible figure of the paper (`fig02` … `fig13`; see
-//! DESIGN.md §4 for the index) plus ablation studies, and Criterion
-//! benches for the numerical kernels. This library holds the shared
-//! harness: scale selection, dataset caching, series summaries, and the
-//! fit/estimation drivers the binaries compose.
+//! One binary per reproducible figure of the paper (`fig02` … `fig13`)
+//! plus ablation studies, and Criterion benches for the numerical
+//! kernels. This library holds the shared harness: scale selection,
+//! dataset building, series summaries, and the fit/estimation drivers the
+//! binaries compose. End-to-end and per-layer performance numbers come
+//! from the benchmark in `perfbench/`, not from this crate.
 //!
 //! Every binary accepts `--scale smoke|full` (default `full`); smoke runs
 //! finish in seconds and exercise the identical code paths on shorter
@@ -39,120 +40,6 @@ impl Scale {
             return Scale::Smoke;
         }
         Scale::Full
-    }
-}
-
-/// Value of a `--flag value` (or `--flag=value`) pair in the process
-/// args, if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(w) = args.windows(2).find(|w| w[0] == flag) {
-        return Some(w[1].clone());
-    }
-    let prefix = format!("{flag}=");
-    args.iter()
-        .find_map(|a| a.strip_prefix(&prefix).map(str::to_string))
-}
-
-/// Output path of a bench binary: `--out PATH` if given, `default`
-/// otherwise. Every JSON-emitting bench bin routes its artifact through
-/// this, so CI can redirect artifacts without touching the CWD.
-pub fn out_path(default: &str) -> String {
-    arg_value("--out").unwrap_or_else(|| default.to_string())
-}
-
-/// Formats a float as a JSON value (`null` for non-finite).
-pub fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Tolerance-aware perf-regression comparison over flat JSON metrics —
-/// the logic behind the `perf_gate` bin, kept here so it is unit-tested.
-pub mod perf {
-    /// Whether larger or smaller values of a metric are better.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Direction {
-        /// e.g. throughput, speedup.
-        HigherIsBetter,
-        /// e.g. seconds per bin, allocation counts.
-        LowerIsBetter,
-    }
-
-    /// Extracts every numeric occurrence of `"key":<number>` from a JSON
-    /// document, in order. Handles the flat and array-of-objects layouts
-    /// the bench bins emit (no string escapes around numbers to worry
-    /// about); `null` values are skipped.
-    pub fn metric_values(json: &str, key: &str) -> Vec<f64> {
-        let needle = format!("\"{key}\":");
-        let mut out = Vec::new();
-        let mut rest = json;
-        while let Some(pos) = rest.find(&needle) {
-            rest = &rest[pos + needle.len()..];
-            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            if let Ok(v) = token.parse::<f64>() {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    /// One metric regression, human-readable.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Regression {
-        /// Metric key that regressed.
-        pub key: String,
-        /// Position within the document (for array layouts).
-        pub index: usize,
-        /// Baseline value.
-        pub baseline: f64,
-        /// Current value.
-        pub current: f64,
-    }
-
-    /// Compares `current` against `baseline` for each `(key, direction)`
-    /// metric, allowing a relative `tolerance` (0.25 = 25% worse is still
-    /// accepted). Missing keys on either side are ignored (a new bench
-    /// landing without a refreshed baseline must not hard-fail CI); paired
-    /// values are compared positionally up to the shorter length. A
-    /// lower-is-better metric with a zero baseline (e.g. a 0 allocation
-    /// count) regresses on *any* positive current value — the
-    /// allocation-free property is exact, not relative.
-    pub fn compare(
-        baseline: &str,
-        current: &str,
-        metrics: &[(&str, Direction)],
-        tolerance: f64,
-    ) -> Vec<Regression> {
-        let mut regressions = Vec::new();
-        for (key, direction) in metrics {
-            let base = metric_values(baseline, key);
-            let cur = metric_values(current, key);
-            for (index, (&b, &c)) in base.iter().zip(cur.iter()).enumerate() {
-                if !(b.is_finite() && c.is_finite()) || b < 0.0 {
-                    continue;
-                }
-                let regressed = match direction {
-                    // Ratio/throughput metrics need a positive baseline to
-                    // compare against.
-                    Direction::HigherIsBetter => b > 0.0 && c < b * (1.0 - tolerance),
-                    Direction::LowerIsBetter => c > b * (1.0 + tolerance),
-                };
-                if regressed {
-                    regressions.push(Regression {
-                        key: key.to_string(),
-                        index,
-                        baseline: b,
-                        current: c,
-                    });
-                }
-            }
-        }
-        regressions
     }
 }
 
@@ -302,85 +189,6 @@ mod tests {
     fn scale_default_is_full() {
         // No --scale arg in the test harness invocation.
         assert_eq!(Scale::from_args(), Scale::Full);
-    }
-
-    #[test]
-    fn out_path_defaults_without_flag() {
-        assert_eq!(out_path("X.json"), "X.json");
-        assert_eq!(arg_value("--no-such-flag"), None);
-    }
-
-    #[test]
-    fn json_f_maps_non_finite_to_null() {
-        assert_eq!(json_f(1.5), "1.5");
-        assert_eq!(json_f(f64::NAN), "null");
-        assert_eq!(json_f(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn perf_metric_extraction_handles_layouts() {
-        use crate::perf::metric_values;
-        let flat = r#"{"throughput_bins_per_sec":123.5,"other":1}"#;
-        assert_eq!(metric_values(flat, "throughput_bins_per_sec"), vec![123.5]);
-        let arr = r#"{"results":[{"x":1.0,"y":2},{"x":3.5,"y":4}]}"#;
-        assert_eq!(metric_values(arr, "x"), vec![1.0, 3.5]);
-        let with_null = r#"{"x":null,"x":2.0}"#;
-        assert_eq!(metric_values(with_null, "x"), vec![2.0]);
-        assert!(metric_values(flat, "missing").is_empty());
-    }
-
-    #[test]
-    fn perf_compare_flags_only_true_regressions() {
-        use crate::perf::{compare, Direction, Regression};
-        let base = r#"{"thr":100.0,"secs":1.0}"#;
-        let metrics = [
-            ("thr", Direction::HigherIsBetter),
-            ("secs", Direction::LowerIsBetter),
-        ];
-        // Within tolerance: 20% worse on both.
-        let ok = r#"{"thr":80.0,"secs":1.2}"#;
-        assert!(compare(base, ok, &metrics, 0.25).is_empty());
-        // Improvements never flag.
-        let better = r#"{"thr":500.0,"secs":0.1}"#;
-        assert!(compare(base, better, &metrics, 0.25).is_empty());
-        // Beyond tolerance flags with the offending values.
-        let bad = r#"{"thr":50.0,"secs":2.0}"#;
-        let regs = compare(base, bad, &metrics, 0.25);
-        assert_eq!(
-            regs,
-            vec![
-                Regression {
-                    key: "thr".to_string(),
-                    index: 0,
-                    baseline: 100.0,
-                    current: 50.0
-                },
-                Regression {
-                    key: "secs".to_string(),
-                    index: 0,
-                    baseline: 1.0,
-                    current: 2.0
-                },
-            ]
-        );
-        // Missing keys are ignored rather than failing the gate.
-        assert!(compare(base, r#"{}"#, &metrics, 0.25).is_empty());
-    }
-
-    #[test]
-    fn perf_compare_zero_baseline_allocs_still_gate() {
-        use crate::perf::{compare, Direction};
-        // The allocation-free property is exact: a 0 baseline must flag
-        // ANY positive current count for lower-is-better metrics.
-        let metrics = [("allocs_per_bin_warm", Direction::LowerIsBetter)];
-        let base = r#"{"allocs_per_bin_warm":0}"#;
-        let regs = compare(base, r#"{"allocs_per_bin_warm":5}"#, &metrics, 0.25);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].current, 5.0);
-        assert!(compare(base, base, &metrics, 0.25).is_empty());
-        // Higher-is-better metrics still need a positive baseline.
-        let thr = [("thr", Direction::HigherIsBetter)];
-        assert!(compare(r#"{"thr":0}"#, r#"{"thr":0}"#, &thr, 0.25).is_empty());
     }
 
     #[test]

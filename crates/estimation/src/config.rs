@@ -56,12 +56,6 @@ impl EstimationConfig {
         self
     }
 
-    /// Replaces the tomogravity options.
-    pub fn with_tomogravity(mut self, tomogravity: TomogravityOptions) -> Self {
-        self.tomogravity = tomogravity;
-        self
-    }
-
     /// Replaces the IPF options.
     pub fn with_ipf(mut self, ipf: IpfOptions) -> Self {
         self.ipf = ipf;
@@ -69,8 +63,8 @@ impl EstimationConfig {
     }
 
     /// Selects the normal-equations solver policy of the tomogravity
-    /// refinement, keeping its other options intact. The fits need none:
-    /// their subproblems are solved in closed form.
+    /// refinement, its one option. The fits need none: their subproblems
+    /// are solved in closed form.
     pub fn with_solver(mut self, policy: SolverPolicy) -> Self {
         self.tomogravity = self.tomogravity.with_solver(policy);
         self
@@ -109,11 +103,11 @@ mod tests {
         let metrics = PipelineMetrics::register(&registry);
         let c = EstimationConfig::new()
             .with_fit(FitOptions::default().with_max_sweeps(7))
-            .with_tomogravity(TomogravityOptions::default().with_ridge(1e-8))
+            .with_solver(SolverPolicy::Dense)
             .with_ipf(IpfOptions::default().with_max_iterations(5))
             .with_metrics(metrics);
         assert_eq!(c.fit.max_sweeps, 7);
-        assert_eq!(c.tomogravity.ridge, 1e-8);
+        assert_eq!(c.tomogravity.solver, SolverPolicy::Dense);
         assert_eq!(c.ipf.max_iterations, 5);
         assert!(c.metrics.is_some());
     }

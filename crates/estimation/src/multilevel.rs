@@ -848,8 +848,9 @@ mod tests {
         let cfg = HierarchicalConfig::new((nodes / 10).max(1), 9, 20060419);
         let topo = hierarchical(&cfg).unwrap();
         let n = topo.node_count();
-        // The same grouped partition the `estimation_perf` sweep uses:
-        // contiguous backbone groups, ~sqrt(n)/2 clusters.
+        // The grouped partition of the sweep checks
+        // (`tests/sweep_checks.rs`): contiguous backbone groups,
+        // ~sqrt(n)/2 clusters.
         let backbone_of = cfg.cluster_assignment();
         let k_target = ((n as f64).sqrt() / 2.0).round().max(2.0) as usize;
         let group = cfg.backbones.div_ceil(k_target).max(1);

@@ -14,24 +14,18 @@ use ic_linalg::{Matrix, SparseMatrix};
 use ic_topology::{
     egress_incidence_sparse, ingress_incidence_sparse, RoutingMatrix, RoutingScheme, Topology,
 };
-use std::sync::OnceLock;
 
 /// The static observation operators of a network.
 ///
 /// All operators are held **sparse** (the representation the estimation
 /// hot path consumes): the stacked `[R; H; G]` and its transpose are
 /// precomputed once here so per-bin tomogravity solves touch only `nnz`
-/// entries. Dense views of `H` and `G` are materialized lazily for legacy
-/// consumers and small-topology diagnostics.
+/// entries.
 #[derive(Debug, Clone)]
 pub struct ObservationModel {
     routing: RoutingMatrix,
-    h_sparse: SparseMatrix,
-    g_sparse: SparseMatrix,
     stacked_sparse: SparseMatrix,
     stacked_t: SparseMatrix,
-    h: OnceLock<Matrix>,
-    g: OnceLock<Matrix>,
     nodes: usize,
 }
 
@@ -40,22 +34,16 @@ impl ObservationModel {
     pub fn new(topo: &Topology, scheme: RoutingScheme) -> Result<Self> {
         let routing = RoutingMatrix::build(topo, scheme)?;
         let n = topo.node_count();
-        let h_sparse = ingress_incidence_sparse(n);
-        let g_sparse = egress_incidence_sparse(n);
         let stacked_sparse = routing
             .as_sparse()
-            .vstack(&h_sparse)
-            .and_then(|rh| rh.vstack(&g_sparse))
+            .vstack(&ingress_incidence_sparse(n))
+            .and_then(|rh| rh.vstack(&egress_incidence_sparse(n)))
             .map_err(EstimationError::from)?;
         let stacked_t = stacked_sparse.transpose();
         Ok(ObservationModel {
             routing,
-            h_sparse,
-            g_sparse,
             stacked_sparse,
             stacked_t,
-            h: OnceLock::new(),
-            g: OnceLock::new(),
             nodes: n,
         })
     }
@@ -75,37 +63,9 @@ impl ObservationModel {
         &self.routing
     }
 
-    /// The ingress incidence operator `H` (dense view, materialized
-    /// lazily; prefer [`ObservationModel::h_sparse`] in hot paths).
-    pub fn h(&self) -> &Matrix {
-        self.h.get_or_init(|| self.h_sparse.to_dense())
-    }
-
-    /// The egress incidence operator `G` (dense view, materialized
-    /// lazily).
-    pub fn g(&self) -> &Matrix {
-        self.g.get_or_init(|| self.g_sparse.to_dense())
-    }
-
-    /// The ingress incidence operator `H` in sparse form.
-    pub fn h_sparse(&self) -> &SparseMatrix {
-        &self.h_sparse
-    }
-
-    /// The egress incidence operator `G` in sparse form.
-    pub fn g_sparse(&self) -> &SparseMatrix {
-        &self.g_sparse
-    }
-
     /// The stacked observation operator `[R; H; G]` used by the
-    /// least-squares refinement, as a dense matrix (materialized on every
-    /// call; prefer [`ObservationModel::stacked_sparse`]).
-    pub fn stacked(&self) -> Result<Matrix> {
-        Ok(self.stacked_sparse.to_dense())
-    }
-
-    /// The stacked observation operator `[R; H; G]` in its primary sparse
-    /// form.
+    /// least-squares refinement: the routing matrix over the ingress and
+    /// egress incidence operators of Section 6.2.
     pub fn stacked_sparse(&self) -> &SparseMatrix {
         &self.stacked_sparse
     }
@@ -322,7 +282,7 @@ mod tests {
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let tm = tiny_tm(22, 1);
         let obs = om.observe(&tm).unwrap();
-        let a = om.stacked().unwrap();
+        let a = om.stacked_sparse().to_dense();
         let x = tm.column(0);
         let ax = a.matvec(&x).unwrap();
         let want = obs.stacked_at(0);

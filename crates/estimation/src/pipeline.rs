@@ -609,17 +609,16 @@ mod tests {
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let pipeline = EstimationPipeline::new(om).config(
             EstimationConfig::new()
-                .with_tomogravity(
-                    TomogravityOptions::default()
-                        .with_ridge(1e-8)
-                        .with_weight_floor(1e-3)
-                        .with_clamp_negative(true),
-                )
+                .with_solver(ic_linalg::SolverPolicy::Dense)
                 .with_ipf(
                     IpfOptions::default()
                         .with_max_iterations(50)
                         .with_tolerance(1e-8),
                 ),
+        );
+        assert_eq!(
+            pipeline.tomo.options().solver,
+            ic_linalg::SolverPolicy::Dense
         );
         assert_eq!(pipeline.model().nodes(), 4);
         let (truth, _) = truth_series(4, 1, 0.25);
@@ -697,6 +696,63 @@ mod tests {
         ));
     }
 
+    /// A prior that hands back a fixed series, whatever its shape.
+    struct FixedPrior(TmSeries);
+
+    impl TmPrior for FixedPrior {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+
+        fn prior_series(&self, _obs: &Observations) -> Result<TmSeries> {
+            Ok(self.0.clone())
+        }
+    }
+
+    /// A prior series with the wrong node or bin count is the same typed
+    /// error at every entry point, on both sides of the serial fast path.
+    #[test]
+    fn mis_shaped_prior_is_a_dimension_mismatch_at_every_entry_point() {
+        let topo = ring_topology(5);
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+        let (truth, _) = truth_series(5, 3, 0.25);
+        let obs = om.observe(&truth).unwrap();
+        let pipeline = EstimationPipeline::new(om);
+        let cases = [
+            (
+                TmSeries::zeros(4, 3, 300.0).unwrap(),
+                EstimationError::DimensionMismatch {
+                    context: "tomogravity prior nodes",
+                    expected: 5,
+                    actual: 4,
+                },
+            ),
+            (
+                TmSeries::zeros(5, 2, 300.0).unwrap(),
+                EstimationError::DimensionMismatch {
+                    context: "tomogravity prior bins",
+                    expected: 3,
+                    actual: 2,
+                },
+            ),
+        ];
+        for (series, want) in cases {
+            let prior = FixedPrior(series);
+            let mut ws = PipelineWorkspace::new();
+            let serial = pipeline.estimate_with(&prior, &obs, &mut ws);
+            assert_eq!(serial, Err(want.clone()));
+            for threads in [1, 2] {
+                let engine = Engine::new().with_threads(threads);
+                let pooled =
+                    pipeline.estimate_parallel_pooled(&prior, &obs, &engine, &WorkspacePool::new());
+                assert_eq!(pooled, Err(want.clone()), "{threads} threads");
+            }
+            let engine = Engine::new().with_threads(2);
+            let cmp = compare_priors_with(&pipeline, &prior, &truth, &obs, &engine);
+            assert_eq!(cmp.err(), Some(want));
+        }
+    }
+
     #[test]
     fn with_solver_overrides_policy_and_counts_in_workspace() {
         use ic_linalg::SolverPolicy;
@@ -705,19 +761,12 @@ mod tests {
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let (truth, _) = truth_series(4, 2, 0.25);
 
-        let dense = EstimationPipeline::new(om.clone()).config(
-            EstimationConfig::new()
-                .with_tomogravity(TomogravityOptions::default().with_ridge(1e-8)),
-        );
-        let pcg = dense.clone().config(
-            EstimationConfig::new().with_tomogravity(
-                TomogravityOptions::default()
-                    .with_ridge(1e-8)
-                    .with_solver(SolverPolicy::Pcg),
-            ),
-        );
-        // The solver override preserves the other tomogravity options.
-        assert_eq!(pcg.tomo.options().ridge, 1e-8);
+        let dense = EstimationPipeline::new(om.clone());
+        let pcg = dense
+            .clone()
+            .config(EstimationConfig::new().with_solver(SolverPolicy::Pcg));
+        // The config reaches the refinement.
+        assert_eq!(pcg.tomo.options().solver, SolverPolicy::Pcg);
 
         let obs = om.observe(&truth).unwrap();
         let mut ws_d = PipelineWorkspace::new();

@@ -20,68 +20,33 @@
 //! scale-aware ridge Cholesky with an SVD pseudo-inverse fallback on small
 //! systems, matrix-free Jacobi-PCG (the gram matrix is never materialized)
 //! on large ones — selected per problem by the [`SolverPolicy`] in
-//! [`TomogravityOptions`].
+//! [`TomogravityOptions`]. Negative refined entries are clamped to zero,
+//! the physical choice the IPF step that follows assumes.
 
-use crate::observe::{ObservationModel, Observations};
 use crate::{EstimationError, Result};
-use ic_core::TmSeries;
-use ic_linalg::{
-    pseudo_inverse, Cholesky, Matrix, NormalSolverWorkspace, SolveStats, SolverPolicy, SparseMatrix,
-};
+use ic_linalg::{NormalSolverWorkspace, SolveStats, SolverPolicy, SparseMatrix};
+
+/// Relative ridge added to `A W Aᵀ`, scaled by its largest diagonal entry.
+const RIDGE: f64 = 1e-10;
+
+/// Weight floor as a fraction of the bin's mean prior entry, so zero-prior
+/// flows can still receive mass from the constraints.
+const WEIGHT_FLOOR: f64 = 1e-4;
 
 /// Options for the tomogravity refinement.
 ///
 /// Marked `#[non_exhaustive]`: construct via
-/// [`TomogravityOptions::default`] and the `with_*` setters so future
-/// knobs are not breaking changes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// [`TomogravityOptions::default`] and [`TomogravityOptions::with_solver`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub struct TomogravityOptions {
-    /// Relative ridge added to `A W Aᵀ` (scaled by its max diagonal).
-    pub ridge: f64,
-    /// Weight floor as a fraction of the bin's mean prior entry, so
-    /// zero-prior flows can still receive mass from the constraints.
-    pub weight_floor: f64,
-    /// Clamp negative refined entries to zero (the physical choice; the
-    /// subsequent IPF step assumes non-negativity).
-    pub clamp_negative: bool,
     /// Which normal-equations solver refines each bin.
     /// [`SolverPolicy::Auto`] (the default) keeps small problems on the
-    /// historical dense path — bit-identical results — and switches large
-    /// ones to matrix-free PCG.
+    /// dense Cholesky and switches large ones to matrix-free PCG.
     pub solver: SolverPolicy,
 }
 
-impl Default for TomogravityOptions {
-    fn default() -> Self {
-        TomogravityOptions {
-            ridge: 1e-10,
-            weight_floor: 1e-4,
-            clamp_negative: true,
-            solver: SolverPolicy::Auto,
-        }
-    }
-}
-
 impl TomogravityOptions {
-    /// Sets the relative ridge added to `A W Aᵀ`.
-    pub fn with_ridge(mut self, ridge: f64) -> Self {
-        self.ridge = ridge;
-        self
-    }
-
-    /// Sets the weight floor as a fraction of the bin's mean prior entry.
-    pub fn with_weight_floor(mut self, weight_floor: f64) -> Self {
-        self.weight_floor = weight_floor;
-        self
-    }
-
-    /// Enables or disables clamping of negative refined entries.
-    pub fn with_clamp_negative(mut self, clamp_negative: bool) -> Self {
-        self.clamp_negative = clamp_negative;
-        self
-    }
-
     /// Sets the normal-equations solver policy.
     pub fn with_solver(mut self, solver: SolverPolicy) -> Self {
         self.solver = solver;
@@ -91,15 +56,14 @@ impl TomogravityOptions {
 
 /// Reusable per-call buffers for the tomogravity refinement.
 ///
-/// One workspace serves any number of bins (and any number of `refine`
-/// calls): the solver's internal state (the dense gram matrix and its
-/// Cholesky factor, or the PCG iteration vectors, depending on the
-/// resolved [`SolverPolicy`]) and all vector scratch are sized on first
-/// use and reused afterwards, so the per-bin inner loop performs no
-/// allocation once warm. Streaming estimators hold one workspace across
-/// windows for the same reason. The embedded [`NormalSolverWorkspace`]
-/// also accumulates observable [`SolveStats`] — see
-/// [`TomogravityWorkspace::solve_stats`].
+/// One workspace serves any number of bins: the solver's internal state
+/// (the dense gram matrix and its Cholesky factor, or the PCG iteration
+/// vectors, depending on the resolved [`SolverPolicy`]) and all vector
+/// scratch are sized on first use and reused afterwards, so the per-bin
+/// inner loop performs no allocation once warm. Streaming estimators hold
+/// one workspace across windows for the same reason. The embedded
+/// [`NormalSolverWorkspace`] also accumulates observable [`SolveStats`] —
+/// see [`TomogravityWorkspace::solve_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct TomogravityWorkspace {
     w: Vec<f64>,
@@ -160,70 +124,14 @@ impl Tomogravity {
         self.options
     }
 
-    /// Refines a prior series against per-bin observations.
-    ///
-    /// Runs on the sparse observation operator; equivalent to calling
-    /// [`Tomogravity::refine_with`] with a fresh workspace.
-    pub fn refine(
-        &self,
-        model: &ObservationModel,
-        obs: &Observations,
-        prior: &TmSeries,
-    ) -> Result<TmSeries> {
-        let mut ws = TomogravityWorkspace::new();
-        self.refine_with(model, obs, prior, &mut ws)
-    }
-
-    /// Refines a prior series against per-bin observations, reusing the
-    /// given workspace (allocation-free per bin once warm).
-    pub fn refine_with(
-        &self,
-        model: &ObservationModel,
-        obs: &Observations,
-        prior: &TmSeries,
-        ws: &mut TomogravityWorkspace,
-    ) -> Result<TmSeries> {
-        let n = model.nodes();
-        if prior.nodes() != n {
-            return Err(EstimationError::DimensionMismatch {
-                context: "tomogravity prior nodes",
-                expected: n,
-                actual: prior.nodes(),
-            });
-        }
-        if prior.bins() != obs.bins() {
-            return Err(EstimationError::DimensionMismatch {
-                context: "tomogravity prior bins",
-                expected: obs.bins(),
-                actual: prior.bins(),
-            });
-        }
-        let a = model.stacked_sparse();
-        let at = model.stacked_transpose();
-        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds)?;
-        let mut xp = vec![0.0; n * n];
-        let mut b = vec![0.0; obs.stacked_len()];
-        for t in 0..obs.bins() {
-            for (row, slot) in xp.iter_mut().enumerate() {
-                *slot = prior.as_matrix()[(row, t)];
-            }
-            obs.stacked_at_into(t, &mut b)?;
-            self.refine_bin_sparse_with(a, at, &xp, &b, ws)?;
-            for (row, &v) in ws.solution().iter().enumerate() {
-                out.set(row / n, row % n, t, v)?;
-            }
-        }
-        Ok(out)
-    }
-
     /// Refines a single bin on the **sparse** operator:
     /// `x = x_p + W Aᵀ (A W Aᵀ)⁺ (b − A x_p)`, with `A W Aᵀ` assembled in
     /// `O(nnz)` and all scratch living in `ws` (result in
     /// [`TomogravityWorkspace::solution`]).
     ///
     /// `at` must be the precomputed transpose of `a`
-    /// ([`ObservationModel::stacked_transpose`]). Numerically identical to
-    /// the dense [`Tomogravity::refine_bin`].
+    /// ([`ObservationModel::stacked_transpose`](crate::ObservationModel::stacked_transpose)).
+    /// Negative refined entries are clamped to zero.
     pub fn refine_bin_sparse_with(
         &self,
         a: &SparseMatrix,
@@ -243,8 +151,10 @@ impl Tomogravity {
             ws.x.copy_from_slice(x_prior);
             return Ok(());
         }
-        // Weights proportional to the prior, floored.
-        let floor = weight_floor(x_prior, self.options.weight_floor);
+        // Weights proportional to the prior, floored at a fraction of its
+        // mean.
+        let mean_prior = x_prior.iter().sum::<f64>() / cols as f64;
+        let floor = (mean_prior * WEIGHT_FLOOR).max(f64::MIN_POSITIVE);
         for (wi, &xp) in ws.w.iter_mut().zip(x_prior.iter()) {
             *wi = xp.max(floor);
         }
@@ -261,105 +171,36 @@ impl Tomogravity {
         // matrix-free PCG — the gram matrix never materializes there.
         ws.solver.set_policy(self.options.solver);
         ws.solver
-            .solve(a, at, &ws.w, self.options.ridge, &ws.resid, &mut ws.lambda)
+            .solve(a, at, &ws.w, RIDGE, &ws.resid, &mut ws.lambda)
             .map_err(EstimationError::from)?;
-        // x = x_p + W Aᵀ λ.
+        // x = max(0, x_p + W Aᵀ λ).
         a.matvec_transposed_into(&ws.lambda, &mut ws.at_lambda)
             .map_err(EstimationError::from)?;
         for (slot, ((&xp, &atl), &wi)) in
             ws.x.iter_mut()
                 .zip(x_prior.iter().zip(ws.at_lambda.iter()).zip(ws.w.iter()))
         {
-            *slot = xp + wi * atl;
-        }
-        if self.options.clamp_negative {
-            for v in &mut ws.x {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
+            let v = xp + wi * atl;
+            *slot = if v < 0.0 { 0.0 } else { v };
         }
         Ok(())
     }
-
-    /// Refines a single bin on a **dense** operator:
-    /// `x = x_p + W Aᵀ (A W Aᵀ)⁺ (b − A x_p)`.
-    ///
-    /// Kept as the dense reference path (and benchmark baseline); the
-    /// series-level [`Tomogravity::refine`] runs sparse. `A W Aᵀ` is
-    /// assembled with the zero-skipping `matmul` kernel, which is what
-    /// keeps the dense baseline tractable on mid-size topologies.
-    pub fn refine_bin(&self, a: &Matrix, x_prior: &[f64], b: &[f64]) -> Result<Vec<f64>> {
-        let (rows, cols) = a.shape();
-        check_bin_lengths(rows, cols, x_prior, b)?;
-        // All-zero prior: W → 0 pins x = x_p (see the sparse path).
-        if x_prior.iter().all(|&v| v == 0.0) {
-            return Ok(x_prior.to_vec());
-        }
-        // Weights proportional to the prior, floored.
-        let floor = weight_floor(x_prior, self.options.weight_floor);
-        let w: Vec<f64> = x_prior.iter().map(|&v| v.max(floor)).collect();
-
-        // Residual of the constraints at the prior.
-        let ax = a.matvec(x_prior).map_err(EstimationError::from)?;
-        let resid: Vec<f64> = b
-            .iter()
-            .zip(ax.iter())
-            .map(|(&bi, &axi)| bi - axi)
-            .collect();
-
-        // Build A W Aᵀ (rows x rows) as (A·diag(w)) · Aᵀ.
-        let mut aw = a.clone();
-        for r in 0..rows {
-            let row = aw.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v *= w[c];
-            }
-        }
-        let awat = aw.matmul(&a.transpose()).map_err(EstimationError::from)?;
-        let scale = awat.max_abs().max(f64::MIN_POSITIVE);
-        let lambda = match Cholesky::factor_regularized(&awat, scale * self.options.ridge) {
-            Ok(chol) => chol.solve(&resid).map_err(EstimationError::from)?,
-            Err(_) => {
-                // Rank-deficient beyond what the ridge absorbs: SVD route.
-                let pinv = pseudo_inverse(&awat, None).map_err(EstimationError::from)?;
-                pinv.matvec(&resid).map_err(EstimationError::from)?
-            }
-        };
-        // x = x_p + W Aᵀ λ.
-        let at_lambda = a
-            .matvec_transposed(&lambda)
-            .map_err(EstimationError::from)?;
-        let mut x: Vec<f64> = x_prior
-            .iter()
-            .zip(at_lambda.iter().zip(w.iter()))
-            .map(|(&xp, (&atl, &wi))| xp + wi * atl)
-            .collect();
-        if self.options.clamp_negative {
-            for v in &mut x {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-        }
-        Ok(x)
-    }
 }
 
-/// Length checks shared by the dense and sparse bin refinements, each
-/// naming the input that is wrong: one prior entry per operator column,
-/// one observation per operator row.
+/// Length checks of the bin refinement, each naming the input that is
+/// wrong: one prior entry per operator column, one observation per
+/// operator row.
 fn check_bin_lengths(rows: usize, cols: usize, x_prior: &[f64], b: &[f64]) -> Result<()> {
     if x_prior.len() != cols {
         return Err(EstimationError::DimensionMismatch {
-            context: "tomogravity refine_bin",
+            context: "tomogravity bin prior",
             expected: cols,
             actual: x_prior.len(),
         });
     }
     if b.len() != rows {
         return Err(EstimationError::DimensionMismatch {
-            context: "tomogravity refine_bin b",
+            context: "tomogravity bin observations",
             expected: rows,
             actual: b.len(),
         });
@@ -367,18 +208,12 @@ fn check_bin_lengths(rows: usize, cols: usize, x_prior: &[f64], b: &[f64]) -> Re
     Ok(())
 }
 
-/// Weight floor shared by the dense and sparse bin refinements.
-fn weight_floor(x_prior: &[f64], weight_floor: f64) -> f64 {
-    let mean_prior = x_prior.iter().sum::<f64>() / x_prior.len() as f64;
-    (mean_prior * weight_floor).max(f64::MIN_POSITIVE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::ObservationModel;
+    use crate::observe::{ObservationModel, Observations};
     use crate::prior::{GravityPrior, TmPrior};
-    use ic_core::{mean_rel_l2, simplified_ic};
+    use ic_core::{mean_rel_l2, simplified_ic, TmSeries};
     use ic_topology::{geant22, RoutingScheme, Topology};
 
     fn square_topology() -> Topology {
@@ -412,6 +247,33 @@ mod tests {
         tm
     }
 
+    /// Refines every bin of `prior` through one workspace, bins in order
+    /// as the pipeline runs them, and collects the refined bins.
+    fn refine_series(
+        tomo: &Tomogravity,
+        om: &ObservationModel,
+        obs: &Observations,
+        prior: &TmSeries,
+        ws: &mut TomogravityWorkspace,
+    ) -> TmSeries {
+        let n = om.nodes();
+        let mut out = TmSeries::zeros(n, obs.bins(), obs.bin_seconds).unwrap();
+        for t in 0..obs.bins() {
+            let (xp, b) = (prior.column(t), obs.stacked_at(t));
+            tomo.refine_bin_sparse_with(om.stacked_sparse(), om.stacked_transpose(), &xp, &b, ws)
+                .unwrap();
+            for (row, &v) in ws.solution().iter().enumerate() {
+                out.set(row / n, row % n, t, v).unwrap();
+            }
+        }
+        out
+    }
+
+    fn refine(om: &ObservationModel, obs: &Observations, prior: &TmSeries) -> TmSeries {
+        let tomo = Tomogravity::new(TomogravityOptions::default());
+        refine_series(&tomo, om, obs, prior, &mut TomogravityWorkspace::new())
+    }
+
     #[test]
     fn refinement_satisfies_constraints() {
         let topo = square_topology();
@@ -419,8 +281,7 @@ mod tests {
         let truth = ic_series(0.25, 2);
         let obs = om.observe(&truth).unwrap();
         let prior = GravityPrior.prior_series(&obs).unwrap();
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let refined = tomo.refine(&om, &obs, &prior).unwrap();
+        let refined = refine(&om, &obs, &prior);
         // The refined estimate reproduces the observations (small residual).
         let obs2 = om.observe(&refined).unwrap();
         for t in 0..2 {
@@ -444,8 +305,7 @@ mod tests {
         let truth = ic_series(0.22, 3);
         let obs = om.observe(&truth).unwrap();
         let prior = GravityPrior.prior_series(&obs).unwrap();
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let refined = tomo.refine(&om, &obs, &prior).unwrap();
+        let refined = refine(&om, &obs, &prior);
         let e_prior = mean_rel_l2(&truth, &prior).unwrap();
         let e_refined = mean_rel_l2(&truth, &refined).unwrap();
         assert!(
@@ -460,25 +320,30 @@ mod tests {
         let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let truth = ic_series(0.25, 1);
         let obs = om.observe(&truth).unwrap();
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let refined = tomo.refine(&om, &obs, &truth).unwrap();
+        let refined = refine(&om, &obs, &truth);
         let err = mean_rel_l2(&truth, &refined).unwrap();
         assert!(err < 1e-9, "exact prior should be unchanged: {err}");
     }
 
+    /// A prior or an observation vector longer than the operator is an
+    /// error, not a silent truncation.
     #[test]
     fn validates_shapes() {
-        let topo = square_topology();
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
-        let truth = ic_series(0.25, 2);
-        let obs = om.observe(&truth).unwrap();
+        let om = ObservationModel::new(&square_topology(), RoutingScheme::Ecmp).unwrap();
+        let (a, at) = (om.stacked_sparse(), om.stacked_transpose());
         let tomo = Tomogravity::new(TomogravityOptions::default());
-        let bad_nodes = TmSeries::zeros(3, 2, 300.0).unwrap();
-        assert!(tomo.refine(&om, &obs, &bad_nodes).is_err());
-        let bad_bins = TmSeries::zeros(4, 5, 300.0).unwrap();
-        assert!(tomo.refine(&om, &obs, &bad_bins).is_err());
-        let a = Matrix::identity(3);
-        assert!(tomo.refine_bin(&a, &[1.0], &[1.0, 1.0, 1.0]).is_err());
+        let mut ws = TomogravityWorkspace::new();
+        let (xp, b) = (vec![1.0; a.cols()], vec![1.0; a.rows()]);
+        let long_xp = vec![1.0; a.cols() + 1];
+        assert!(tomo
+            .refine_bin_sparse_with(a, at, &long_xp, &b, &mut ws)
+            .is_err());
+        let long_b = vec![1.0; a.rows() + 1];
+        assert!(tomo
+            .refine_bin_sparse_with(a, at, &xp, &long_b, &mut ws)
+            .is_err());
+        tomo.refine_bin_sparse_with(a, at, &xp, &b, &mut ws)
+            .unwrap();
     }
 
     /// A short observation vector is reported as itself, not as the
@@ -490,16 +355,14 @@ mod tests {
         let x_prior = vec![1e6; a.cols()];
         let b = vec![1e6; a.rows() - 1];
         let want = EstimationError::DimensionMismatch {
-            context: "tomogravity refine_bin b",
+            context: "tomogravity bin observations",
             expected: a.rows(),
             actual: a.rows() - 1,
         };
         let tomo = Tomogravity::new(TomogravityOptions::default());
         let mut ws = TomogravityWorkspace::new();
         let sparse = tomo.refine_bin_sparse_with(a, om.stacked_transpose(), &x_prior, &b, &mut ws);
-        assert_eq!(sparse, Err(want.clone()));
-        let dense = tomo.refine_bin(&om.stacked().unwrap(), &x_prior, &b);
-        assert_eq!(dense, Err(want));
+        assert_eq!(sparse, Err(want));
         // A short prior still names the prior.
         let b = vec![1e6; a.rows()];
         let sparse =
@@ -507,7 +370,7 @@ mod tests {
         assert_eq!(
             sparse,
             Err(EstimationError::DimensionMismatch {
-                context: "tomogravity refine_bin",
+                context: "tomogravity bin prior",
                 expected: a.cols(),
                 actual: a.cols() - 1,
             })
@@ -526,8 +389,8 @@ mod tests {
         let pcg = Tomogravity::new(TomogravityOptions::default().with_solver(SolverPolicy::Pcg));
         let mut ws_d = TomogravityWorkspace::new();
         let mut ws_p = TomogravityWorkspace::new();
-        let rd = dense.refine_with(&om, &obs, &prior, &mut ws_d).unwrap();
-        let rp = pcg.refine_with(&om, &obs, &prior, &mut ws_p).unwrap();
+        let rd = refine_series(&dense, &om, &obs, &prior, &mut ws_d);
+        let rp = refine_series(&pcg, &om, &obs, &prior, &mut ws_p);
         let scale = 1.0 + truth.as_matrix().max_abs();
         for t in 0..2 {
             for i in 0..4 {
@@ -554,7 +417,7 @@ mod tests {
         // Auto resolves dense at this (tiny) size: bit-identical to Dense.
         let auto = Tomogravity::new(TomogravityOptions::default());
         let mut ws_a = TomogravityWorkspace::new();
-        let ra = auto.refine_with(&om, &obs, &prior, &mut ws_a).unwrap();
+        let ra = refine_series(&auto, &om, &obs, &prior, &mut ws_a);
         assert_eq!(&ra, &rd);
         assert_eq!(ws_a.solve_stats().dense_solves, 2);
         ws_a.reset_solve_stats();
@@ -576,15 +439,14 @@ mod tests {
                 }
             }
         }
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let refined = tomo.refine(&om, &obs, &prior).unwrap();
+        let refined = refine(&om, &obs, &prior);
         assert!(refined.is_physical());
     }
 
     /// An all-zero prior used to drive the weight floor subnormal and
     /// the normal solve into NaN (caught downstream as an IPF
-    /// "non-negative input" rejection). W → 0 pins x = x_p, so every
-    /// refine path must hand the prior back untouched.
+    /// "non-negative input" rejection). W → 0 pins x = x_p, so the refine
+    /// must hand the prior back untouched under every solver policy.
     #[test]
     fn all_zero_prior_refines_to_the_prior_in_every_path() {
         let topo = square_topology();
@@ -597,18 +459,13 @@ mod tests {
         let b0 = obs.stacked_at(0);
         for policy in [SolverPolicy::Dense, SolverPolicy::Pcg] {
             let tomo = Tomogravity::new(TomogravityOptions::default().with_solver(policy));
-            // Scalar sparse path: pinned without invoking the solver.
+            // Pinned without invoking the solver.
             let mut ws = TomogravityWorkspace::new();
             tomo.refine_bin_sparse_with(a, at, &zero_prior, &b0, &mut ws)
                 .unwrap();
             assert!(ws.solution().iter().all(|&v| v == 0.0), "{policy:?}");
             let stats = ws.solve_stats();
             assert_eq!(stats.dense_solves + stats.pcg_solves, 0, "{policy:?}");
-            // Dense reference path.
-            let dense = tomo
-                .refine_bin(&om.stacked().unwrap(), &zero_prior, &b0)
-                .unwrap();
-            assert!(dense.iter().all(|&v| v == 0.0), "{policy:?}");
         }
     }
 
@@ -626,8 +483,7 @@ mod tests {
         }
         let obs = om.observe(&truth).unwrap();
         let prior = GravityPrior.prior_series(&obs).unwrap();
-        let tomo = Tomogravity::new(TomogravityOptions::default());
-        let refined = tomo.refine(&om, &obs, &prior).unwrap();
+        let refined = refine(&om, &obs, &prior);
         assert!(refined.is_physical());
         for i in 0..4 {
             for j in 0..4 {
@@ -635,7 +491,7 @@ mod tests {
             }
         }
         // Bin 0 is untouched by the idle bin riding in the same series.
-        let solo = tomo.refine(&om, &obs, &prior).unwrap();
+        let solo = refine(&om, &obs, &prior);
         assert_eq!(refined.get(0, 1, 0).unwrap(), solo.get(0, 1, 0).unwrap());
     }
 }

@@ -1,8 +1,9 @@
 //! Allocation gate for the per-bin pipeline: once the workspace is warm,
 //! an [`EstimationPipeline::estimate_with`] sweep performs a
 //! **bin-count-independent** number of heap allocations — i.e. zero
-//! allocations per bin — on both sides of the normal solver: the default
-//! policy (dense at this size) and forced PCG. The test compares the
+//! allocations per bin — on both sides of the normal solver, the default
+//! policy (dense at this size) and forced PCG, and with stage metrics
+//! attached, whose recording must not allocate. The test compares the
 //! allocation counts of warm sweeps over different bin counts instead of
 //! asserting an absolute number, so per-call constants (the prior series,
 //! the output series' single backing `Vec`) cannot mask a real per-bin
@@ -15,8 +16,9 @@
 use ic_core::TmSeries;
 use ic_estimation::{
     EstimationConfig, EstimationPipeline, GravityPrior, ObservationModel, Observations,
-    PipelineWorkspace, SolverPolicy, TmPrior,
+    PipelineMetrics, PipelineWorkspace, SolverPolicy, TmPrior,
 };
+use ic_obs::MetricsRegistry;
 use ic_topology::{hierarchical, HierarchicalConfig, RoutingScheme};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,11 +87,11 @@ fn model_and_series(bins: usize) -> (ObservationModel, TmSeries) {
 }
 
 /// Allocation count of one warm `estimate_with` sweep over `bins` bins
-/// under the given solver policy.
-fn warm_sweep_allocs(bins: usize, policy: SolverPolicy) -> u64 {
+/// under the given configuration.
+fn warm_sweep_allocs(bins: usize, config: &EstimationConfig) -> u64 {
     let (om, tm) = model_and_series(bins);
     let obs = om.observe(&tm).unwrap();
-    let pipeline = EstimationPipeline::new(om).config(EstimationConfig::new().with_solver(policy));
+    let pipeline = EstimationPipeline::new(om).config(config.clone());
     let prior = FixedPrior(GravityPrior.prior_series(&obs).unwrap());
     let mut ws = PipelineWorkspace::new();
     // Two warm-up sweeps: the first sizes the workspace buffers, the
@@ -104,16 +106,28 @@ fn warm_sweep_allocs(bins: usize, policy: SolverPolicy) -> u64 {
 
 #[test]
 fn warm_per_bin_sweep_allocates_nothing_per_bin() {
-    for policy in [SolverPolicy::Auto, SolverPolicy::Pcg] {
-        let short = warm_sweep_allocs(8, policy);
-        let long = warm_sweep_allocs(32, policy);
-        assert!(short > 0, "{policy:?}: the output series went uncounted");
+    let metrics = PipelineMetrics::register(&MetricsRegistry::new());
+    let configs = [
+        ("Auto", EstimationConfig::new()),
+        (
+            "Pcg",
+            EstimationConfig::new().with_solver(SolverPolicy::Pcg),
+        ),
+        (
+            "Auto with metrics",
+            EstimationConfig::new().with_metrics(metrics),
+        ),
+    ];
+    for (name, config) in &configs {
+        let short = warm_sweep_allocs(8, config);
+        let long = warm_sweep_allocs(32, config);
+        assert!(short > 0, "{name}: the output series went uncounted");
         // Same allocation count at 8 and 32 bins: everything the warm
         // sweep allocates is a per-call constant (the prior and output
         // series), so the per-bin allocation count is exactly zero.
         assert_eq!(
             short, long,
-            "{policy:?}: warm sweep allocations grew with bin count: \
+            "{name}: warm sweep allocations grew with bin count: \
              {short} allocs at 8 bins vs {long} at 32 bins"
         );
     }

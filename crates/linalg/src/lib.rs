@@ -10,9 +10,9 @@
 //! * Cholesky factorization for symmetric positive-definite systems
 //!   ([`cholesky`]),
 //! * a one-sided Jacobi SVD and the Moore–Penrose pseudo-inverse ([`svd`],
-//!   [`pinv`]), which back the fallbacks for a normal matrix the ridged
-//!   Cholesky cannot factor (the normal solver and the dense tomogravity
-//!   `refine_bin`) and the tall NNLS's fallback on a collinear sub-problem,
+//!   [`pinv`]), which back the normal solver's fallback for a normal
+//!   matrix the ridged Cholesky cannot factor and the tall NNLS's fallback
+//!   on a collinear sub-problem,
 //! * Lawson–Hanson non-negative least squares for the activity/preference
 //!   sub-problems of the Section 5.1 fitting program ([`mod@nnls`]).
 //!

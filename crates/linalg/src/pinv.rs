@@ -1,9 +1,8 @@
 //! Moore–Penrose pseudo-inverse.
 //!
-//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. Its callers are the
-//! fallbacks for a normal matrix the ridged Cholesky cannot factor (the
-//! normal solver and the dense tomogravity `refine_bin`) and the tall
-//! NNLS's fallback on a collinear sub-problem.
+//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. Its two callers are
+//! fallbacks: the normal solver's, for a normal matrix the ridged Cholesky
+//! cannot factor, and the tall NNLS's, on a collinear sub-problem.
 
 use crate::matrix::Matrix;
 use crate::svd::Svd;

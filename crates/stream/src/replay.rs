@@ -8,7 +8,7 @@
 //! same observations (the Section 6 comparison, continuously). Both
 //! produce a [`ReplayReport`] with one [`WindowReport`] per window —
 //! the structure the experiment runner's `Task::Streaming` and the
-//! `streaming_replay` bench binary consume.
+//! serving layer consume.
 //!
 //! Window estimation runs through the shared [`ic_engine::Engine`]
 //! (`*_with` variants take it explicitly) while preserving the online

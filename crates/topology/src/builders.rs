@@ -252,7 +252,7 @@ mod tests {
             for scheme in [RoutingScheme::SinglePath, RoutingScheme::Ecmp] {
                 let r = RoutingMatrix::build(&topo, scheme).unwrap();
                 assert_eq!(r.link_count(), topo.link_count());
-                assert_eq!(r.as_matrix().cols(), topo.od_pair_count());
+                assert_eq!(r.as_sparse().cols(), topo.od_pair_count());
             }
         }
     }

@@ -16,7 +16,6 @@ use crate::graph::{NodeId, Topology};
 use crate::{Result, TopologyError};
 use ic_linalg::{Matrix, SparseMatrix};
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// Routing scheme used to build the routing matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +33,7 @@ pub enum RoutingScheme {
 /// of one OD pair's path, so density falls like `1/links` and a
 /// production-scale `R` is overwhelmingly zero. The sparse view drives the
 /// estimation hot path ([`RoutingMatrix::link_counts`], tomogravity's
-/// `A W Aᵀ`); a dense view is materialized lazily on first
-/// [`RoutingMatrix::as_matrix`] call for code that still wants it.
+/// `A W Aᵀ`).
 ///
 /// # Examples
 ///
@@ -55,9 +53,6 @@ pub enum RoutingScheme {
 #[derive(Debug, Clone)]
 pub struct RoutingMatrix {
     sparse: SparseMatrix,
-    /// Lazily materialized dense view (kept for dense-path consumers and
-    /// benchmarks; never built unless asked for).
-    dense: OnceLock<Matrix>,
     node_count: usize,
 }
 
@@ -158,16 +153,8 @@ impl RoutingMatrix {
             .expect("routing triplets are in bounds by construction");
         Ok(RoutingMatrix {
             sparse,
-            dense: OnceLock::new(),
             node_count: n,
         })
-    }
-
-    /// The `links x n²` matrix as a dense view (materialized lazily on
-    /// first call and cached; prefer [`RoutingMatrix::as_sparse`] in hot
-    /// paths).
-    pub fn as_matrix(&self) -> &Matrix {
-        self.dense.get_or_init(|| self.sparse.to_dense())
     }
 
     /// The `links x n²` matrix in its primary sparse (CSR) representation.
@@ -462,14 +449,14 @@ mod tests {
         let topo = square_topo();
         let r1 = RoutingMatrix::build(&topo, RoutingScheme::SinglePath).unwrap();
         let r2 = RoutingMatrix::build(&topo, RoutingScheme::SinglePath).unwrap();
-        assert!(r1.as_matrix().approx_eq(r2.as_matrix(), 0.0));
+        assert_eq!(r1.as_sparse(), r2.as_sparse());
     }
 
     #[test]
     fn ecmp_fractions_in_unit_interval() {
         let topo = geant22();
         let r = RoutingMatrix::build(&topo, RoutingScheme::Ecmp).unwrap();
-        for &v in r.as_matrix().as_slice() {
+        for &v in r.as_sparse().to_dense().as_slice() {
             assert!((0.0..=1.0 + 1e-12).contains(&v));
         }
     }
@@ -509,11 +496,10 @@ mod tests {
     fn sparse_and_dense_views_agree() {
         for scheme in [RoutingScheme::SinglePath, RoutingScheme::Ecmp] {
             let r = RoutingMatrix::build(&geant22(), scheme).unwrap();
-            assert_eq!(&r.as_sparse().to_dense(), r.as_matrix());
             // Link counts through the sparse path equal the dense matvec.
             let x: Vec<f64> = (0..r.as_sparse().cols()).map(|k| (k % 7) as f64).collect();
             let sparse = r.link_counts(&x).unwrap();
-            let dense = r.as_matrix().matvec(&x).unwrap();
+            let dense = r.as_sparse().to_dense().matvec(&x).unwrap();
             assert_eq!(sparse, dense);
             let mut buf = vec![0.0; r.link_count()];
             r.link_counts_into(&x, &mut buf).unwrap();
