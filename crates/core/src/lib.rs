@@ -149,8 +149,8 @@ mod tests {
             actual: 23,
         };
         assert!(e.to_string().contains("22"));
-        let e: IcError = ic_linalg::LinalgError::Singular.into();
-        assert!(e.to_string().contains("singular"));
+        let e: IcError = ic_linalg::LinalgError::NotPositiveDefinite.into();
+        assert!(e.to_string().contains("positive definite"));
         assert!(std::error::Error::source(&e).is_some());
         let e: IcError = ic_stats::StatsError::InsufficientData("x").into();
         assert!(std::error::Error::source(&e).is_some());

@@ -170,7 +170,7 @@ mod tests {
         .to_string()
         .contains("f"));
         assert!(EstimationError::BadData("x").to_string().contains("x"));
-        let e: EstimationError = ic_linalg::LinalgError::Singular.into();
+        let e: EstimationError = ic_linalg::LinalgError::NotPositiveDefinite.into();
         assert!(std::error::Error::source(&e).is_some());
         let e: EstimationError = ic_core::IcError::BadData("y").into();
         assert!(std::error::Error::source(&e).is_some());

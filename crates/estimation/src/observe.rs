@@ -20,13 +20,13 @@ use ic_topology::{
 /// All operators are held **sparse** (the representation the estimation
 /// hot path consumes): the stacked `[R; H; G]` and its transpose are
 /// precomputed once here so per-bin tomogravity solves touch only `nnz`
-/// entries.
+/// entries. `R` is not kept apart: it is the stack's first `links` rows.
 #[derive(Debug, Clone)]
 pub struct ObservationModel {
-    routing: RoutingMatrix,
     stacked_sparse: SparseMatrix,
     stacked_t: SparseMatrix,
     nodes: usize,
+    links: usize,
 }
 
 impl ObservationModel {
@@ -41,10 +41,10 @@ impl ObservationModel {
             .map_err(EstimationError::from)?;
         let stacked_t = stacked_sparse.transpose();
         Ok(ObservationModel {
-            routing,
             stacked_sparse,
             stacked_t,
             nodes: n,
+            links: routing.link_count(),
         })
     }
 
@@ -55,12 +55,7 @@ impl ObservationModel {
 
     /// Number of backbone links.
     pub fn links(&self) -> usize {
-        self.routing.link_count()
-    }
-
-    /// The routing matrix `R`.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.routing
+        self.links
     }
 
     /// The stacked observation operator `[R; H; G]` used by the
@@ -87,21 +82,23 @@ impl ObservationModel {
             });
         }
         let bins = tm.bins();
-        let links = self.routing.link_count();
-        let mut y = Matrix::zeros(links, bins);
+        let mut y = Matrix::zeros(self.links, bins);
         let mut ingress = Matrix::zeros(self.nodes, bins);
         let mut egress = Matrix::zeros(self.nodes, bins);
         let mut x = vec![0.0; self.nodes * self.nodes];
-        let mut yt = vec![0.0; links];
         for t in 0..bins {
             for (row, slot) in x.iter_mut().enumerate() {
                 *slot = tm.as_matrix()[(row, t)];
             }
-            self.routing
-                .link_counts_into(&x, &mut yt)
-                .map_err(EstimationError::from)?;
-            for (l, &v) in yt.iter().enumerate() {
-                y[(l, t)] = v;
+            // `Y = R x` over the stack's routing rows, accumulated in row
+            // order as `SparseMatrix::matvec_into` does.
+            for l in 0..self.links {
+                let (cols, vals) = self.stacked_sparse.row(l);
+                let mut sum = 0.0;
+                for (&c, &a) in cols.iter().zip(vals) {
+                    sum += a * x[c];
+                }
+                y[(l, t)] = sum;
             }
             for (i, &v) in tm.ingress(t).iter().enumerate() {
                 ingress[(i, t)] = v;
@@ -289,6 +286,9 @@ mod tests {
         for (got, want) in ax.iter().zip(want.iter()) {
             assert!((got - want).abs() < 1e-9);
         }
+        // The stack's link rows give `Y = R x` bit for bit.
+        let routing = RoutingMatrix::build(&topo, RoutingScheme::Ecmp).unwrap();
+        assert_eq!(obs.y_at(0), routing.link_counts(&x).unwrap());
     }
 
     #[test]

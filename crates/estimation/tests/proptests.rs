@@ -21,8 +21,8 @@ use ic_estimation::{
 };
 use ic_linalg::{pseudo_inverse, Cholesky, Matrix};
 use ic_topology::{
-    egress_incidence, hierarchical, ingress_incidence, waxman, HierarchicalConfig, Partition,
-    RoutingScheme, WaxmanConfig,
+    hierarchical, waxman, HierarchicalConfig, Partition, RoutingMatrix, RoutingScheme, Topology,
+    WaxmanConfig,
 };
 use proptest::prelude::*;
 
@@ -68,10 +68,9 @@ fn nonneg_matrix(n: usize) -> impl Strategy<Value = Matrix> {
 
 /// A random small topology (via the seeded Waxman generator) together
 /// with a deterministic positive traffic series on it.
-fn topo_and_series() -> impl Strategy<Value = (ObservationModel, TmSeries)> {
+fn waxman_and_series() -> impl Strategy<Value = (Topology, TmSeries)> {
     (4usize..9, any::<u64>(), 1usize..4).prop_map(|(n, seed, bins)| {
         let topo = waxman(&WaxmanConfig::new(n, seed)).unwrap();
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let mut tm = TmSeries::zeros(n, bins, 300.0).unwrap();
         for t in 0..bins {
             for i in 0..n {
@@ -83,8 +82,38 @@ fn topo_and_series() -> impl Strategy<Value = (ObservationModel, TmSeries)> {
                 }
             }
         }
+        (topo, tm)
+    })
+}
+
+/// [`waxman_and_series`] with the topology's ECMP observation model.
+fn topo_and_series() -> impl Strategy<Value = (ObservationModel, TmSeries)> {
+    waxman_and_series().prop_map(|(topo, tm)| {
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         (om, tm)
     })
+}
+
+/// The dense ingress incidence operator `H` (`n × n²`), entry by entry.
+fn ingress_incidence(n: usize) -> Matrix {
+    let mut h = Matrix::zeros(n, n * n);
+    for i in 0..n {
+        for j in 0..n {
+            h[(i, i * n + j)] = 1.0;
+        }
+    }
+    h
+}
+
+/// The dense egress incidence operator `G` (`n × n²`), entry by entry.
+fn egress_incidence(n: usize) -> Matrix {
+    let mut g = Matrix::zeros(n, n * n);
+    for i in 0..n {
+        for j in 0..n {
+            g[(j, i * n + j)] = 1.0;
+        }
+    }
+    g
 }
 
 proptest! {
@@ -147,13 +176,14 @@ proptest! {
     /// [`dense_refine_bin`] to 1e-12 relative on every bin, and the sparse
     /// stacked operator is `[R; H; G]` built from the dense pieces.
     #[test]
-    fn sparse_tomogravity_matches_dense((om, tm) in topo_and_series()) {
+    fn sparse_tomogravity_matches_dense((topo, tm) in waxman_and_series()) {
+        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
         let obs = om.observe(&tm).unwrap();
         let prior = GravityPrior.prior_series(&obs).unwrap();
         let tomo = Tomogravity::new(TomogravityOptions::default());
         let n = tm.nodes();
-        let a_dense = om
-            .routing()
+        let a_dense = RoutingMatrix::build(&topo, RoutingScheme::Ecmp)
+            .unwrap()
             .as_sparse()
             .to_dense()
             .vstack(&ingress_incidence(n))

@@ -6,15 +6,14 @@
 //! numerical kernels:
 //!
 //! * a row-major dense [`Matrix`] with the usual arithmetic ([`matrix`]),
-//! * Householder QR factorization and least-squares solves ([`qr`]),
 //! * Cholesky factorization for symmetric positive-definite systems
 //!   ([`cholesky`]),
 //! * a one-sided Jacobi SVD and the Moore–Penrose pseudo-inverse ([`svd`],
 //!   [`pinv`]), which back the normal solver's fallback for a normal
-//!   matrix the ridged Cholesky cannot factor and the tall NNLS's fallback
-//!   on a collinear sub-problem,
-//! * Lawson–Hanson non-negative least squares for the activity/preference
-//!   sub-problems of the Section 5.1 fitting program ([`mod@nnls`]).
+//!   matrix the ridged Cholesky cannot factor,
+//! * Lawson–Hanson non-negative least squares on the normal equations, for
+//!   the preference sub-problem of the Section 5.1 fitting program
+//!   ([`nnls`]).
 //!
 //! ## Design notes
 //!
@@ -31,25 +30,24 @@
 //! production-scale topologies are overwhelmingly sparse, and the
 //! estimation hot path (tomogravity's `A W Aᵀ`, link-count matvecs) runs
 //! on the sparse representation.
-//! Omitted: complex scalars, LU with pivoting (Cholesky + QR cover all
-//! solves we perform), and eigendecomposition (not needed).
+//! Omitted: complex scalars, QR and LU factorizations (every system we
+//! solve is a symmetric normal matrix: Cholesky or PCG, with the SVD as
+//! the dense fallback), and eigendecomposition (not needed).
 
 pub mod cholesky;
 pub mod matrix;
 pub mod nnls;
 pub mod pcg;
 pub mod pinv;
-pub mod qr;
 pub mod solver;
 pub mod sparse;
 pub mod svd;
 
 pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use matrix::Matrix;
-pub use nnls::{nnls, NnlsOptions};
+pub use nnls::NnlsOptions;
 pub use pcg::{PcgSolve, PcgWorkspace, PCG_MAX_ITERATIONS, PCG_REL_TOLERANCE};
 pub use pinv::pseudo_inverse;
-pub use qr::Qr;
 pub use solver::{NormalSolverWorkspace, SolveStats, SolverKind, SolverPolicy};
 pub use sparse::SparseMatrix;
 pub use svd::Svd;
@@ -65,7 +63,6 @@ const _: () = {
     _assert_send_sync::<SparseMatrix>();
     _assert_send_sync::<Cholesky>();
     _assert_send_sync::<CholeskyWorkspace>();
-    _assert_send_sync::<Qr>();
     _assert_send_sync::<Svd>();
     _assert_send_sync::<PcgWorkspace>();
     _assert_send_sync::<NormalSolverWorkspace>();
@@ -86,9 +83,6 @@ pub enum LinalgError {
         /// Shape of the right/second operand.
         rhs: (usize, usize),
     },
-    /// The matrix is singular (or numerically singular) where a
-    /// non-singular matrix is required.
-    Singular,
     /// The matrix is not positive definite (Cholesky).
     NotPositiveDefinite,
     /// An iterative routine failed to converge within its iteration budget.
@@ -110,7 +104,6 @@ impl core::fmt::Display for LinalgError {
                 "shape mismatch in {op}: lhs is {}x{}, rhs is {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NotPositiveDefinite => {
                 write!(f, "matrix is not positive definite")
             }
@@ -158,12 +151,11 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&LinalgError::Singular);
+        takes_err(&LinalgError::NotPositiveDefinite);
     }
 
     #[test]
     fn error_display_covers_all_variants() {
-        assert!(LinalgError::Singular.to_string().contains("singular"));
         assert!(LinalgError::NotPositiveDefinite
             .to_string()
             .contains("positive definite"));

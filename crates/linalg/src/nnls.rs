@@ -1,31 +1,24 @@
-//! Lawson–Hanson non-negative least squares.
+//! Lawson–Hanson non-negative least squares on the normal equations.
 //!
 //! The Section 5.1 fitting program constrains activities and preferences to
 //! be non-negative, so its block-coordinate sub-problems are NNLS problems.
-//! This module solves them with the active-set algorithm of Lawson & Hanson
-//! (1974), which is exact for these small systems, in two forms:
-//!
-//! * [`nnls`] solves `min ‖A x − b‖₂ s.t. x ≥ 0` from the tall design
-//!   matrix, with a fresh Householder QR per passive-set change. It is the
-//!   reference implementation and the oracle the other form is tested
-//!   against.
-//! * [`nnls_from_normal_equations`] solves the same problem from the Gram
-//!   `AᵀA` and moments `Aᵀb`, which is all the fitting program
-//!   accumulates. Its passive subproblems are Cholesky solves of principal
-//!   sub-Grams, and it starts from the support of the unconstrained
-//!   optimum, so a problem where no constraint binds costs one
-//!   factorization.
+//! All but one have closed forms; the stable-fP fit's pooled preference
+//! step runs [`nnls_from_normal_equations`], the active-set algorithm of
+//! Lawson & Hanson (1974) on the Gram `AᵀA` and moments `Aᵀb` the fit
+//! accumulates, which is exact for these small systems. Its passive
+//! subproblems are Cholesky solves of principal sub-Grams, and it starts
+//! from the support of the unconstrained optimum, so a problem where no
+//! constraint binds costs one factorization.
 
 use crate::cholesky::Cholesky;
 use crate::matrix::Matrix;
-use crate::qr::Qr;
 use crate::{LinalgError, Result};
 
 /// Options controlling the NNLS active-set iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct NnlsOptions {
-    /// Maximum outer iterations; the default `3 * n` follows common
-    /// practice (scipy uses the same bound).
+    /// Maximum passive-set solves; the default, `3 · max(n, 8)`, follows
+    /// common practice (scipy bounds its iterations by `3n`).
     pub max_iterations: Option<usize>,
     /// Dual-feasibility tolerance for termination.
     pub tolerance: f64,
@@ -40,163 +33,10 @@ impl Default for NnlsOptions {
     }
 }
 
-/// Solves `min ‖A x − b‖₂` subject to `x ≥ 0`.
-///
-/// Returns the optimal `x`. The active-set method maintains a passive set
-/// `P` of coordinates allowed to be positive; at each step it solves the
-/// unconstrained least-squares problem restricted to `P` and walks toward
-/// it while keeping feasibility. A coordinate enters `P` only if its
-/// passive solution comes out above `tolerance` and `P` stays within the
-/// `m` rows (the classic Lawson–Hanson entry test); one that fails is
-/// skipped until `x` next moves.
-///
-/// # Examples
-///
-/// ```
-/// use ic_linalg::{nnls, Matrix, NnlsOptions};
-///
-/// // Unconstrained optimum is x = (-1, 2); NNLS clips the first coordinate.
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
-/// let x = nnls(&a, &[-1.0, 2.0], NnlsOptions::default()).unwrap();
-/// assert_eq!(x[0], 0.0);
-/// assert!((x[1] - 2.0).abs() < 1e-12);
-/// ```
-pub fn nnls(a: &Matrix, b: &[f64], options: NnlsOptions) -> Result<Vec<f64>> {
-    let (m, n) = a.shape();
-    if b.len() != m {
-        return Err(LinalgError::ShapeMismatch {
-            op: "nnls",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let max_iter = options.max_iterations.unwrap_or(3 * n.max(8));
-    let tol = options.tolerance;
-
-    let mut x = vec![0.0; n];
-    let mut passive = vec![false; n];
-    // Coordinates whose dual was positive but that could not enter: their
-    // dual is rounding noise, so they are skipped until `x` next moves.
-    let mut rejected = vec![false; n];
-    // Dual vector w = Aᵀ (b − A x); at the solution w ≤ 0 on the active set.
-    let mut iterations = 0usize;
-    loop {
-        let ax = a.matvec(&x)?;
-        let resid: Vec<f64> = b
-            .iter()
-            .zip(ax.iter())
-            .map(|(&bi, &axi)| bi - axi)
-            .collect();
-        let w = a.matvec_transposed(&resid)?;
-        // Pick the most violating active coordinate.
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..n {
-            if !passive[j] && !rejected[j] && w[j] > tol {
-                match best {
-                    Some((_, wv)) if wv >= w[j] => {}
-                    _ => best = Some((j, w[j])),
-                }
-            }
-        }
-        let Some((enter, _)) = best else {
-            return Ok(x); // KKT satisfied.
-        };
-        // The classic Lawson–Hanson entry test: a passive set of `m`
-        // columns already fits `b`, and an entering coordinate must come
-        // out of the passive solve above `tol`.
-        if passive.iter().filter(|&&p| p).count() >= m {
-            rejected[enter] = true;
-            continue;
-        }
-        passive[enter] = true;
-        let mut entering = true;
-
-        // Inner loop: solve restricted LS, backtrack while infeasible.
-        loop {
-            iterations += 1;
-            if iterations > max_iter {
-                return Err(LinalgError::NoConvergence {
-                    routine: "nnls",
-                    iterations: max_iter,
-                });
-            }
-            let idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
-            let z = solve_subproblem(a, b, &idx)?;
-            if entering {
-                entering = false;
-                if idx.iter().zip(&z).any(|(&j, &zj)| j == enter && zj <= tol) {
-                    passive[enter] = false;
-                    rejected[enter] = true;
-                    break;
-                }
-                rejected.fill(false);
-            }
-            if z.iter().all(|&v| v > tol) {
-                // Fully feasible step.
-                x.fill(0.0);
-                for (&j, &zj) in idx.iter().zip(z.iter()) {
-                    x[j] = zj;
-                }
-                break;
-            }
-            // Backtrack: find the largest alpha keeping x + alpha (z - x) >= 0.
-            let mut alpha = f64::INFINITY;
-            for (&j, &zj) in idx.iter().zip(z.iter()) {
-                if zj <= tol {
-                    let xj = x[j];
-                    let denom = xj - zj;
-                    if denom > 0.0 {
-                        alpha = alpha.min(xj / denom);
-                    }
-                }
-            }
-            if !alpha.is_finite() {
-                alpha = 0.0;
-            }
-            for (&j, &zj) in idx.iter().zip(z.iter()) {
-                x[j] += alpha * (zj - x[j]);
-            }
-            // Move zeroed coordinates back to the active set.
-            for &j in &idx {
-                if x[j] <= tol {
-                    x[j] = 0.0;
-                    passive[j] = false;
-                }
-            }
-        }
-    }
-}
-
-/// Unconstrained least squares restricted to the columns in `idx`.
-fn solve_subproblem(a: &Matrix, b: &[f64], idx: &[usize]) -> Result<Vec<f64>> {
-    let m = a.rows();
-    let k = idx.len();
-    let mut sub = Matrix::zeros(m, k);
-    for i in 0..m {
-        let row = a.row(i);
-        for (c, &j) in idx.iter().enumerate() {
-            sub[(i, c)] = row[j];
-        }
-    }
-    match Qr::factor(&sub).and_then(|qr| qr.solve_least_squares(b)) {
-        Ok(z) => Ok(z),
-        Err(LinalgError::Singular) => {
-            // Degenerate passive set (collinear columns): fall back to the
-            // minimum-norm solution via the pseudo-inverse.
-            let p = crate::pinv::pseudo_inverse(&sub, None)?;
-            p.matvec(b)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 /// NNLS against normal equations: `min ½xᵀGx − hᵀx` subject to `x ≥ 0`,
 /// with `G = AᵀA` (`ata`) and `h = Aᵀb` (`atb`) already accumulated.
 ///
-/// This is the activity/preference solve of the fitting program, which
+/// This is the stable-fP fit's pooled preference solve, which
 /// accumulates normal equations across time bins without ever
 /// materializing the tall design matrix. It is Lawson–Hanson run on the
 /// Gram itself, with a scale-aware ridge `ρ = 1e-12·max|G|` that keeps
@@ -211,9 +51,7 @@ fn solve_subproblem(a: &Matrix, b: &[f64], idx: &[usize]) -> Result<Vec<f64>> {
 ///   and the usual outer loop adds the most violated coordinate until
 ///   `w ≤ tolerance` off the passive set.
 ///
-/// `options.max_iterations` bounds the passive-set solves. The tall
-/// [`nnls`] solves the same problem from `A` and `b`; it is the oracle
-/// this routine is tested against.
+/// `options.max_iterations` bounds the passive-set solves.
 pub fn nnls_from_normal_equations(
     ata: &Matrix,
     atb: &[f64],
@@ -361,24 +199,10 @@ fn step_to_boundary(passive: &[bool], x: &[f64], z: &[f64]) -> Option<(usize, f6
 mod tests {
     use super::*;
 
-    #[test]
-    fn unconstrained_optimum_feasible() {
-        // If the LS optimum is already non-negative, NNLS returns it.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let x_true = [2.0, 3.0];
-        let b = a.matvec(&x_true).unwrap();
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn clips_negative_coordinates() {
-        let a = Matrix::identity(3);
-        let x = nnls(&a, &[-5.0, 0.0, 7.0], NnlsOptions::default()).unwrap();
-        assert_eq!(x[0], 0.0);
-        assert_eq!(x[1], 0.0);
-        assert!((x[2] - 7.0).abs() < 1e-12);
+    /// `min ‖A x − b‖₂, x ≥ 0` solved from its normal equations.
+    fn gram_nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
+        let atb = a.matvec_transposed(b).unwrap();
+        nnls_from_normal_equations(&a.gram(), &atb, NnlsOptions::default()).unwrap()
     }
 
     #[test]
@@ -386,19 +210,14 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[1.0, 1.0, 2.0], &[10.0, 11.0, -9.0], &[-1.0, 0.0, 0.0]]).unwrap();
         let b = [-1.0, 11.0, 0.0];
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        // Solution must be feasible and satisfy KKT: Aᵀ(b−Ax) ≤ 0 where x=0,
-        // = 0 where x>0.
+        let x = gram_nnls(&a, &b);
+        // Feasible, and KKT on the tall residual: Aᵀ(b − Ax) ≤ 0 where
+        // x = 0, = 0 where x > 0.
         assert!(x.iter().all(|&v| v >= 0.0));
-        let r: Vec<f64> = {
-            let ax = a.matvec(&x).unwrap();
-            b.iter()
-                .zip(ax.iter())
-                .map(|(&bi, &axi)| bi - axi)
-                .collect()
-        };
+        let ax = a.matvec(&x).unwrap();
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
         let w = a.matvec_transposed(&r).unwrap();
-        for (j, (&xj, &wj)) in x.iter().zip(w.iter()).enumerate() {
+        for (j, (&xj, &wj)) in x.iter().zip(&w).enumerate() {
             if xj > 1e-9 {
                 assert!(wj.abs() < 1e-7, "coordinate {j}: w = {wj}");
             } else {
@@ -408,60 +227,20 @@ mod tests {
     }
 
     #[test]
-    fn nnls_never_beats_unconstrained_ls_but_is_close_when_feasible() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0], &[0.5, 0.5]]).unwrap();
-        let b = [4.0, 3.0, 1.0];
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        let ls = Qr::factor(&a).unwrap().solve_least_squares(&b).unwrap();
-        if ls.iter().all(|&v| v >= 0.0) {
-            for (xn, xl) in x.iter().zip(ls.iter()) {
-                assert!((xn - xl).abs() < 1e-8);
-            }
-        }
+    fn handles_collinear_columns() {
+        // Columns 0 and 1 are identical, so the Gram is singular: the mass
+        // may be split between them or put on one, but the fit is optimal.
+        let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
+        let x = gram_nnls(&a, &[2.0, 2.0, 5.0]);
+        assert!(x.iter().all(|&v| v >= 0.0));
+        assert!((x[0] + x[1] - 2.0).abs() < 1e-8, "{x:?}");
+        assert!((x[2] - 5.0).abs() < 1e-8, "{x:?}");
     }
 
     #[test]
     fn zero_rhs_gives_zero_solution() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let x = nnls(&a, &[0.0, 0.0], NnlsOptions::default()).unwrap();
-        assert_eq!(x, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn validates_shapes() {
-        let a = Matrix::identity(2);
-        assert!(nnls(&a, &[1.0], NnlsOptions::default()).is_err());
-    }
-
-    #[test]
-    fn empty_columns_gives_empty_solution() {
-        let a = Matrix::zeros(3, 0);
-        let x = nnls(&a, &[1.0, 2.0, 3.0], NnlsOptions::default()).unwrap();
-        assert!(x.is_empty());
-    }
-
-    #[test]
-    fn handles_collinear_columns() {
-        // Columns 0 and 1 are identical: solution mass is split or placed on
-        // one of them; residual must still be optimal.
-        let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
-        let b = [2.0, 2.0, 5.0];
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        assert!((x[0] + x[1] - 2.0).abs() < 1e-8);
-        assert!((x[2] - 5.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn normal_equations_variant_matches_direct() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 0.5], &[0.3, 1.0], &[1.0, 1.0]]).unwrap();
-        let b = [1.0, -2.0, 3.0, 0.5];
-        let direct = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        let ata = a.gram();
-        let atb = a.matvec_transposed(&b).unwrap();
-        let viane = nnls_from_normal_equations(&ata, &atb, NnlsOptions::default()).unwrap();
-        for (d, v) in direct.iter().zip(viane.iter()) {
-            assert!((d - v).abs() < 1e-6, "direct {direct:?} vs NE {viane:?}");
-        }
+        assert_eq!(gram_nnls(&a, &[0.0, 0.0]), vec![0.0, 0.0]);
     }
 
     #[test]
@@ -570,37 +349,5 @@ mod tests {
         let x = nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -0.5], opts).unwrap();
         assert_eq!(x[1], 0.0);
         assert!((x[0] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn passive_set_never_outgrows_the_rows() {
-        // Two rows, three columns, the outer two nearly anti-parallel: they
-        // fit b exactly, so the middle column's positive dual is rounding
-        // noise. Letting it enter asked QR for a 2×3 solve and errored.
-        let a = Matrix::from_rows(&[
-            &[4.501861885588225, 4.5118244280339415, -6.687706201219219],
-            &[-4.580856575819992, -1.586803576827819, 6.804062744785252],
-        ])
-        .unwrap();
-        let b = [-8.260877088492352, -8.616124700481201];
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        assert!(x[0] > 0.0 && x[2] > 0.0);
-        assert_eq!(x[1], 0.0);
-        for (axi, bi) in a.matvec(&x).unwrap().iter().zip(&b) {
-            assert!((axi - bi).abs() <= 1e-9 * bi.abs(), "{axi} vs {bi}");
-        }
-    }
-
-    #[test]
-    fn iteration_budget_respected() {
-        let a = Matrix::identity(2);
-        let opts = NnlsOptions {
-            max_iterations: Some(0),
-            tolerance: 1e-10,
-        };
-        assert!(matches!(
-            nnls(&a, &[1.0, 1.0], opts),
-            Err(LinalgError::NoConvergence { .. })
-        ));
     }
 }

@@ -1,8 +1,8 @@
 //! Moore–Penrose pseudo-inverse.
 //!
-//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. Its two callers are
-//! fallbacks: the normal solver's, for a normal matrix the ridged Cholesky
-//! cannot factor, and the tall NNLS's, on a collinear sub-problem.
+//! Materializes `A⁺ = V Σ⁺ Uᵀ` from the Jacobi SVD. Its one library caller
+//! is the normal solver's fallback, for a normal matrix the ridged
+//! Cholesky cannot factor.
 
 use crate::matrix::Matrix;
 use crate::svd::Svd;
@@ -43,28 +43,22 @@ pub fn pseudo_inverse(a: &Matrix, tolerance: Option<f64>) -> Result<Matrix> {
     svd.v().matmul(&sut)
 }
 
-/// Verifies the four Moore–Penrose conditions to tolerance `tol`.
-///
-/// Exposed so that property tests (and downstream sanity checks) can assert
-/// the defining axioms:
-/// 1. `A A⁺ A = A`
-/// 2. `A⁺ A A⁺ = A⁺`
-/// 3. `(A A⁺)ᵀ = A A⁺`
-/// 4. `(A⁺ A)ᵀ = A⁺ A`
-pub fn satisfies_moore_penrose(a: &Matrix, p: &Matrix, tol: f64) -> bool {
-    let Ok(ap) = a.matmul(p) else { return false };
-    let Ok(pa) = p.matmul(a) else { return false };
-    let Ok(apa) = ap.matmul(a) else { return false };
-    let Ok(pap) = pa.matmul(p) else { return false };
-    apa.approx_eq(a, tol)
-        && pap.approx_eq(p, tol)
-        && ap.approx_eq(&ap.transpose(), tol)
-        && pa.approx_eq(&pa.transpose(), tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The four Moore–Penrose conditions to tolerance `tol`:
+    /// `A A⁺ A = A`, `A⁺ A A⁺ = A⁺`, and `A A⁺`, `A⁺ A` symmetric.
+    fn satisfies_moore_penrose(a: &Matrix, p: &Matrix, tol: f64) -> bool {
+        let Ok(ap) = a.matmul(p) else { return false };
+        let Ok(pa) = p.matmul(a) else { return false };
+        let Ok(apa) = ap.matmul(a) else { return false };
+        let Ok(pap) = pa.matmul(p) else { return false };
+        apa.approx_eq(a, tol)
+            && pap.approx_eq(p, tol)
+            && ap.approx_eq(&ap.transpose(), tol)
+            && pa.approx_eq(&pa.transpose(), tol)
+    }
 
     #[test]
     fn pinv_of_invertible_is_inverse() {

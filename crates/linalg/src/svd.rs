@@ -2,10 +2,10 @@
 //!
 //! The pseudo-inverse ([`crate::pinv`]) factors through this SVD. What it
 //! meets is rank-deficient: a normal matrix `A·W·Aᵀ` whose routing rows
-//! are dependent (ingress and egress totals always agree), or a collinear
-//! NNLS sub-problem. A rank-revealing SVD is therefore required; one-sided
-//! Jacobi is simple, numerically robust, and plenty fast at
-//! traffic-matrix scales (a few hundred columns).
+//! are dependent (ingress and egress totals always agree). A
+//! rank-revealing SVD is therefore required; one-sided Jacobi is simple,
+//! numerically robust, and plenty fast at traffic-matrix scales (a few
+//! hundred columns).
 
 use crate::matrix::{dot, norm2, Matrix};
 use crate::{rank_tolerance, LinalgError, Result};

@@ -1,45 +1,21 @@
 //! Property-based tests for the linear-algebra substrate.
 //!
 //! These check the *defining axioms* of each kernel on randomized inputs:
-//! QR reconstructs and orthogonalizes, the pseudo-inverse satisfies all
-//! four Moore–Penrose conditions, NNLS satisfies KKT (and its Gram-native
-//! form matches the tall one), and the panelled Cholesky is bit-identical
+//! the pseudo-inverse satisfies all four Moore–Penrose conditions, the
+//! Gram-native NNLS satisfies KKT and reaches the optimum of an
+//! exhaustive-support oracle, and the panelled Cholesky is bit-identical
 //! to the dot-product kernel it replaced.
 
 use ic_linalg::matrix::dot;
 use ic_linalg::nnls::nnls_from_normal_equations;
-use ic_linalg::pinv::satisfies_moore_penrose;
-use ic_linalg::qr::solve;
 use ic_linalg::{
-    nnls, pseudo_inverse, Cholesky, CholeskyWorkspace, LinalgError, Matrix, NnlsOptions,
-    NormalSolverWorkspace, PcgWorkspace, Qr, Result, SolverPolicy, SparseMatrix, Svd,
+    pseudo_inverse, Cholesky, CholeskyWorkspace, LinalgError, Matrix, NnlsOptions,
+    NormalSolverWorkspace, PcgWorkspace, Result, SolverPolicy, SparseMatrix, Svd,
 };
 use proptest::prelude::*;
 
-fn small_shape() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..7, 1usize..7).prop_map(|(m, n)| if m >= n { (m, n) } else { (n, m) })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn qr_reconstructs((m, n) in small_shape(), seed in any::<u64>()) {
-        let a = deterministic_matrix(m, n, seed);
-        let qr = Qr::factor(&a).unwrap();
-        let back = qr.q_thin().matmul(&qr.r()).unwrap();
-        prop_assert!(back.approx_eq(&a, 1e-8 * (1.0 + a.max_abs())));
-    }
-
-    #[test]
-    fn qr_q_is_orthonormal((m, n) in small_shape(), seed in any::<u64>()) {
-        let a = deterministic_matrix(m, n, seed);
-        let q = Qr::factor(&a).unwrap().q_thin();
-        let qtq = q.gram();
-        // Columns associated with zero reflectors may be exactly e_j; the
-        // Gram matrix is still near identity for full-rank random input.
-        prop_assert!(qtq.approx_eq(&Matrix::identity(n), 1e-7));
-    }
 
     #[test]
     fn svd_reconstructs(rows in 1usize..7, cols in 1usize..7, seed in any::<u64>()) {
@@ -70,7 +46,8 @@ proptest! {
     fn nnls_is_feasible_and_kkt(rows in 1usize..7, cols in 1usize..5, seed in any::<u64>()) {
         let a = deterministic_matrix(rows, cols, seed);
         let b: Vec<f64> = deterministic_matrix(rows, 1, seed ^ 0x9e37_79b9).into_vec();
-        let x = nnls(&a, &b, NnlsOptions::default()).unwrap();
+        let atb = a.matvec_transposed(&b).unwrap();
+        let x = nnls_from_normal_equations(&a.gram(), &atb, NnlsOptions::default()).unwrap();
         prop_assert!(x.iter().all(|&v| v >= 0.0));
         let ax = a.matvec(&x).unwrap();
         let r: Vec<f64> = b.iter().zip(ax.iter()).map(|(&bi, &axi)| bi - axi).collect();
@@ -86,14 +63,14 @@ proptest! {
     }
 
     #[test]
-    fn nnls_normal_equations_matches_tall_oracle(
+    fn nnls_normal_equations_matches_exhaustive_oracle(
         cols in 1usize..6,
         extra_rows in 0usize..4,
         seed in any::<u64>(),
     ) {
         // A tall A whose last column duplicates its first: the Gram is
         // singular and the minimizer is not unique, so the Gram-native
-        // solve is compared with the tall oracle by objective, not by x.
+        // solve is compared with the oracle by objective, not by x.
         let n = cols + 1;
         let rows = n + extra_rows;
         let mut a = deterministic_matrix(rows, n, seed);
@@ -114,49 +91,7 @@ proptest! {
             .zip(&noise)
             .map(|(&v, &e)| v + 0.1 * e)
             .collect();
-        let g = a.gram();
-        let h = a.matvec_transposed(&b).unwrap();
-        let ridge = 1e-12 * g.max_abs();
-
-        let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
-        prop_assert!(x.iter().all(|&v| v >= 0.0));
-        // KKT on the ridged Gram: w = h − (G + ρI)x is zero on the support
-        // and non-positive off it.
-        let gx = g.matvec(&x).unwrap();
-        let max_abs = |v: &[f64]| v.iter().fold(0.0_f64, |m, &e| m.max(e.abs()));
-        let scale = 1.0 + g.max_abs() * (1.0 + max_abs(&x)) + max_abs(&h);
-        for j in 0..n {
-            let wj = h[j] - gx[j] - ridge * x[j];
-            if x[j] > 0.0 {
-                prop_assert!(wj.abs() <= 1e-9 * scale, "stationarity at {}: {}", j, wj);
-            } else {
-                prop_assert!(wj <= 1e-9 * scale, "dual feasibility at {}: {}", j, wj);
-            }
-        }
-        // ½xᵀGx − hᵀx = ½‖Ax − b‖² − ½‖b‖², so ‖b‖² scales its error.
-        let objective = |x: &[f64]| 0.5 * dot(x, &g.matvec(x).unwrap()) - dot(&h, x);
-        let oracle = nnls(&a, &b, NnlsOptions::default()).unwrap();
-        let (got, want) = (objective(&x), objective(&oracle));
-        prop_assert!(
-            (got - want).abs() <= 1e-9 * (1.0 + dot(&b, &b)),
-            "objective {} vs oracle {}", got, want
-        );
-    }
-
-    #[test]
-    fn solve_consistent_square_systems(n in 1usize..6, seed in any::<u64>()) {
-        // Build a well-conditioned matrix: random + n * I.
-        let mut a = deterministic_matrix(n, n, seed);
-        for i in 0..n {
-            let v = a[(i, i)] + 20.0;
-            a[(i, i)] = v;
-        }
-        let x_true: Vec<f64> = deterministic_matrix(n, 1, seed ^ 0xdead_beef).into_vec();
-        let b = a.matvec(&x_true).unwrap();
-        let x = solve(&a, &b).unwrap();
-        for (got, want) in x.iter().zip(x_true.iter()) {
-            prop_assert!((got - want).abs() < 1e-6);
-        }
+        assert_gram_nnls_matches_oracle(&a, &b);
     }
 
     #[test]
@@ -340,6 +275,30 @@ proptest! {
     }
 }
 
+/// Fixed inputs of the oracle comparison: a tall system whose optimum
+/// clips one coordinate, the classic Lawson–Hanson example, and two
+/// identical columns.
+#[test]
+fn nnls_normal_equations_matches_exhaustive_oracle_on_fixed_inputs() {
+    let cases: [(&[&[f64]], &[f64]); 3] = [
+        (
+            &[&[1.0, 2.0], &[2.0, 0.5], &[0.3, 1.0], &[1.0, 1.0]],
+            &[1.0, -2.0, 3.0, 0.5],
+        ),
+        (
+            &[&[1.0, 1.0, 2.0], &[10.0, 11.0, -9.0], &[-1.0, 0.0, 0.0]],
+            &[-1.0, 11.0, 0.0],
+        ),
+        (
+            &[&[1.0, 1.0, 0.0], &[1.0, 1.0, 0.0], &[0.0, 0.0, 1.0]],
+            &[2.0, 2.0, 5.0],
+        ),
+    ];
+    for (rows, b) in cases {
+        assert_gram_nnls_matches_oracle(&Matrix::from_rows(rows).unwrap(), b);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -420,6 +379,91 @@ proptest! {
             prop_assert_eq!(bits(one_shot.unwrap().l().as_slice()), bits(want.as_slice()));
         }
     }
+}
+
+/// The Gram-native NNLS on `(A, b)` is feasible, meets KKT on the ridged
+/// Gram, and reaches the objective of [`exhaustive_nnls`] to 1e-9 of
+/// `1 + ‖b‖²`.
+fn assert_gram_nnls_matches_oracle(a: &Matrix, b: &[f64]) {
+    let g = a.gram();
+    let h = a.matvec_transposed(b).unwrap();
+    let ridge = 1e-12 * g.max_abs();
+    let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
+    assert!(x.iter().all(|&v| v >= 0.0));
+    // KKT on the ridged Gram: w = h − (G + ρI)x is zero on the support
+    // and non-positive off it.
+    let gx = g.matvec(&x).unwrap();
+    let max_abs = |v: &[f64]| v.iter().fold(0.0_f64, |m, &e| m.max(e.abs()));
+    let scale = 1.0 + g.max_abs() * (1.0 + max_abs(&x)) + max_abs(&h);
+    for j in 0..x.len() {
+        let wj = h[j] - gx[j] - ridge * x[j];
+        if x[j] > 0.0 {
+            assert!(wj.abs() <= 1e-9 * scale, "stationarity at {j}: {wj}");
+        } else {
+            assert!(wj <= 1e-9 * scale, "dual feasibility at {j}: {wj}");
+        }
+    }
+    // ½xᵀGx − hᵀx = ½‖Ax − b‖² − ½‖b‖², so ‖b‖² scales its error.
+    let objective = |x: &[f64]| 0.5 * dot(x, &g.matvec(x).unwrap()) - dot(&h, x);
+    let (got, want) = (objective(&x), objective(&exhaustive_nnls(a, b)));
+    assert!(
+        (got - want).abs() <= 1e-9 * (1.0 + dot(b, b)),
+        "objective {got} vs oracle {want}"
+    );
+}
+
+/// Exhaustive-support oracle of `min ‖Ax − b‖₂` subject to `x ≥ 0`. Some
+/// optimum has linearly independent support columns, and on them it is
+/// the unique least-squares solution. So the best non-negative
+/// least-squares solution over every support is optimal; each solve goes
+/// through the SVD pseudo-inverse, which is exact on collinear columns.
+/// `2^cols` supports, so small `cols` only.
+fn exhaustive_nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
+    let (m, n) = a.shape();
+    assert!(n <= 6, "{n} columns");
+    let sq_residual = |x: &[f64]| {
+        let ax = a.matvec(x).unwrap();
+        let r: Vec<f64> = ax.iter().zip(b).map(|(&p, &q)| p - q).collect();
+        dot(&r, &r)
+    };
+    let mut best = vec![0.0; n];
+    let mut best_residual = sq_residual(&best);
+    for support in 1usize..1 << n {
+        let idx: Vec<usize> = (0..n).filter(|&j| (support >> j) & 1 == 1).collect();
+        let mut sub = Matrix::zeros(m, idx.len());
+        for i in 0..m {
+            for (c, &j) in idx.iter().enumerate() {
+                sub[(i, c)] = a[(i, j)];
+            }
+        }
+        let z = pseudo_inverse(&sub, None).unwrap().matvec(b).unwrap();
+        if z.iter().any(|&v| v < 0.0) {
+            continue;
+        }
+        let mut x = vec![0.0; n];
+        for (&j, &zj) in idx.iter().zip(&z) {
+            x[j] = zj;
+        }
+        let residual = sq_residual(&x);
+        if residual < best_residual {
+            best = x;
+            best_residual = residual;
+        }
+    }
+    best
+}
+
+/// The four Moore–Penrose conditions to tolerance `tol`:
+/// `A A⁺ A = A`, `A⁺ A A⁺ = A⁺`, and `A A⁺`, `A⁺ A` symmetric.
+fn satisfies_moore_penrose(a: &Matrix, p: &Matrix, tol: f64) -> bool {
+    let Ok(ap) = a.matmul(p) else { return false };
+    let Ok(pa) = p.matmul(a) else { return false };
+    let Ok(apa) = ap.matmul(a) else { return false };
+    let Ok(pap) = pa.matmul(p) else { return false };
+    apa.approx_eq(a, tol)
+        && pap.approx_eq(p, tol)
+        && ap.approx_eq(&ap.transpose(), tol)
+        && pa.approx_eq(&pa.transpose(), tol)
 }
 
 /// Deterministic pseudo-random matrix from a seed (splitmix64), so proptest

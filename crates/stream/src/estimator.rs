@@ -3,9 +3,8 @@
 //! An [`OnlineEstimator`] consumes [`Window`]s in stream order, carrying
 //! whatever state makes the next window cheaper or better:
 //!
-//! * [`OnlineGravity`] — the gravity baseline, optionally with EWMA-
-//!   smoothed marginals (at `alpha = 1` it is bit-identical to the batch
-//!   [`ic_core::gravity_predict`] of each window);
+//! * [`OnlineGravity`] — the gravity baseline, stateless: each window's
+//!   estimate is the batch [`gravity_predict`] of the window;
 //! * [`WarmStartIcFit`] — the Section 5.1 stable-fP fit, warm-started
 //!   from the previous window's optimum ([`FitOptions::with_initial`]),
 //!   exploiting the paper's parameter-stability findings to converge in
@@ -21,8 +20,7 @@ use crate::metrics::StreamMetrics;
 use crate::window::Window;
 use crate::{Result, StreamError};
 use ic_core::{
-    fit_stable_fp, gravity_from_marginals, mean_rel_l2, FitOptions, FitReport, StableFpParams,
-    TmSeries,
+    fit_stable_fp, gravity_predict, mean_rel_l2, FitOptions, FitReport, StableFpParams, TmSeries,
 };
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
@@ -71,7 +69,7 @@ pub trait OnlineEstimator {
     fn name(&self) -> &str;
 
     /// Consumes the next window and produces its estimate, updating any
-    /// carried state (previous fit, smoothed marginals, ...).
+    /// carried state (the previous window's fit, ...).
     fn process(&mut self, window: &Window) -> Result<WindowEstimate>;
 
     /// Clears carried state, returning the estimator to its cold-start
@@ -79,43 +77,16 @@ pub trait OnlineEstimator {
     fn reset(&mut self);
 }
 
-/// The gravity baseline as an online estimator.
-///
-/// With `alpha = 1` (default) each bin is estimated from its own
-/// marginals — exactly the batch gravity model. `alpha < 1` blends an
-/// exponentially weighted moving average of the marginals across bins
-/// *and* windows, trading bias for variance on noisy measurement streams.
-#[derive(Debug, Clone)]
-pub struct OnlineGravity {
-    alpha: f64,
-    smoothed: Option<(Vec<f64>, Vec<f64>)>,
-}
-
-impl Default for OnlineGravity {
-    fn default() -> Self {
-        OnlineGravity::new()
-    }
-}
+/// The gravity baseline as an online estimator: each bin is estimated
+/// from its own marginals, exactly the batch gravity model, so it carries
+/// no state between windows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnlineGravity;
 
 impl OnlineGravity {
-    /// Plain per-bin gravity (no smoothing).
+    /// The per-bin gravity estimator.
     pub fn new() -> Self {
-        OnlineGravity {
-            alpha: 1.0,
-            smoothed: None,
-        }
-    }
-
-    /// Sets the EWMA weight on the newest bin's marginals; must lie in
-    /// `(0, 1]`, where `1` disables smoothing.
-    pub fn with_smoothing(mut self, alpha: f64) -> Result<Self> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(StreamError::BadConfig(
-                "gravity smoothing alpha must lie in (0, 1]",
-            ));
-        }
-        self.alpha = alpha;
-        Ok(self)
+        OnlineGravity
     }
 }
 
@@ -126,37 +97,7 @@ impl OnlineEstimator for OnlineGravity {
 
     fn process(&mut self, window: &Window) -> Result<WindowEstimate> {
         let x = &window.series;
-        let n = x.nodes();
-        let mut estimate =
-            TmSeries::zeros(n, x.bins(), x.bin_seconds()).map_err(StreamError::from)?;
-        for t in 0..x.bins() {
-            let (ing, eg) = if self.alpha >= 1.0 {
-                (x.ingress(t), x.egress(t))
-            } else {
-                let (si, se) = match self.smoothed.take() {
-                    Some((mut si, mut se)) => {
-                        for (s, v) in si.iter_mut().zip(x.ingress(t)) {
-                            *s = self.alpha * v + (1.0 - self.alpha) * *s;
-                        }
-                        for (s, v) in se.iter_mut().zip(x.egress(t)) {
-                            *s = self.alpha * v + (1.0 - self.alpha) * *s;
-                        }
-                        (si, se)
-                    }
-                    None => (x.ingress(t), x.egress(t)),
-                };
-                self.smoothed = Some((si.clone(), se.clone()));
-                (si, se)
-            };
-            let g = gravity_from_marginals(&ing, &eg).map_err(StreamError::from)?;
-            for i in 0..n {
-                for j in 0..n {
-                    estimate
-                        .set(i, j, t, g[(i, j)])
-                        .map_err(StreamError::from)?;
-                }
-            }
-        }
+        let estimate = gravity_predict(x).map_err(StreamError::from)?;
         let error = mean_rel_l2(x, &estimate).map_err(StreamError::from)?;
         Ok(WindowEstimate {
             window: window.index,
@@ -172,9 +113,7 @@ impl OnlineEstimator for OnlineGravity {
         })
     }
 
-    fn reset(&mut self) {
-        self.smoothed = None;
-    }
+    fn reset(&mut self) {}
 }
 
 /// Warm-started incremental stable-fP fit.
@@ -452,7 +391,7 @@ mod tests {
     use super::*;
     use crate::source::{LinkLoadStream, ReplayStream, SyntheticStream};
     use crate::window::Windower;
-    use ic_core::{gravity_predict, SynthConfig};
+    use ic_core::SynthConfig;
     use ic_estimation::ObservationModel;
     use ic_topology::{RoutingScheme, Topology};
 
@@ -490,24 +429,6 @@ mod tests {
             assert!(est.error > 0.0);
             assert!(est.fitted_f.is_none());
         }
-    }
-
-    #[test]
-    fn smoothed_gravity_carries_state_across_windows() {
-        let ws = windows(4, 12, 4, 6);
-        let mut smooth = OnlineGravity::new().with_smoothing(0.5).unwrap();
-        let first = smooth.process(&ws[0]).unwrap();
-        let second = smooth.process(&ws[1]).unwrap();
-        // A fresh smoother sees different history for the second window.
-        let mut fresh = OnlineGravity::new().with_smoothing(0.5).unwrap();
-        let second_fresh = fresh.process(&ws[1]).unwrap();
-        assert_ne!(second.estimate, second_fresh.estimate);
-        assert!(first.error.is_finite());
-        smooth.reset();
-        let replay = smooth.process(&ws[1]).unwrap();
-        assert_eq!(replay.estimate, second_fresh.estimate);
-        assert!(OnlineGravity::new().with_smoothing(0.0).is_err());
-        assert!(OnlineGravity::new().with_smoothing(1.5).is_err());
     }
 
     #[test]

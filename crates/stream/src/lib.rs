@@ -14,7 +14,7 @@
 //! * [`window`] — [`Windower`] groups bins into tumbling or sliding
 //!   [`Window`]s;
 //! * [`estimator`] — the [`OnlineEstimator`] trait with three
-//!   implementations: [`OnlineGravity`] (incremental gravity baseline),
+//!   implementations: [`OnlineGravity`] (the stateless gravity baseline),
 //!   [`WarmStartIcFit`] (per-window stable-fP refits warm-started from
 //!   the previous optimum), and [`StreamingTomogravity`] (the Section 6
 //!   pipeline with a rolling IC prior);

@@ -43,8 +43,7 @@ pub use generators::{hierarchical, waxman, HierarchicalConfig, WaxmanConfig};
 pub use graph::{LinkId, NodeId, Topology};
 pub use partition::{label_propagation, ClusterId, InducedCluster, Partition, Quotient};
 pub use routing::{
-    egress_incidence, egress_incidence_sparse, ingress_incidence, ingress_incidence_sparse,
-    RoutingMatrix, RoutingScheme,
+    egress_incidence_sparse, ingress_incidence_sparse, RoutingMatrix, RoutingScheme,
 };
 
 /// Errors produced by topology and routing routines.

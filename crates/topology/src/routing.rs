@@ -14,7 +14,7 @@
 
 use crate::graph::{NodeId, Topology};
 use crate::{Result, TopologyError};
-use ic_linalg::{Matrix, SparseMatrix};
+use ic_linalg::SparseMatrix;
 use std::collections::BinaryHeap;
 
 /// Routing scheme used to build the routing matrix.
@@ -310,32 +310,8 @@ fn dijkstra_impl(topo: &Topology, root: NodeId, reverse: bool) -> (Vec<f64>, Vec
 
 /// The ingress incidence operator `H` (`n x n²`): `H[i][(i,j)] = 1` for all
 /// `j`, so `H x` is the vector of ingress counts `X_{i*}` (paper Section
-/// 6.2).
-pub fn ingress_incidence(n: usize) -> Matrix {
-    let mut h = Matrix::zeros(n, n * n);
-    for i in 0..n {
-        for j in 0..n {
-            h[(i, i * n + j)] = 1.0;
-        }
-    }
-    h
-}
-
-/// The egress incidence operator `G` (`n x n²`): `G[j][(i,j)] = 1` for all
-/// `i`, so `G x` is the vector of egress counts `X_{*j}`.
-pub fn egress_incidence(n: usize) -> Matrix {
-    let mut g = Matrix::zeros(n, n * n);
-    for i in 0..n {
-        for j in 0..n {
-            g[(j, i * n + j)] = 1.0;
-        }
-    }
-    g
-}
-
-/// Sparse form of [`ingress_incidence`]: `n` rows of `n` unit entries each
-/// (density `1/n`), the representation the large-topology estimation path
-/// stacks into its observation operator.
+/// 6.2). `n` rows of `n` unit entries each (density `1/n`), stacked into
+/// the estimation path's observation operator.
 pub fn ingress_incidence_sparse(n: usize) -> SparseMatrix {
     SparseMatrix::from_triplets(
         n,
@@ -345,7 +321,8 @@ pub fn ingress_incidence_sparse(n: usize) -> SparseMatrix {
     .expect("incidence triplets are in bounds by construction")
 }
 
-/// Sparse form of [`egress_incidence`].
+/// The egress incidence operator `G` (`n x n²`): `G[j][(i,j)] = 1` for all
+/// `i`, so `G x` is the vector of egress counts `X_{*j}`.
 pub fn egress_incidence_sparse(n: usize) -> SparseMatrix {
     SparseMatrix::from_triplets(
         n,
@@ -359,6 +336,29 @@ pub fn egress_incidence_sparse(n: usize) -> SparseMatrix {
 mod tests {
     use super::*;
     use crate::builders::{abilene, geant22};
+    use ic_linalg::Matrix;
+
+    /// Dense `H`, entry by entry: the oracle of [`ingress_incidence_sparse`].
+    fn ingress_incidence(n: usize) -> Matrix {
+        let mut h = Matrix::zeros(n, n * n);
+        for i in 0..n {
+            for j in 0..n {
+                h[(i, i * n + j)] = 1.0;
+            }
+        }
+        h
+    }
+
+    /// Dense `G`, entry by entry: the oracle of [`egress_incidence_sparse`].
+    fn egress_incidence(n: usize) -> Matrix {
+        let mut g = Matrix::zeros(n, n * n);
+        for i in 0..n {
+            for j in 0..n {
+                g[(j, i * n + j)] = 1.0;
+            }
+        }
+        g
+    }
 
     fn square_topo() -> Topology {
         // a - b
@@ -472,8 +472,8 @@ mod tests {
     #[test]
     fn incidence_operators_compute_marginals() {
         let n = 3;
-        let h = ingress_incidence(n);
-        let g = egress_incidence(n);
+        let h = ingress_incidence_sparse(n);
+        let g = egress_incidence_sparse(n);
         // x[i*n+j] = 10*i + j for recognizability.
         let x: Vec<f64> = (0..n * n).map(|k| (10 * (k / n) + k % n) as f64).collect();
         let ingress = h.matvec(&x).unwrap();

@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn tm_ic_error_wraps_every_layer() {
         let errs: Vec<TmIcError> = vec![
-            ic_linalg::LinalgError::Singular.into(),
+            ic_linalg::LinalgError::NotPositiveDefinite.into(),
             ic_stats::StatsError::InsufficientData("x").into(),
             ic_topology::TopologyError::Empty.into(),
             ic_core::IcError::BadData("y").into(),
