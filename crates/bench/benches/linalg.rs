@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ic_linalg::nnls::nnls_from_normal_equations;
-use ic_linalg::{pseudo_inverse, Cholesky, Matrix, NnlsOptions, Svd};
+use ic_linalg::{pseudo_inverse, Cholesky, Matrix, Svd};
 
 fn deterministic_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut state = seed;
@@ -87,8 +87,7 @@ fn bench_nnls_normal_equations(c: &mut Criterion) {
     // Moments of a uniform preference: no constraint binds.
     let h = g.matvec(&vec![1.0 / n as f64; n]).unwrap();
     c.bench_function("nnls_normal_equations_50", |bench| {
-        bench
-            .iter(|| black_box(nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap()))
+        bench.iter(|| black_box(nnls_from_normal_equations(&g, &h).unwrap()))
     });
 }
 

@@ -49,7 +49,7 @@ use crate::model::{
 use crate::tm::TmSeries;
 use crate::{IcError, Result};
 use ic_linalg::nnls::nnls_from_normal_equations;
-use ic_linalg::{Matrix, NnlsOptions};
+use ic_linalg::Matrix;
 
 /// Which scalarization of the Section 5.1 objective to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -571,8 +571,7 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
                 *hk += w * r;
             }
         }
-        let p_new =
-            nnls_from_normal_equations(&g, &h, NnlsOptions::default()).map_err(IcError::from)?;
+        let p_new = nnls_from_normal_equations(&g, &h).map_err(IcError::from)?;
         let mass: f64 = p_new.iter().sum();
         if mass > 0.0 {
             // Renormalize to the simplex, absorbing the scale into A.
@@ -1319,7 +1318,7 @@ mod tests {
                 // minimum; the kernel answers 0.
                 prop_assert!(a.iter().all(|&x| x == 0.0), "{:?}", a);
             } else {
-                let want = nnls_from_normal_equations(&g, &r, NnlsOptions::default()).unwrap();
+                let want = nnls_from_normal_equations(&g, &r).unwrap();
                 let scale = a.iter().chain(&want).fold(0.0f64, |m, x| m.max(x.abs()));
                 let worst = a.iter().zip(&want).fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
                 prop_assert!(worst <= 1e-10 * scale, "n {} f {}: {:e} of {:e}", n, f, worst, scale);

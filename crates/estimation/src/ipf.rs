@@ -176,10 +176,8 @@ pub fn ipf_fit_with(
             actual: row_targets.len() + col_targets.len(),
         });
     }
-    // Size the workspace (allocates only when the shape changes).
-    if ws.w.shape() != (n, m) {
-        ws.w = Matrix::zeros(n, m);
-    }
+    // Size the workspace (allocates only past its largest shape so far).
+    ws.w.ensure_shape(n, m);
     ws.w.as_mut_slice().copy_from_slice(x.as_slice());
     fit_block(
         ws.w.as_mut_slice(),

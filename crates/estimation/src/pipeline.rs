@@ -63,9 +63,11 @@ impl PipelineMetrics {
 /// Reusable buffers for the full prior → tomogravity → IPF pipeline.
 ///
 /// One workspace serves any number of bins, windows and
-/// [`EstimationPipeline::estimate_with`] calls; after the first bin the
-/// per-bin loop is allocation-free. Streaming estimators carry one across
-/// their whole replay.
+/// [`EstimationPipeline::estimate_with`] calls, on any pipeline: its
+/// buffers reshape within their allocations, so after the first bin of the
+/// largest model it has served the per-bin loop is allocation-free.
+/// Streaming estimators carry one across their whole replay, and
+/// `ic-serve` shares one per engine worker across all its tenants.
 #[derive(Debug, Clone)]
 pub struct PipelineWorkspace {
     tomo: TomogravityWorkspace,
@@ -97,12 +99,13 @@ impl PipelineWorkspace {
         }
     }
 
+    /// Sizes the buffers for one bin of a `nodes`-node model within their
+    /// allocations, so a workspace shared by pipelines of different sizes
+    /// stops allocating once it has served the largest.
     fn ensure(&mut self, nodes: usize, stacked_len: usize) {
         self.xp.resize(nodes * nodes, 0.0);
         self.b.resize(stacked_len, 0.0);
-        if self.snapshot.shape() != (nodes, nodes) {
-            self.snapshot = Matrix::zeros(nodes, nodes);
-        }
+        self.snapshot.ensure_shape(nodes, nodes);
         self.ingress.resize(nodes, 0.0);
         self.egress.resize(nodes, 0.0);
     }
@@ -121,9 +124,13 @@ impl PipelineWorkspace {
 }
 
 /// The three-step estimation pipeline.
+///
+/// The observation model sits behind an [`Arc`]: clones of a pipeline
+/// (a reconfigured variant, or the copy a streaming estimator wraps)
+/// share one model instead of copying its sparse operators.
 #[derive(Debug, Clone)]
 pub struct EstimationPipeline {
-    model: ObservationModel,
+    model: Arc<ObservationModel>,
     tomo: Tomogravity,
     config: EstimationConfig,
 }
@@ -133,7 +140,7 @@ impl EstimationPipeline {
     /// [`EstimationConfig`].
     pub fn new(model: ObservationModel) -> Self {
         EstimationPipeline {
-            model,
+            model: Arc::new(model),
             tomo: Tomogravity::new(TomogravityOptions::default()),
             config: EstimationConfig::default(),
         }

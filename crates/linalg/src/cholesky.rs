@@ -13,6 +13,11 @@
 //! and every dense result built on it, is bit-identical to the one-entry-
 //! at-a-time dot-product kernel it replaced, which the `ic-linalg`
 //! proptests keep as their oracle.
+//!
+//! One kernel, `factor_regularized_in_place`, factors for every caller:
+//! [`Cholesky`] runs it on a copy of its input, and the dense side of
+//! [`crate::NormalSolverWorkspace`] runs it on the Gram it has just
+//! assembled, so a solve holds one `rows × rows` matrix, not two.
 
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
@@ -44,20 +49,18 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] when a non-positive pivot is
     /// encountered.
     pub fn factor(a: &Matrix) -> Result<Self> {
-        validate_square(a)?;
-        let mut l = a.clone();
-        factor_in_place(&mut l)?;
-        Ok(Cholesky { l })
+        Cholesky::factor_regularized(a, 0.0)
     }
 
     /// Factors with a ridge term: `A + ridge * I`.
     ///
     /// Used to regularize nearly-singular normal equations (e.g. a
-    /// preference solve when one node carries no traffic).
+    /// preference solve when one node carries no traffic). Returns
+    /// [`LinalgError::InvalidArgument`] for a negative ridge.
     pub fn factor_regularized(a: &Matrix, ridge: f64) -> Result<Self> {
-        let mut ws = CholeskyWorkspace::new();
-        ws.factor_regularized(a, ridge)?;
-        Ok(Cholesky { l: ws.l })
+        let mut l = a.clone();
+        factor_regularized_in_place(&mut l, ridge)?;
+        Ok(Cholesky { l })
     }
 
     /// Solves `A x = b` via forward + back substitution.
@@ -123,6 +126,24 @@ fn validate_square(a: &Matrix) -> Result<()> {
         return Err(LinalgError::InvalidArgument("cholesky: empty matrix"));
     }
     Ok(())
+}
+
+/// Factors `a + ridge·I` in place: on success `a` holds `L` with a zeroed
+/// upper triangle. Only the lower triangle of `a` is read. On failure
+/// (a negative ridge, a non-square or empty matrix, or a non-positive
+/// pivot) `a` holds a partial factor and must be assembled again before
+/// any other use.
+pub(crate) fn factor_regularized_in_place(a: &mut Matrix, ridge: f64) -> Result<()> {
+    if ridge < 0.0 {
+        return Err(LinalgError::InvalidArgument(
+            "cholesky: ridge must be non-negative",
+        ));
+    }
+    validate_square(a)?;
+    for i in 0..a.rows() {
+        a[(i, i)] += ridge;
+    }
+    factor_in_place(a)
 }
 
 /// Columns per panel of [`factor_in_place`], whose trailing update is
@@ -205,7 +226,7 @@ fn factor_in_place(l: &mut Matrix) -> Result<()> {
 /// Uses `x` as the intermediate buffer: the forward pass writes `y` into
 /// `x`, and the backward pass overwrites each slot only after its original
 /// `y` value has been consumed.
-fn solve_with_factor(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
+pub(crate) fn solve_with_factor(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
     let n = l.rows();
     if b.len() != n || x.len() != n {
         return Err(LinalgError::ShapeMismatch {
@@ -231,83 +252,6 @@ fn solve_with_factor(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
         x[i] = s / l[(i, i)];
     }
     Ok(())
-}
-
-/// Reusable Cholesky storage for per-bin solves in hot loops.
-///
-/// [`Cholesky::factor`] allocates a fresh factor every call; estimation
-/// pipelines factor one `A W Aᵀ` per time bin, so a week-long series would
-/// allocate thousands of `rows²` buffers. `CholeskyWorkspace` keeps one
-/// buffer alive and re-factors into it — allocation-free once warm.
-///
-/// # Examples
-///
-/// ```
-/// use ic_linalg::{CholeskyWorkspace, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-/// let mut ws = CholeskyWorkspace::new();
-/// ws.factor_regularized(&a, 0.0).unwrap();
-/// let mut x = [0.0; 2];
-/// ws.solve_into(&[8.0, 7.0], &mut x).unwrap();
-/// assert!((x[0] - 1.25).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CholeskyWorkspace {
-    l: Matrix,
-    factored: bool,
-}
-
-impl Default for CholeskyWorkspace {
-    fn default() -> Self {
-        CholeskyWorkspace::new()
-    }
-}
-
-impl CholeskyWorkspace {
-    /// An empty workspace; buffers are sized on first factorization.
-    pub fn new() -> Self {
-        CholeskyWorkspace {
-            l: Matrix::zeros(0, 0),
-            factored: false,
-        }
-    }
-
-    /// Factors `a + ridge·I` into the reusable buffer.
-    ///
-    /// [`Cholesky::factor_regularized`] is this on a fresh workspace. On
-    /// failure the workspace is left unfactored and subsequent solves
-    /// error until the next successful factorization.
-    pub fn factor_regularized(&mut self, a: &Matrix, ridge: f64) -> Result<()> {
-        if ridge < 0.0 {
-            return Err(LinalgError::InvalidArgument(
-                "cholesky: ridge must be non-negative",
-            ));
-        }
-        validate_square(a)?;
-        self.factored = false;
-        let n = a.rows();
-        if self.l.shape() != (n, n) {
-            self.l = Matrix::zeros(n, n);
-        }
-        self.l.as_mut_slice().copy_from_slice(a.as_slice());
-        for i in 0..n {
-            self.l[(i, i)] += ridge;
-        }
-        factor_in_place(&mut self.l)?;
-        self.factored = true;
-        Ok(())
-    }
-
-    /// Solves with the most recent factorization, into `x`.
-    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<()> {
-        if !self.factored {
-            return Err(LinalgError::InvalidArgument(
-                "cholesky workspace: no valid factorization",
-            ));
-        }
-        solve_with_factor(&self.l, b, x)
-    }
 }
 
 #[cfg(test)]
@@ -374,37 +318,6 @@ mod tests {
     fn rejects_negative_definite() {
         let a = Matrix::from_rows(&[&[-1.0, 0.0], &[0.0, -1.0]]).unwrap();
         assert!(Cholesky::factor(&a).is_err());
-    }
-
-    #[test]
-    fn workspace_matches_one_shot_factorization() {
-        let a = spd3();
-        let ch = Cholesky::factor_regularized(&a, 1e-6).unwrap();
-        let mut ws = CholeskyWorkspace::new();
-        ws.factor_regularized(&a, 1e-6).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let mut x = [0.0; 3];
-        ws.solve_into(&b, &mut x).unwrap();
-        assert_eq!(x.to_vec(), ch.solve(&b).unwrap());
-        // Refactoring with a different matrix reuses the buffer.
-        let a2 = Matrix::identity(3);
-        ws.factor_regularized(&a2, 0.0).unwrap();
-        ws.solve_into(&b, &mut x).unwrap();
-        assert_eq!(x, b);
-    }
-
-    #[test]
-    fn workspace_guards_misuse() {
-        let mut ws = CholeskyWorkspace::default();
-        let mut x = [0.0; 2];
-        assert!(ws.solve_into(&[1.0, 1.0], &mut x).is_err());
-        assert!(ws.factor_regularized(&Matrix::zeros(2, 3), 0.0).is_err());
-        assert!(ws.factor_regularized(&Matrix::identity(2), -1.0).is_err());
-        // A failed factorization invalidates the workspace.
-        let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        ws.factor_regularized(&Matrix::identity(2), 0.0).unwrap();
-        assert!(ws.factor_regularized(&indef, 0.0).is_err());
-        assert!(ws.solve_into(&[1.0, 1.0], &mut x).is_err());
     }
 
     #[test]

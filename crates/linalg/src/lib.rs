@@ -43,9 +43,8 @@ pub mod solver;
 pub mod sparse;
 pub mod svd;
 
-pub use cholesky::{Cholesky, CholeskyWorkspace};
+pub use cholesky::Cholesky;
 pub use matrix::Matrix;
-pub use nnls::NnlsOptions;
 pub use pcg::{PcgSolve, PcgWorkspace, PCG_MAX_ITERATIONS, PCG_REL_TOLERANCE};
 pub use pinv::pseudo_inverse;
 pub use solver::{NormalSolverWorkspace, SolveStats, SolverKind, SolverPolicy};
@@ -62,7 +61,6 @@ const _: () = {
     _assert_send_sync::<Matrix>();
     _assert_send_sync::<SparseMatrix>();
     _assert_send_sync::<Cholesky>();
-    _assert_send_sync::<CholeskyWorkspace>();
     _assert_send_sync::<Svd>();
     _assert_send_sync::<PcgWorkspace>();
     _assert_send_sync::<NormalSolverWorkspace>();

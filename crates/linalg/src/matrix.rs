@@ -152,6 +152,20 @@ impl Matrix {
         self.data.is_empty()
     }
 
+    /// Gives the matrix the shape `rows x cols` within its allocation: a
+    /// matrix of that shape keeps its entries, one of any other shape
+    /// becomes all zeros. The storage grows only past its capacity, so a
+    /// workspace matrix that alternates between shapes stops reallocating
+    /// once it has held the largest.
+    pub fn ensure_shape(&mut self, rows: usize, cols: usize) {
+        if self.shape() != (rows, cols) {
+            self.data.clear();
+            self.data.resize(rows * cols, 0.0);
+            self.rows = rows;
+            self.cols = cols;
+        }
+    }
+
     /// Immutable access to the underlying row-major storage.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -548,18 +562,6 @@ pub fn norm2(v: &[f64]) -> f64 {
     max * sum.sqrt()
 }
 
-/// `axpy`: `y += alpha * x` over equal-length slices.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,11 +757,30 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_axpy() {
+    fn dot_of_equal_length_slices() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0]);
+    }
+
+    #[test]
+    fn ensure_shape_reshapes_within_capacity_to_zeros() {
+        let mut m = Matrix::filled(4, 5, 3.0);
+        let capacity = m.data.capacity();
+        // The same shape keeps its entries.
+        m.ensure_shape(4, 5);
+        assert_eq!(m, Matrix::filled(4, 5, 3.0));
+        m.ensure_shape(2, 3);
+        assert_eq!(m, Matrix::zeros(2, 3));
+        m.as_mut_slice().fill(7.0);
+        m.ensure_shape(5, 4);
+        assert_eq!(m, Matrix::zeros(5, 4));
+        assert_eq!(
+            m.data.capacity(),
+            capacity,
+            "no reallocation within capacity"
+        );
+        // Past the capacity the storage grows.
+        m.ensure_shape(6, 6);
+        assert_eq!(m, Matrix::zeros(6, 6));
     }
 
     #[test]

@@ -14,24 +14,13 @@ use crate::cholesky::Cholesky;
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
 
-/// Options controlling the NNLS active-set iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct NnlsOptions {
-    /// Maximum passive-set solves; the default, `3 · max(n, 8)`, follows
-    /// common practice (scipy bounds its iterations by `3n`).
-    pub max_iterations: Option<usize>,
-    /// Dual-feasibility tolerance for termination.
-    pub tolerance: f64,
-}
+/// Passive-set solves allowed per coordinate: the budget is
+/// `3 · max(n, 8)` solves, following common practice (scipy bounds its
+/// iterations by `3n`).
+const SOLVES_PER_COORDINATE: usize = 3;
 
-impl Default for NnlsOptions {
-    fn default() -> Self {
-        NnlsOptions {
-            max_iterations: None,
-            tolerance: 1e-10,
-        }
-    }
-}
+/// Dual-feasibility tolerance for termination.
+const DUAL_TOLERANCE: f64 = 1e-10;
 
 /// NNLS against normal equations: `min ½xᵀGx − hᵀx` subject to `x ≥ 0`,
 /// with `G = AᵀA` (`ata`) and `h = Aᵀb` (`atb`) already accumulated.
@@ -49,14 +38,18 @@ impl Default for NnlsOptions {
 ///   binds and it is the answer. Otherwise coordinates that are not
 ///   positive are dropped until the passive solution is strictly positive,
 ///   and the usual outer loop adds the most violated coordinate until
-///   `w ≤ tolerance` off the passive set.
+///   `w ≤ 1e-10` off the passive set.
 ///
-/// `options.max_iterations` bounds the passive-set solves.
-pub fn nnls_from_normal_equations(
-    ata: &Matrix,
-    atb: &[f64],
-    options: NnlsOptions,
-) -> Result<Vec<f64>> {
+/// At most `3 · max(n, 8)` passive-set solves run; a problem that needs
+/// more is [`LinalgError::NoConvergence`].
+pub fn nnls_from_normal_equations(ata: &Matrix, atb: &[f64]) -> Result<Vec<f64>> {
+    let max_solves = SOLVES_PER_COORDINATE * ata.rows().max(8);
+    nnls_within(ata, atb, max_solves, DUAL_TOLERANCE)
+}
+
+/// [`nnls_from_normal_equations`] with an explicit solve budget and dual
+/// tolerance.
+fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> Result<Vec<f64>> {
     let n = ata.rows();
     if ata.cols() != n {
         return Err(LinalgError::InvalidArgument(
@@ -83,7 +76,6 @@ pub fn nnls_from_normal_equations(
     if unconstrained.iter().all(|&v| v > 0.0) {
         return Ok(unconstrained);
     }
-    let max_solves = options.max_iterations.unwrap_or(3 * n.max(8));
     let mut solves = 0;
     // Solves `(G + ρI)[P,P] z = h[P]` into `out`, zero off the passive set
     // P; each non-empty solve counts against the iteration budget.
@@ -146,7 +138,7 @@ pub fn nnls_from_normal_equations(
             }
             // x_j = 0 off the passive set, so the ridge term drops out.
             let wj = atb[j] - crate::matrix::dot(ata.row(j), &x);
-            if wj > options.tolerance && best.is_none_or(|(_, wb)| wj > wb) {
+            if wj > tolerance && best.is_none_or(|(_, wb)| wj > wb) {
                 best = Some((j, wj));
             }
         }
@@ -202,7 +194,7 @@ mod tests {
     /// `min ‖A x − b‖₂, x ≥ 0` solved from its normal equations.
     fn gram_nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
         let atb = a.matvec_transposed(b).unwrap();
-        nnls_from_normal_equations(&a.gram(), &atb, NnlsOptions::default()).unwrap()
+        nnls_from_normal_equations(&a.gram(), &atb).unwrap()
     }
 
     #[test]
@@ -246,23 +238,22 @@ mod tests {
     #[test]
     fn normal_equations_validates_shapes() {
         let ata = Matrix::zeros(2, 3);
-        assert!(nnls_from_normal_equations(&ata, &[1.0, 2.0], NnlsOptions::default()).is_err());
+        assert!(nnls_from_normal_equations(&ata, &[1.0, 2.0]).is_err());
         let ata = Matrix::identity(2);
-        assert!(nnls_from_normal_equations(&ata, &[1.0], NnlsOptions::default()).is_err());
+        assert!(nnls_from_normal_equations(&ata, &[1.0]).is_err());
     }
 
     #[test]
     fn normal_equations_rejects_non_finite_input() {
-        let opts = NnlsOptions::default();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let g = Matrix::identity(2);
             assert!(matches!(
-                nnls_from_normal_equations(&g, &[1.0, bad], opts),
+                nnls_from_normal_equations(&g, &[1.0, bad]),
                 Err(LinalgError::InvalidArgument(_))
             ));
             let g = Matrix::from_rows(&[&[1.0, bad], &[bad, 1.0]]).unwrap();
             assert!(matches!(
-                nnls_from_normal_equations(&g, &[1.0, 1.0], opts),
+                nnls_from_normal_equations(&g, &[1.0, 1.0]),
                 Err(LinalgError::InvalidArgument(_))
             ));
         }
@@ -270,8 +261,7 @@ mod tests {
 
     #[test]
     fn normal_equations_empty_problem_gives_empty_solution() {
-        let x =
-            nnls_from_normal_equations(&Matrix::zeros(0, 0), &[], NnlsOptions::default()).unwrap();
+        let x = nnls_from_normal_equations(&Matrix::zeros(0, 0), &[]).unwrap();
         assert!(x.is_empty());
     }
 
@@ -300,7 +290,7 @@ mod tests {
             .solve(&h)
             .unwrap();
         assert!(want.iter().all(|&v| v > 0.0));
-        let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
+        let x = nnls_from_normal_equations(&g, &h).unwrap();
         assert_eq!(x, want);
     }
 
@@ -309,7 +299,7 @@ mod tests {
         // The unconstrained optimum (-3, 1) is partly positive, but x = 0
         // already meets KKT: w = h ≤ 0.
         let g = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 5.0]]).unwrap();
-        let x = nnls_from_normal_equations(&g, &[-1.0, -1.0], NnlsOptions::default()).unwrap();
+        let x = nnls_from_normal_equations(&g, &[-1.0, -1.0]).unwrap();
         assert_eq!(x, vec![0.0, 0.0]);
     }
 
@@ -317,7 +307,7 @@ mod tests {
     fn normal_equations_diagonal_gram_clips_each_coordinate() {
         let d = [2.0, 4.0, 0.5, 1.0];
         let h = [3.0, -1.0, 0.25, 0.0];
-        let x = nnls_from_normal_equations(&Matrix::diag(&d), &h, NnlsOptions::default()).unwrap();
+        let x = nnls_from_normal_equations(&Matrix::diag(&d), &h).unwrap();
         for ((&xi, &di), &hi) in x.iter().zip(&d).zip(&h) {
             let want = (hi / di).max(0.0);
             assert!((xi - want).abs() <= 1e-10 * want, "{xi} vs {want}");
@@ -327,12 +317,8 @@ mod tests {
     #[test]
     fn normal_equations_iteration_budget_respected() {
         // The unconstrained optimum (1, -1) binds, so one passive solve is needed.
-        let opts = NnlsOptions {
-            max_iterations: Some(0),
-            tolerance: 1e-10,
-        };
         assert!(matches!(
-            nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -1.0], opts),
+            nnls_within(&Matrix::identity(2), &[1.0, -1.0], 0, DUAL_TOLERANCE),
             Err(LinalgError::NoConvergence { .. })
         ));
     }
@@ -342,11 +328,13 @@ mod tests {
         // A negative tolerance admits w₁ = -0.5, whose passive solution is
         // not positive: the coordinate is rejected instead of re-entering
         // until the budget runs out.
-        let opts = NnlsOptions {
-            max_iterations: None,
-            tolerance: -1.0,
-        };
-        let x = nnls_from_normal_equations(&Matrix::identity(2), &[1.0, -0.5], opts).unwrap();
+        let x = nnls_within(
+            &Matrix::identity(2),
+            &[1.0, -0.5],
+            SOLVES_PER_COORDINATE * 8,
+            -1.0,
+        )
+        .unwrap();
         assert_eq!(x[1], 0.0);
         assert!((x[0] - 1.0).abs() < 1e-10);
     }

@@ -10,8 +10,8 @@
 //! CSR matvecs for the tomogravity case) plus its diagonal, and the solver
 //! runs Jacobi-preconditioned CG over caller-invisible reusable buffers.
 //!
-//! Mirroring [`crate::CholeskyWorkspace`], the workspace is
-//! allocation-free once warm: buffers are sized on first use and reused
+//! Like the dense side of [`crate::NormalSolverWorkspace`], the workspace
+//! is allocation-free once warm: buffers are sized on first use and reused
 //! across bins. All arithmetic is sequential and deterministic — equal
 //! inputs produce bit-identical iterates on any thread.
 

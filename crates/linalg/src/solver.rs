@@ -13,10 +13,11 @@
 //! strategy per problem size instead of hard-coding one:
 //!
 //! * **dense** — the original path: materialize `A W Aᵀ` via
-//!   [`SparseMatrix::awat_into`] and factor it with
-//!   [`crate::CholeskyWorkspace`], falling back to the SVD pseudo-inverse
-//!   when the ridge cannot rescue rank deficiency. Exact and fast while
-//!   `rows` is small; `O(rows²)` memory, `O(rows³)` time.
+//!   [`SparseMatrix::awat_into`] and factor it with the ridged
+//!   [`crate::Cholesky`] kernel in place, in the same buffer, falling back
+//!   to the SVD pseudo-inverse when the ridge cannot rescue rank
+//!   deficiency. Exact and fast while `rows` is small; one `rows × rows`
+//!   matrix of memory, `O(rows³)` time.
 //! * **PCG** — matrix-free Jacobi-preconditioned conjugate gradients
 //!   ([`crate::PcgWorkspace`]): the gram matrix is never formed, each
 //!   iteration costs two CSR matvecs, and memory stays `O(rows + cols)`.
@@ -26,11 +27,12 @@
 //! on row count), and the workspace counts every solve, PCG iteration,
 //! stall and pseudo-inverse fallback in observable [`SolveStats`].
 
+use crate::cholesky::{factor_regularized_in_place, solve_with_factor};
 use crate::matrix::Matrix;
 use crate::pcg::PcgWorkspace;
 use crate::pinv::pseudo_inverse;
 use crate::sparse::SparseMatrix;
-use crate::{CholeskyWorkspace, Result};
+use crate::Result;
 
 /// Which normal-equations solver a consumer should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,15 +152,16 @@ impl SolveStats {
 /// PSD matrix lies on the diagonal, so the matrix-free path reads the same
 /// scale without forming the matrix. Buffers on the unused side stay
 /// empty (both sides size lazily), so an always-dense or always-PCG
-/// workload pays nothing for the other path, and either path is
-/// allocation-free once warm at a fixed problem shape.
+/// workload pays nothing for the other path. Either path is
+/// allocation-free once warm: the buffers reshape within their
+/// allocations, so a workspace that alternates between systems of
+/// different sizes stops allocating once it has solved the largest.
 #[derive(Debug, Clone)]
 pub struct NormalSolverWorkspace {
     policy: SolverPolicy,
     stats: SolveStats,
-    // Dense path: the materialized `A W Aᵀ` and its Cholesky factor.
+    // Dense path: the materialized `A W Aᵀ`, factored in place.
     awat: Matrix,
-    chol: CholeskyWorkspace,
     // PCG path: the CG vectors, the Jacobi diagonal and the `Aᵀv`
     // scratch of the operator.
     pcg: PcgWorkspace,
@@ -185,7 +188,6 @@ impl NormalSolverWorkspace {
             policy,
             stats: SolveStats::default(),
             awat: Matrix::zeros(0, 0),
-            chol: CholeskyWorkspace::new(),
             pcg: PcgWorkspace::new(),
             diag: Vec::new(),
             scratch: Vec::new(),
@@ -237,7 +239,8 @@ impl NormalSolverWorkspace {
     /// Cholesky, counted SVD pseudo-inverse fallback on rank deficiency.
     /// Byte for byte the sequence tomogravity used before the solver
     /// layer existed, so policies that resolve to dense reproduce
-    /// historical results exactly.
+    /// historical results exactly. The factor overwrites the Gram, so
+    /// the fallback assembles the Gram again before the SVD reads it.
     fn solve_dense(
         &mut self,
         a: &SparseMatrix,
@@ -248,17 +251,17 @@ impl NormalSolverWorkspace {
         x: &mut [f64],
     ) -> Result<()> {
         let rows = a.rows();
-        if self.awat.shape() != (rows, rows) {
-            self.awat = Matrix::zeros(rows, rows);
-        }
+        self.awat.ensure_shape(rows, rows);
         // A W Aᵀ in O(nnz) via the precomputed transpose.
         a.awat_into(weights, transpose, &mut self.awat)?;
         let scale = self.awat.max_abs().max(f64::MIN_POSITIVE);
-        match self.chol.factor_regularized(&self.awat, scale * ridge) {
-            Ok(()) => self.chol.solve_into(b, x)?,
+        match factor_regularized_in_place(&mut self.awat, scale * ridge) {
+            Ok(()) => solve_with_factor(&self.awat, b, x)?,
             Err(_) => {
-                // Rank-deficient beyond what the ridge absorbs: SVD route.
+                // Rank-deficient beyond what the ridge absorbs: SVD route,
+                // on the Gram the failed factorization overwrote.
                 self.stats.fallbacks += 1;
+                a.awat_into(weights, transpose, &mut self.awat)?;
                 let pinv = pseudo_inverse(&self.awat, None)?;
                 let l = pinv.matvec(b)?;
                 x.copy_from_slice(&l);
@@ -319,6 +322,7 @@ impl NormalSolverWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Cholesky;
 
     fn sample_system() -> (SparseMatrix, SparseMatrix, Vec<f64>, Vec<f64>) {
         // A 3x5 operator with full row rank.
@@ -333,6 +337,89 @@ mod tests {
         let w = vec![0.5, 1.0, 2.0, 0.25, 1.5];
         let b = vec![3.0, -1.0, 2.0];
         (a, at, w, b)
+    }
+
+    /// A `rows × (rows + 3)` operator of full row rank: a diagonal of
+    /// ones plus a few deterministic pseudo-random entries per row, with
+    /// its transpose, positive weights and a right-hand side.
+    fn wide_system(rows: usize, seed: u64) -> (SparseMatrix, SparseMatrix, Vec<f64>, Vec<f64>) {
+        let cols = rows + 3;
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut d = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            d[(r, r)] = 1.0;
+            for _ in 0..3 {
+                let c = (next() * cols as f64) as usize % cols;
+                d[(r, c)] += next();
+            }
+        }
+        let a = SparseMatrix::from_dense(&d);
+        let at = a.transpose();
+        let w: Vec<f64> = (0..cols).map(|_| 0.1 + next()).collect();
+        let b: Vec<f64> = (0..rows).map(|_| next() - 0.5).collect();
+        (a, at, w, b)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The dense solve is the ridged Cholesky of the assembled Gram,
+    /// factored in place: the same bits as `Cholesky::factor_regularized`
+    /// on a copy of the Gram, then `solve`.
+    #[test]
+    fn dense_solve_matches_regularized_cholesky_bit_for_bit() {
+        for (rows, ridge) in [(1, 0.0), (7, 1e-10), (40, 1e-6)] {
+            let (a, at, w, b) = wide_system(rows, 11 + rows as u64);
+            let gram = a.awat(&w).unwrap();
+            let scale = gram.max_abs().max(f64::MIN_POSITIVE);
+            let want = Cholesky::factor_regularized(&gram, scale * ridge)
+                .unwrap()
+                .solve(&b)
+                .unwrap();
+            let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
+            let mut x = vec![0.0; rows];
+            ws.solve(&a, &at, &w, ridge, &b, &mut x).unwrap();
+            assert_eq!(bits(&x), bits(&want), "{rows} rows");
+            assert_eq!(ws.stats().fallbacks, 0);
+        }
+    }
+
+    /// One workspace solving a large system, a smaller one, the large one
+    /// again and then one that takes the counted fallback gives each the
+    /// bits of a fresh workspace: the Gram reshapes within its allocation
+    /// and every solve assembles it from scratch.
+    #[test]
+    fn workspace_reuse_is_bit_identical_and_resizes() {
+        let large = wide_system(60, 3);
+        let small = wide_system(9, 5);
+        // diag(4, -1) is indefinite: the ridged Cholesky fails.
+        let eye = SparseMatrix::from_dense(&Matrix::identity(2));
+        let fallback = (
+            eye.clone(),
+            eye.transpose(),
+            vec![4.0, -1.0],
+            vec![2.0, -3.0],
+        );
+        let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
+        for (k, (a, at, w, b)) in [&large, &small, &large, &fallback].into_iter().enumerate() {
+            let ridge = if k == 3 { 0.0 } else { 1e-10 };
+            let mut x = vec![0.0; a.rows()];
+            ws.solve(a, at, w, ridge, b, &mut x).unwrap();
+            let mut fresh = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
+            let mut want = vec![0.0; a.rows()];
+            fresh.solve(a, at, w, ridge, b, &mut want).unwrap();
+            assert_eq!(bits(&x), bits(&want), "solve {k}");
+        }
+        let stats = ws.stats();
+        assert_eq!(stats.dense_solves, 4);
+        assert_eq!(stats.fallbacks, 1);
     }
 
     #[test]
@@ -388,11 +475,13 @@ mod tests {
 
     #[test]
     fn dense_fallback_is_counted() {
-        // diag(1, -1) is indefinite: Cholesky must fail deterministically
-        // and the pseudo-inverse path must answer and be counted.
+        // diag(4, -1) is indefinite: Cholesky must fail deterministically
+        // and the pseudo-inverse path must answer and be counted. The
+        // answer solves the system of a freshly assembled Gram, not of the
+        // partial factor `diag(2, -1)` the failed Cholesky left behind.
         let a = SparseMatrix::from_dense(&Matrix::identity(2));
         let at = a.transpose();
-        let w = vec![1.0, -1.0];
+        let w = vec![4.0, -1.0];
         let b = vec![2.0, -3.0];
         let mut ws = NormalSolverWorkspace::with_policy(SolverPolicy::Dense);
         let mut x = vec![0.0; 2];

@@ -9,8 +9,8 @@
 use ic_linalg::matrix::dot;
 use ic_linalg::nnls::nnls_from_normal_equations;
 use ic_linalg::{
-    pseudo_inverse, Cholesky, CholeskyWorkspace, LinalgError, Matrix, NnlsOptions,
-    NormalSolverWorkspace, PcgWorkspace, Result, SolverPolicy, SparseMatrix, Svd,
+    pseudo_inverse, Cholesky, LinalgError, Matrix, NormalSolverWorkspace, PcgWorkspace, Result,
+    SolverPolicy, SparseMatrix, Svd,
 };
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ proptest! {
         let a = deterministic_matrix(rows, cols, seed);
         let b: Vec<f64> = deterministic_matrix(rows, 1, seed ^ 0x9e37_79b9).into_vec();
         let atb = a.matvec_transposed(&b).unwrap();
-        let x = nnls_from_normal_equations(&a.gram(), &atb, NnlsOptions::default()).unwrap();
+        let x = nnls_from_normal_equations(&a.gram(), &atb).unwrap();
         prop_assert!(x.iter().all(|&v| v >= 0.0));
         let ax = a.matvec(&x).unwrap();
         let r: Vec<f64> = b.iter().zip(ax.iter()).map(|(&bi, &axi)| bi - axi).collect();
@@ -302,9 +302,9 @@ fn nnls_normal_equations_matches_exhaustive_oracle_on_fixed_inputs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Cholesky::factor` + `solve` and `CholeskyWorkspace::factor_regularized`
-    /// + `solve_into` give the bits of the dot-product kernel, and accept or
-    /// reject the same inputs, for every `n mod 4` and input kind. The upper
+    /// `Cholesky::factor` + `solve` and `Cholesky::factor_regularized` +
+    /// `solve` give the bits of the dot-product kernel, and accept or reject
+    /// the same inputs, for every `n mod 4` and input kind. The upper
     /// triangle holds garbage, which both kernels must ignore.
     #[test]
     fn cholesky_is_bit_identical_to_dot_product_oracle(
@@ -366,17 +366,13 @@ proptest! {
             want[(i, i)] += ridge;
         }
         let want_ok = factor_in_place(&mut want).is_ok();
-        let mut ws = CholeskyWorkspace::new();
-        prop_assert_eq!(ws.factor_regularized(&a, ridge).is_ok(), want_ok);
         let one_shot = Cholesky::factor_regularized(&a, ridge);
         prop_assert_eq!(one_shot.is_ok(), want_ok);
-        if want_ok {
+        if let Ok(ch) = one_shot {
             let mut x = vec![0.0; n];
             solve_with_factor(&want, &b, &mut x).unwrap();
-            let mut got = vec![0.0; n];
-            ws.solve_into(&b, &mut got).unwrap();
-            prop_assert_eq!(bits(&got), bits(&x));
-            prop_assert_eq!(bits(one_shot.unwrap().l().as_slice()), bits(want.as_slice()));
+            prop_assert_eq!(bits(&ch.solve(&b).unwrap()), bits(&x));
+            prop_assert_eq!(bits(ch.l().as_slice()), bits(want.as_slice()));
         }
     }
 }
@@ -388,7 +384,7 @@ fn assert_gram_nnls_matches_oracle(a: &Matrix, b: &[f64]) {
     let g = a.gram();
     let h = a.matvec_transposed(b).unwrap();
     let ridge = 1e-12 * g.max_abs();
-    let x = nnls_from_normal_equations(&g, &h, NnlsOptions::default()).unwrap();
+    let x = nnls_from_normal_equations(&g, &h).unwrap();
     assert!(x.iter().all(|&v| v >= 0.0));
     // KKT on the ridged Gram: w = h − (G + ρI)x is zero on the support
     // and non-positive off it.

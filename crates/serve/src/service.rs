@@ -1,10 +1,13 @@
 //! The transport-free service core.
 //!
 //! A [`Service`] owns many independent tenants — each a registered
-//! topology + routing + [`StreamingTomogravity`] (with held workspaces) +
-//! [`ParamForecaster`] + [`DriftDetector`] — and batches their ready
-//! windows onto one shared [`ic_engine::Engine`]. Determinism is the
-//! design invariant:
+//! topology + routing + [`StreamingTomogravity`] + [`ParamForecaster`] +
+//! [`DriftDetector`] — and batches their ready windows onto one shared
+//! [`ic_engine::Engine`]. Solver memory is a per-worker cost: every job
+//! of a poll, candidate or baseline, runs on the engine worker's
+//! [`PipelineWorkspace`], so the service holds one `rows × rows` Gram per
+//! worker (sized for the largest tenant it has run), not one per tenant.
+//! Determinism is the design invariant:
 //!
 //! * **Per-tenant ordering.** Window `k + 1`'s prior depends on window
 //!   `k`'s fit, so a [`Service::poll`] round takes at most *one* ready
@@ -37,7 +40,7 @@ use ic_estimation::{
 };
 use ic_obs::{Counter, Histogram, MetricsRegistry, Span};
 use ic_stream::{
-    DriftDetector, OnlineEstimator, ParamForecast, ParamForecaster, StreamError, StreamMetrics,
+    DriftDetector, ParamForecast, ParamForecaster, StreamError, StreamMetrics,
     StreamingTomogravity, Window, WindowEstimate, WindowReport, Windower,
 };
 use std::collections::VecDeque;
@@ -118,10 +121,12 @@ struct TenantMetrics {
     polled_windows: Arc<Counter>,
 }
 
+/// A registered tenant. It holds no solver buffers: its windows run on
+/// the service's per-worker workspaces.
 struct Tenant {
     spec: TenantSpec,
-    /// Gravity-prior baseline pipeline (the candidate holds its own
-    /// clone inside the streaming estimator).
+    /// Gravity-prior baseline pipeline. The candidate wraps a clone of
+    /// it, and the clones share one observation model.
     pipeline: EstimationPipeline,
     /// The IC-prior candidate; behind a mutex so an engine job can
     /// advance it while the service only holds `&self.tenants`.
@@ -262,7 +267,10 @@ pub(crate) fn render_registry(
 pub struct Service {
     engine: Engine,
     tenants: Vec<Tenant>,
-    /// Per-worker scratch for the gravity-baseline jobs (result-neutral).
+    /// Per-worker scratch for every job of a poll, the candidate and the
+    /// gravity baseline of every tenant (result-neutral). The engine
+    /// holds at most one workspace per worker, each reshaped within its
+    /// allocation as the worker moves between tenants of different sizes.
     scratch: WorkspacePool<PipelineWorkspace>,
     journal: Option<Vec<u8>>,
     /// Observability handles; absent (the default) every recording site
@@ -534,13 +542,14 @@ impl Service {
                     let (idx, window) = &round_ref[j / 2];
                     let tenant = &tenants[*idx];
                     if j % 2 == 0 {
-                        // The candidate step IS StreamingTomogravity::process —
-                        // the single source of the per-window logic shared with
-                        // the offline replay drivers.
+                        // The candidate step IS the streaming estimator's
+                        // per-window body — the one the offline replay drivers
+                        // run through `process` — here on this worker's
+                        // workspace.
                         let mut candidate =
                             tenant.candidate.lock().expect("candidate lock poisoned");
                         candidate
-                            .process(window)
+                            .process_with(window, ws)
                             .map(|e| StepOut::Candidate(Box::new(e)))
                     } else {
                         // The gravity-prior baseline, identical to the replay

@@ -105,6 +105,50 @@ fn multi_tenant_batched_service_matches_solo_offline_replay() {
     }
 }
 
+/// Tenants of different sizes share the engine workers' workspaces: within
+/// one poll a worker's Gram, IPF matrix and snapshot shrink and grow as it
+/// moves between tenants, and every tenant still reports exactly its solo
+/// offline replay.
+#[test]
+fn tenants_of_different_sizes_share_worker_workspaces_bit_identically() {
+    let tenants = [
+        (spec_for("small", 4), series_for(41, 4, 12)),
+        (spec_for("large", 7), series_for(42, 7, 12)),
+        (spec_for("medium", 5), series_for(43, 5, 12)),
+    ];
+    for threads in [1, 3] {
+        let mut service = Service::with_engine(Engine::new().with_threads(threads));
+        let ids: Vec<_> = tenants
+            .iter()
+            .map(|(spec, _)| service.register(spec.clone()).unwrap())
+            .collect();
+        let mut events = Vec::new();
+        for t in 0..12 {
+            for (id, (_, series)) in ids.iter().zip(&tenants) {
+                service.ingest(*id, series.column(t)).unwrap();
+            }
+            // One poll after the first window, one for the last two.
+            if t == 3 || t == 11 {
+                events.extend(service.poll().unwrap());
+            }
+        }
+        for (id, (spec, series)) in ids.iter().zip(&tenants) {
+            let got: Vec<WindowReport> = events
+                .iter()
+                .filter(|ev| ev.tenant == *id)
+                .map(|ev| ev.report.clone())
+                .collect();
+            assert_eq!(got.len(), 3, "{threads} threads, tenant {}", spec.name);
+            assert_eq!(
+                got,
+                offline_windows(spec, series),
+                "{threads} threads, tenant {}",
+                spec.name
+            );
+        }
+    }
+}
+
 #[test]
 fn kill_and_restore_mid_stream_is_bit_identical() {
     let spec = spec_for("resume", 5);

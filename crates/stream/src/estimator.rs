@@ -24,7 +24,8 @@ use ic_core::{
 };
 use ic_engine::{Engine, WorkspacePool};
 use ic_estimation::{
-    EstimationConfig, EstimationPipeline, GravityPrior, PipelineWorkspace, StableFpPrior, TmPrior,
+    EstimationConfig, EstimationPipeline, GravityPrior, Observations, PipelineWorkspace,
+    StableFpPrior, TmPrior,
 };
 use ic_linalg::SolveStats;
 use ic_obs::Span;
@@ -228,6 +229,12 @@ pub struct StreamingTomogravityState {
 /// rolling fit (warm-started), playing the role of the paper's
 /// directly-measured calibration week arriving one window late.
 ///
+/// [`OnlineEstimator::process`] runs each window on the estimator's own
+/// engine and workspace pool; [`StreamingTomogravity::process_with`] runs
+/// it on a workspace the caller holds, which is how `ic-serve` keeps one
+/// set of solver buffers per engine worker instead of one per tenant.
+/// Both give the same estimate bit for bit.
+///
 /// [`ObservationModel`]: ic_estimation::ObservationModel
 #[derive(Debug, Clone)]
 pub struct StreamingTomogravity {
@@ -237,11 +244,12 @@ pub struct StreamingTomogravity {
     /// Bin-sharding engine for the per-window pipeline run (serial by
     /// default; thread count never changes results).
     engine: Engine,
-    /// Reused across windows: per-worker tomogravity/IPF scratch
-    /// (results are bit-identical to fresh-workspace runs). On the
-    /// serial default engine the steady-state loop is allocation-free;
-    /// multi-thread engines add only small per-window scheduling
-    /// allocations.
+    /// Reused across [`OnlineEstimator::process`] windows: per-worker
+    /// tomogravity/IPF scratch (results are bit-identical to
+    /// fresh-workspace runs). On the serial default engine the
+    /// steady-state loop is allocation-free; multi-thread engines add only
+    /// small per-window scheduling allocations. Stays empty when every
+    /// window goes through [`StreamingTomogravity::process_with`].
     pool: WorkspacePool<PipelineWorkspace>,
     /// Optional observability handles; recording is result-neutral
     /// (atomics only, never on the numeric path).
@@ -324,20 +332,38 @@ impl StreamingTomogravity {
             acc
         })
     }
-}
 
-impl OnlineEstimator for StreamingTomogravity {
-    fn name(&self) -> &str {
-        "streaming-tomogravity"
+    /// [`OnlineEstimator::process`] on the caller's workspace, serially,
+    /// leaving the estimator's own engine and pool untouched. The window's
+    /// solver work is the delta of `ws`'s cumulative counters, so `ws` may
+    /// carry counts from other pipelines. Bit-identical to `process` for
+    /// every engine.
+    pub fn process_with(
+        &mut self,
+        window: &Window,
+        ws: &mut PipelineWorkspace,
+    ) -> Result<WindowEstimate> {
+        self.step(window, |me, prior, obs| {
+            let before = ws.solve_stats();
+            let estimate = me.pipeline.estimate_with(prior, obs, ws)?;
+            Ok((estimate, ws.solve_stats().since(&before)))
+        })
     }
 
-    fn process(&mut self, window: &Window) -> Result<WindowEstimate> {
+    /// The one per-window body behind [`OnlineEstimator::process`] and
+    /// [`StreamingTomogravity::process_with`]: observe the window, estimate
+    /// it through `estimate` (which returns the estimate with its solver
+    /// work) from the rolling prior, then refresh the rolling fit.
+    fn step(
+        &mut self,
+        window: &Window,
+        estimate: impl FnOnce(
+            &Self,
+            &dyn TmPrior,
+            &Observations,
+        ) -> ic_estimation::Result<(TmSeries, SolveStats)>,
+    ) -> Result<WindowEstimate> {
         let span = Span::maybe(self.metrics.as_deref().map(|m| &m.window));
-        // Solver work is read as a delta of the pool's cumulative
-        // workspace counters: every workspace is idle between windows
-        // (the engine restores them), so the delta is exactly this
-        // window's solves, for any worker count.
-        let stats_before = self.pool_solve_stats();
         let obs = self
             .pipeline
             .model()
@@ -348,10 +374,8 @@ impl OnlineEstimator for StreamingTomogravity {
             Some(fit) => Box::new(StableFpPrior::from_fit(fit)),
             None => Box::new(GravityPrior),
         };
-        let estimate = self
-            .pipeline
-            .estimate_parallel_pooled(prior.as_ref(), &obs, &self.engine, &self.pool)
-            .map_err(StreamError::from)?;
+        let (estimate, solve_stats) =
+            estimate(self, prior.as_ref(), &obs).map_err(StreamError::from)?;
         let error = mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
         // The window's TM has now "been measured": refresh the rolling
         // fit for the next window, warm-starting from the current one.
@@ -360,7 +384,6 @@ impl OnlineEstimator for StreamingTomogravity {
             None => self.fit_options.clone(),
         };
         let fit = fit_stable_fp(&window.series, options).map_err(StreamError::from)?;
-        let solve_stats = self.pool_solve_stats().since(&stats_before);
         let out = WindowEstimate {
             window: window.index,
             start_bin: window.start_bin,
@@ -379,6 +402,26 @@ impl OnlineEstimator for StreamingTomogravity {
         }
         drop(span);
         Ok(out)
+    }
+}
+
+impl OnlineEstimator for StreamingTomogravity {
+    fn name(&self) -> &str {
+        "streaming-tomogravity"
+    }
+
+    fn process(&mut self, window: &Window) -> Result<WindowEstimate> {
+        self.step(window, |me, prior, obs| {
+            // Solver work is read as a delta of the pool's cumulative
+            // workspace counters: every workspace is idle between windows
+            // (the engine restores them), so the delta is exactly this
+            // window's solves, for any worker count.
+            let before = me.pool_solve_stats();
+            let estimate = me
+                .pipeline
+                .estimate_parallel_pooled(prior, obs, &me.engine, &me.pool)?;
+            Ok((estimate, me.pool_solve_stats().since(&before)))
+        })
     }
 
     fn reset(&mut self) {
@@ -574,6 +617,41 @@ mod tests {
             assert_eq!(e.solve_stats.dense_solves, 0, "window {}", w.index);
             assert!(e.sweeps.unwrap() <= 7, "window {}", w.index);
         }
+    }
+
+    /// `process_with` on a caller's workspace — one that other pipelines
+    /// of other sizes use between windows — gives `process`'s estimates,
+    /// fits and per-window solver counts bit for bit, and leaves the
+    /// estimator's own pool empty.
+    #[test]
+    fn process_with_matches_process_on_a_shared_workspace() {
+        let om = ObservationModel::new(&ring_topology(5), RoutingScheme::Ecmp).unwrap();
+        let other = EstimationPipeline::new(
+            ObservationModel::new(&ring_topology(7), RoutingScheme::Ecmp).unwrap(),
+        );
+        let other_obs = other
+            .model()
+            .observe(&windows(7, 4, 4, 31)[0].series)
+            .unwrap();
+        let mut pooled = StreamingTomogravity::new(EstimationPipeline::new(om.clone()))
+            .with_engine(Engine::new().with_threads(2));
+        let mut borrowed = StreamingTomogravity::new(EstimationPipeline::new(om));
+        let mut ws = PipelineWorkspace::new();
+        for w in &windows(5, 12, 4, 19) {
+            other
+                .estimate_with(&GravityPrior, &other_obs, &mut ws)
+                .unwrap();
+            let a = pooled.process(w).unwrap();
+            let b = borrowed.process_with(w, &mut ws).unwrap();
+            assert_eq!(a.estimate, b.estimate, "window {}", w.index);
+            assert_eq!(a.error.to_bits(), b.error.to_bits());
+            assert_eq!(a.fitted_f, b.fitted_f);
+            assert_eq!(a.fitted_preference, b.fitted_preference);
+            assert_eq!(a.warm, b.warm);
+            assert_eq!(a.solve_stats, b.solve_stats);
+            assert!(b.solve_stats.dense_solves > 0);
+        }
+        assert_eq!(borrowed.pool.idle(), 0);
     }
 
     #[test]
