@@ -32,6 +32,18 @@
 //! * **f step.** `X̂` is affine in `f`; the scalar minimizer is closed-form
 //!   and clamped to `[0, 1]`.
 //!
+//! A stable-fP sweep makes four passes over the series. Three walk it in
+//! storage order: one builds both halves of every bin's activity
+//! right-hand side, one every bin's preference right-hand side, and one
+//! computes the prediction together with the objective, which is never
+//! materialized. The `f` step walks it bin by bin, the order of its two
+//! running sums. The [`Objective::WeightedSse`] bin weights depend on the
+//! data only and are computed once per fit. Every sum adds its terms in
+//! the order of the per-bin loops it replaces, so the fit's output is
+//! bit-identical to scoring each sweep with `mean_rel_l2` on a
+//! `stable_fp_series` prediction, and the sweep loop allocates nothing
+//! but the growth of the objective history.
+//!
 //! The paper's objective `Σ_t RelL2(t)` is a sum of *norms* (non-smooth at
 //! zero residual). [`Objective::WeightedSse`] optimizes the smooth surrogate
 //! `Σ_t ‖X(t) − X̂(t)‖² / ‖X(t)‖²` (each bin weighted by its squared norm —
@@ -43,12 +55,12 @@
 
 use crate::error::mean_rel_l2;
 use crate::model::{
-    stable_f_series, stable_fp_series, time_varying_series, StableFParams, StableFpParams,
+    stable_f_series, time_varying_series, validate_stable_fp, StableFParams, StableFpParams,
     TimeVaryingParams,
 };
 use crate::tm::TmSeries;
 use crate::{IcError, Result};
-use ic_linalg::nnls::nnls_from_normal_equations;
+use ic_linalg::nnls::{nnls_from_normal_equations_with, NnlsWorkspace};
 use ic_linalg::Matrix;
 
 /// Which scalarization of the Section 5.1 objective to optimize.
@@ -313,19 +325,19 @@ fn preference_rhs_into(x: &TmSeries, bin: usize, f: f64, a: &[f64], rhs: &mut [f
     }
 }
 
-/// Per-bin objective weights, into a reused buffer.
+/// Per-bin objective weights from the per-bin norms `‖X(t)‖`, into a
+/// reused buffer.
 ///
 /// * `WeightedSse`: `w_t = 1/‖X(t)‖²` (zero-traffic bins get weight 0).
 /// * `SumRelL2` (IRLS): `w_t = 1/(‖X(t)‖·max(‖r(t)‖, ε‖X(t)‖))`.
 fn bin_weights_into(
-    x: &TmSeries,
+    norms: &[f64],
     objective: Objective,
     residual_norms: Option<&[f64]>,
     weights: &mut [f64],
 ) {
     let eps = 1e-6;
-    for (t, slot) in weights.iter_mut().enumerate() {
-        let norm = x.norm(t);
+    for (t, (slot, &norm)) in weights.iter_mut().zip(norms).enumerate() {
         *slot = if norm == 0.0 {
             0.0
         } else {
@@ -516,36 +528,91 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
     let (mut f, mut p, mut activity) = initial_point(x, &options)?;
     let mut history = Vec::new();
     let mut converged = false;
-    let mut residual_norms: Option<Vec<f64>> = None;
 
-    // Per-fit workspace: every per-bin buffer of the BCD inner loops lives
-    // here, so the sweeps below allocate only in the preference step's NNLS
-    // and the per-sweep objective evaluation.
+    // Per-fit workspace. Everything the sweeps touch is sized here, so the
+    // sweep loop allocates nothing but the growth of `history`.
+    //
+    // `data` row `i·n + j` holds OD pair (i, j) across all bins, as
+    // activity row `i` holds `A_i` across all bins; `sums_*` are `n x bins`
+    // in the same layout. Each pass over the series walks it in storage
+    // order with one accumulator per (node, bin), adding the terms of every
+    // sum in the order a per-bin loop over the OD pairs would.
+    let data = x.as_matrix().as_slice();
+    let mut objective = ObjectivePass::new(data, n, bins);
+    let norms: Vec<f64> = objective.sq_norms.iter().map(|s| s.sqrt()).collect();
     let mut weights = vec![0.0; bins];
+    bin_weights_into(&norms, options.objective, None, &mut weights);
+    let mut sums_a = vec![0.0; n * bins];
+    let mut sums_b = vec![0.0; n * bins];
     let mut rhs = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
     let mut order = Vec::with_capacity(n);
     let mut g = Matrix::zeros(n, n);
     let mut h = vec![0.0; n];
+    let mut nnls = NnlsWorkspace::new(n);
+    let mut residual_norms = vec![0.0; bins];
 
-    for _sweep in 0..options.max_sweeps {
-        bin_weights_into(
-            x,
-            options.objective,
-            residual_norms.as_deref(),
-            &mut weights,
-        );
+    for sweep in 0..options.max_sweeps {
+        // The WeightedSse weights depend on the data only; the IRLS
+        // weights follow the previous sweep's residuals.
+        if options.objective == Objective::SumRelL2 && sweep > 0 {
+            bin_weights_into(
+                &norms,
+                options.objective,
+                Some(&residual_norms),
+                &mut weights,
+            );
+        }
 
-        // Activity step, per bin in closed form.
+        // Activity step, per bin in closed form, from the right-hand sides
+        // `f·Σ_j X_kj·P_j + (1−f)·Σ_i X_ik·P_i` of every bin.
+        let (fwd, rev) = (&mut sums_a, &mut sums_b);
+        fwd.fill(0.0);
+        rev.fill(0.0);
+        for i in 0..n {
+            for j in 0..n {
+                let row = &data[(i * n + j) * bins..][..bins];
+                let fwd_i = &mut fwd[i * bins..][..bins];
+                for (acc, &v) in fwd_i.iter_mut().zip(row) {
+                    *acc += v * p[j]; // X_{i,j}·P_j into A_i's forward sum
+                }
+                let rev_j = &mut rev[j * bins..][..bins];
+                for (acc, &v) in rev_j.iter_mut().zip(row) {
+                    *acc += v * p[i]; // X_{i,j}·P_i into A_j's reverse sum
+                }
+            }
+        }
         for t in 0..bins {
-            activity_rhs_into(x, t, f, &p, &mut rhs);
+            for (k, slot) in rhs.iter_mut().enumerate() {
+                *slot = f * fwd[k * bins + t] + (1.0 - f) * rev[k * bins + t];
+            }
             two_term_nnls_into(f, &p, &rhs, &mut order, &mut a_buf);
             for (i, &v) in a_buf.iter().enumerate() {
                 activity[(i, t)] = v;
             }
         }
 
-        // Preference step: accumulate weighted normal equations.
+        // Preference step: accumulate weighted normal equations, with the
+        // right-hand sides `f·Σ_i A_i·X_il + (1−f)·Σ_j A_j·X_lj` of every
+        // bin.
+        let (into, out_of) = (&mut sums_a, &mut sums_b);
+        into.fill(0.0);
+        out_of.fill(0.0);
+        for i in 0..n {
+            let a_i = activity.row(i);
+            for j in 0..n {
+                let row = &data[(i * n + j) * bins..][..bins];
+                let into_j = &mut into[j * bins..][..bins];
+                for ((acc, &v), &ai) in into_j.iter_mut().zip(row).zip(a_i) {
+                    *acc += ai * v; // A_i·X_{i,j} into P_j's inbound sum
+                }
+                let a_j = activity.row(j);
+                let out_i = &mut out_of[i * bins..][..bins];
+                for ((acc, &v), &aj) in out_i.iter_mut().zip(row).zip(a_j) {
+                    *acc += aj * v; // A_j·X_{i,j} into P_i's outbound sum
+                }
+            }
+        }
         let c1 = f * f + (1.0 - f) * (1.0 - f);
         let c2 = 2.0 * f * (1.0 - f);
         g.as_mut_slice().fill(0.0);
@@ -561,21 +628,24 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
             let a_t = &a_buf;
             let s2: f64 = a_t.iter().map(|&v| v * v).sum();
             for k in 0..n {
-                for l in 0..n {
-                    g[(k, l)] += w * c2 * a_t[k] * a_t[l];
+                let wc2a = w * c2 * a_t[k];
+                for (gkl, &al) in g.row_mut(k).iter_mut().zip(a_t) {
+                    *gkl += wc2a * al;
                 }
                 g[(k, k)] += w * c1 * s2;
             }
-            preference_rhs_into(x, t, f, a_t, &mut rhs);
-            for (hk, &r) in h.iter_mut().zip(rhs.iter()) {
-                *hk += w * r;
+            for (l, hl) in h.iter_mut().enumerate() {
+                let r = f * into[l * bins + t] + (1.0 - f) * out_of[l * bins + t];
+                *hl += w * r;
             }
         }
-        let p_new = nnls_from_normal_equations(&g, &h).map_err(IcError::from)?;
+        let p_new = nnls_from_normal_equations_with(&g, &h, &mut nnls).map_err(IcError::from)?;
         let mass: f64 = p_new.iter().sum();
         if mass > 0.0 {
             // Renormalize to the simplex, absorbing the scale into A.
-            p = p_new.iter().map(|&v| v / mass).collect();
+            for (pk, &v) in p.iter_mut().zip(p_new) {
+                *pk = v / mass;
+            }
             activity.scale_in_place(mass);
         }
 
@@ -584,27 +654,12 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
             f = solve_f(x, &activity, &p, &weights, f);
         }
 
-        // Evaluate objective.
-        let params = StableFpParams {
-            f,
-            preference: p.clone(),
-            activity: activity.clone(),
-        };
-        let pred = stable_fp_series(&params, x.bin_seconds())?;
-        let obj = mean_rel_l2(x, &pred)?;
+        // Evaluate the objective together with the prediction.
+        let obj = objective.evaluate(data, f, &p, &activity)?;
         if options.objective == Objective::SumRelL2 {
-            let r: Vec<f64> = (0..bins)
-                .map(|t| {
-                    let n2 = x.nodes() * x.nodes();
-                    let mut s = 0.0;
-                    for row in 0..n2 {
-                        let d = x.as_matrix()[(row, t)] - pred.as_matrix()[(row, t)];
-                        s += d * d;
-                    }
-                    s.sqrt()
-                })
-                .collect();
-            residual_norms = Some(r);
+            for (r, &s) in residual_norms.iter_mut().zip(&objective.sq_residuals) {
+                *r = s.sqrt();
+            }
         }
         let improved = history
             .last()
@@ -628,6 +683,78 @@ pub fn fit_stable_fp(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stab
     })
 }
 
+/// The stable-fP sweep's objective pass and its per-fit buffers.
+///
+/// [`ObjectivePass::evaluate`] returns `mean_rel_l2(x, stable_fp_series(..))`
+/// for the sweep's parameters in one pass over the series, without
+/// materializing the prediction. It runs the same parameter checks and
+/// adds every sum in the same order as that pair of calls, so it returns
+/// the same bits.
+struct ObjectivePass {
+    /// `‖X(t)‖²` per bin, each a sum over the OD pairs in order.
+    sq_norms: Vec<f64>,
+    /// `‖X(t) − X̂(t)‖²` per bin, from the last evaluation.
+    sq_residuals: Vec<f64>,
+    /// The normalized preference the prediction uses.
+    p_norm: Vec<f64>,
+    /// `RelL2T(t)` per bin.
+    rel: Vec<f64>,
+}
+
+impl ObjectivePass {
+    /// Buffers for a row-major `n² x bins` series `data`.
+    fn new(data: &[f64], n: usize, bins: usize) -> Self {
+        let mut sq_norms = vec![0.0; bins];
+        for row in data.chunks_exact(bins) {
+            for (s, &v) in sq_norms.iter_mut().zip(row) {
+                *s += v * v;
+            }
+        }
+        ObjectivePass {
+            sq_norms,
+            sq_residuals: vec![0.0; bins],
+            p_norm: vec![0.0; n],
+            rel: vec![0.0; bins],
+        }
+    }
+
+    /// The mean `RelL2T` of the prediction `(f, p, activity)` of `data`.
+    fn evaluate(&mut self, data: &[f64], f: f64, p: &[f64], activity: &Matrix) -> Result<f64> {
+        let mass = validate_stable_fp(f, p, activity)?;
+        for (pn, &v) in self.p_norm.iter_mut().zip(p) {
+            *pn = v / mass;
+        }
+        let (n, bins) = (p.len(), self.rel.len());
+        let pn = &self.p_norm;
+        self.sq_residuals.fill(0.0);
+        for i in 0..n {
+            let a_i = activity.row(i);
+            for j in 0..n {
+                let a_j = activity.row(j);
+                let row = &data[(i * n + j) * bins..][..bins];
+                let acc = self.sq_residuals.iter_mut().zip(row).zip(a_i).zip(a_j);
+                for (((acc, &o), &ai), &aj) in acc {
+                    let predicted = f * ai * pn[j] + (1.0 - f) * aj * pn[i];
+                    *acc += (o - predicted) * (o - predicted);
+                }
+            }
+        }
+        let per_bin = self.sq_residuals.iter().zip(&self.sq_norms);
+        for (r, (&num, &den)) in self.rel.iter_mut().zip(per_bin) {
+            *r = if den == 0.0 {
+                if num == 0.0 {
+                    0.0
+                } else {
+                    f64::INFINITY
+                }
+            } else {
+                (num / den).sqrt()
+            };
+        }
+        Ok(self.rel.iter().sum::<f64>() / bins as f64)
+    }
+}
+
 /// Fits the **stable-f** model (Eq. 4): constant `f`, per-bin activity and
 /// preference. Used by the Section 6.3 estimation scenario analyses.
 pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<StableFParams>> {
@@ -645,8 +772,11 @@ pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stabl
     let mut history = Vec::new();
     let mut converged = false;
 
-    // Reused per-bin buffers (see fit_stable_fp).
+    // Reused per-bin buffers (see fit_stable_fp); the weights depend on
+    // the data only.
+    let norms: Vec<f64> = (0..bins).map(|t| x.norm(t)).collect();
     let mut weights = vec![0.0; bins];
+    bin_weights_into(&norms, Objective::WeightedSse, None, &mut weights);
     let mut p_buf = vec![0.0; n];
     let mut p_new = vec![0.0; n];
     let mut a_buf = vec![0.0; n];
@@ -654,7 +784,6 @@ pub fn fit_stable_f(x: &TmSeries, options: FitOptions) -> Result<FitReport<Stabl
     let mut order = Vec::with_capacity(n);
 
     for _sweep in 0..options.max_sweeps {
-        bin_weights_into(x, Objective::WeightedSse, None, &mut weights);
         for t in 0..bins {
             if weights[t] == 0.0 {
                 continue;
@@ -861,7 +990,8 @@ pub fn fit_time_varying(x: &TmSeries, options: FitOptions) -> Result<FitReport<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::simplified_ic;
+    use crate::model::{simplified_ic, stable_fp_series};
+    use ic_linalg::nnls::nnls_from_normal_equations;
     use proptest::prelude::*;
 
     /// Builds an exact stable-fP series from known parameters.
@@ -1249,6 +1379,160 @@ mod tests {
         assert!((e - fit.final_objective()).abs() < 1e-12);
     }
 
+    /// The stable-fP fit as it was before the single-pass sweep, kept
+    /// verbatim as the oracle of [`fit_stable_fp`]: it recomputes the bin
+    /// weights every sweep, reads each bin's right-hand sides with strided
+    /// per-bin loops, and scores every sweep through a materialized
+    /// `stable_fp_series` prediction and `mean_rel_l2`.
+    fn oracle_fit_stable_fp(
+        x: &TmSeries,
+        options: FitOptions,
+    ) -> Result<FitReport<StableFpParams>> {
+        options.validate()?;
+        validate_input(x)?;
+        let bins = x.bins();
+        let n = x.nodes();
+        let (mut f, mut p, mut activity) = initial_point(x, &options)?;
+        let mut history = Vec::new();
+        let mut converged = false;
+        let mut residual_norms: Option<Vec<f64>> = None;
+
+        let mut weights = vec![0.0; bins];
+        let mut rhs = vec![0.0; n];
+        let mut a_buf = vec![0.0; n];
+        let mut order = Vec::with_capacity(n);
+        let mut g = Matrix::zeros(n, n);
+        let mut h = vec![0.0; n];
+
+        for _sweep in 0..options.max_sweeps {
+            oracle_bin_weights_into(
+                x,
+                options.objective,
+                residual_norms.as_deref(),
+                &mut weights,
+            );
+
+            // Activity step, per bin in closed form.
+            for t in 0..bins {
+                activity_rhs_into(x, t, f, &p, &mut rhs);
+                two_term_nnls_into(f, &p, &rhs, &mut order, &mut a_buf);
+                for (i, &v) in a_buf.iter().enumerate() {
+                    activity[(i, t)] = v;
+                }
+            }
+
+            // Preference step: accumulate weighted normal equations.
+            let c1 = f * f + (1.0 - f) * (1.0 - f);
+            let c2 = 2.0 * f * (1.0 - f);
+            g.as_mut_slice().fill(0.0);
+            h.fill(0.0);
+            for t in 0..bins {
+                let w = weights[t];
+                if w == 0.0 {
+                    continue;
+                }
+                for (i, slot) in a_buf.iter_mut().enumerate() {
+                    *slot = activity[(i, t)];
+                }
+                let a_t = &a_buf;
+                let s2: f64 = a_t.iter().map(|&v| v * v).sum();
+                for k in 0..n {
+                    for l in 0..n {
+                        g[(k, l)] += w * c2 * a_t[k] * a_t[l];
+                    }
+                    g[(k, k)] += w * c1 * s2;
+                }
+                preference_rhs_into(x, t, f, a_t, &mut rhs);
+                for (hk, &r) in h.iter_mut().zip(rhs.iter()) {
+                    *hk += w * r;
+                }
+            }
+            let p_new = nnls_from_normal_equations(&g, &h).map_err(IcError::from)?;
+            let mass: f64 = p_new.iter().sum();
+            if mass > 0.0 {
+                // Renormalize to the simplex, absorbing the scale into A.
+                p = p_new.iter().map(|&v| v / mass).collect();
+                activity.scale_in_place(mass);
+            }
+
+            // f step.
+            if !options.fix_f {
+                f = solve_f(x, &activity, &p, &weights, f);
+            }
+
+            // Evaluate objective.
+            let params = StableFpParams {
+                f,
+                preference: p.clone(),
+                activity: activity.clone(),
+            };
+            let pred = stable_fp_series(&params, x.bin_seconds())?;
+            let obj = mean_rel_l2(x, &pred)?;
+            if options.objective == Objective::SumRelL2 {
+                let r: Vec<f64> = (0..bins)
+                    .map(|t| {
+                        let n2 = x.nodes() * x.nodes();
+                        let mut s = 0.0;
+                        for row in 0..n2 {
+                            let d = x.as_matrix()[(row, t)] - pred.as_matrix()[(row, t)];
+                            s += d * d;
+                        }
+                        s.sqrt()
+                    })
+                    .collect();
+                residual_norms = Some(r);
+            }
+            let improved = history
+                .last()
+                .map(|&prev: &f64| (prev - obj) > options.tolerance * prev.max(1e-12))
+                .unwrap_or(true);
+            history.push(obj);
+            if !improved {
+                converged = true;
+                break;
+            }
+        }
+
+        Ok(FitReport {
+            params: StableFpParams {
+                f,
+                preference: p,
+                activity,
+            },
+            objective_history: history,
+            converged,
+        })
+    }
+
+    /// The per-sweep bin weights of [`oracle_fit_stable_fp`], from the
+    /// series itself.
+    fn oracle_bin_weights_into(
+        x: &TmSeries,
+        objective: Objective,
+        residual_norms: Option<&[f64]>,
+        weights: &mut [f64],
+    ) {
+        let eps = 1e-6;
+        for (t, slot) in weights.iter_mut().enumerate() {
+            let norm = x.norm(t);
+            *slot = if norm == 0.0 {
+                0.0
+            } else {
+                match (objective, residual_norms) {
+                    (Objective::WeightedSse, _) | (Objective::SumRelL2, None) => {
+                        1.0 / (norm * norm)
+                    }
+                    (Objective::SumRelL2, Some(r)) => 1.0 / (norm * r[t].max(eps * norm)),
+                }
+            };
+        }
+    }
+
+    /// Bits of a slice, for exact comparison (NaN-safe, signed zeros apart).
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// Uniform in `[0, 1)` from a seed and a stream index (splitmix64).
     fn unit(seed: u64, k: u64) -> f64 {
         let mut z = seed.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -1331,6 +1615,75 @@ mod tests {
                     prop_assert!(gi >= -tol, "gradient[{}] = {:e} below -{:e}", i, gi, tol);
                     prop_assert!(a[i] == 0.0 || gi.abs() <= tol, "slack[{}] = {:e}", i, gi);
                 }
+            }
+        }
+
+        /// The single-pass sweep against the old one, bit for bit: the
+        /// objective history, `f`, the preference, the activity and the
+        /// convergence flag (or the same error). Series of 2–30 nodes and
+        /// 1–8 bins, IC traffic with multiplicative noise, sparse zero
+        /// entries and sometimes an all-zero bin; cold starts and warm
+        /// starts from a random `(f, P)`; both objectives; `f` free or
+        /// fixed; a sweep budget that may end before convergence.
+        #[test]
+        fn stable_fp_sweep_matches_the_old_sweep_bit_for_bit(
+            n in 2usize..31,
+            bins in 1usize..9,
+            warm in any::<bool>(),
+            sum_rel_l2 in any::<bool>(),
+            fix_f in any::<bool>(),
+            max_sweeps in 1usize..41,
+            seed in any::<u64>(),
+        ) {
+            let u = |k: u64| unit(seed, k);
+            let f_true = 0.1 + 0.5 * u(0);
+            let p_true: Vec<f64> = (0..n as u64).map(|i| 0.05 + u(10 + i)).collect();
+            let acts: Vec<Vec<f64>> = (0..bins as u64)
+                .map(|t| (0..n as u64).map(|i| 1e3 * (0.1 + u(1000 + t * 64 + i))).collect())
+                .collect();
+            let mut tm = exact_series(f_true, &p_true, &acts);
+            let zero_bin = bins > 1 && u(1) < 0.25;
+            for t in 0..bins {
+                for i in 0..n {
+                    for j in 0..n {
+                        let k = 5000 + ((t * n + i) * n + j) as u64;
+                        let v = tm.get(i, j, t).unwrap();
+                        let v = if (zero_bin && t == 0) || u(k) < 0.1 {
+                            0.0
+                        } else {
+                            v * (0.7 + 0.6 * u(k + 1))
+                        };
+                        tm.set(i, j, t, v).unwrap();
+                    }
+                }
+            }
+            let mut options = FitOptions::default()
+                .with_max_sweeps(max_sweeps)
+                .with_initial_f(0.05 + 0.9 * u(2))
+                .with_fix_f(fix_f);
+            if sum_rel_l2 {
+                options = options.with_objective(Objective::SumRelL2);
+            }
+            if warm {
+                options = options.with_warm_start(WarmStart {
+                    f: u(3),
+                    preference: (0..n as u64).map(|i| u(20 + i)).collect(),
+                });
+            }
+            let got = fit_stable_fp(&tm, options.clone());
+            let want = oracle_fit_stable_fp(&tm, options);
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(bits(&got.objective_history), bits(&want.objective_history));
+                    prop_assert_eq!(got.params.f.to_bits(), want.params.f.to_bits());
+                    prop_assert_eq!(bits(&got.params.preference), bits(&want.params.preference));
+                    prop_assert_eq!(
+                        bits(got.params.activity.as_slice()),
+                        bits(want.params.activity.as_slice())
+                    );
+                    prop_assert_eq!(got.converged, want.converged);
+                }
+                (got, want) => prop_assert_eq!(got.map(drop), want.map(drop)),
             }
         }
     }

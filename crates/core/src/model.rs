@@ -27,8 +27,8 @@ fn check_f(f: f64) -> Result<()> {
     Ok(())
 }
 
-/// Validates and normalizes a preference vector to unit sum.
-fn normalized_preference(p: &[f64]) -> Result<Vec<f64>> {
+/// Validates a preference vector, returning its total mass.
+fn preference_mass(p: &[f64]) -> Result<f64> {
     if p.is_empty() {
         return Err(IcError::BadData("empty preference vector"));
     }
@@ -45,6 +45,12 @@ fn normalized_preference(p: &[f64]) -> Result<Vec<f64>> {
             constraint: "must have positive total mass",
         });
     }
+    Ok(sum)
+}
+
+/// Validates and normalizes a preference vector to unit sum.
+fn normalized_preference(p: &[f64]) -> Result<Vec<f64>> {
+    let sum = preference_mass(p)?;
     Ok(p.iter().map(|&v| v / sum).collect())
 }
 
@@ -152,28 +158,7 @@ pub struct StableFpParams {
 impl StableFpParams {
     /// Validates dimensions and domains.
     pub fn validate(&self) -> Result<()> {
-        check_f(self.f)?;
-        let n = self.preference.len();
-        normalized_preference(&self.preference)?;
-        if self.activity.rows() != n {
-            return Err(IcError::DimensionMismatch {
-                context: "StableFpParams activity rows",
-                expected: n,
-                actual: self.activity.rows(),
-            });
-        }
-        if self
-            .activity
-            .as_slice()
-            .iter()
-            .any(|&v| v < 0.0 || !v.is_finite())
-        {
-            return Err(IcError::InvalidParameter {
-                name: "activity",
-                constraint: "entries must be finite and non-negative",
-            });
-        }
-        Ok(())
+        validate_stable_fp(self.f, &self.preference, &self.activity).map(drop)
     }
 
     /// Number of nodes.
@@ -191,6 +176,33 @@ impl StableFpParams {
     pub fn degrees_of_freedom(&self) -> usize {
         self.nodes() * self.bins() + self.nodes() + 1
     }
+}
+
+/// [`StableFpParams::validate`] on borrowed parts, returning the
+/// preference's total mass (the sum [`stable_fp_series`] normalizes by).
+/// Allocation-free, for the stable-fP fit's per-sweep objective.
+pub(crate) fn validate_stable_fp(f: f64, preference: &[f64], activity: &Matrix) -> Result<f64> {
+    check_f(f)?;
+    let n = preference.len();
+    let mass = preference_mass(preference)?;
+    if activity.rows() != n {
+        return Err(IcError::DimensionMismatch {
+            context: "StableFpParams activity rows",
+            expected: n,
+            actual: activity.rows(),
+        });
+    }
+    if activity
+        .as_slice()
+        .iter()
+        .any(|&v| v < 0.0 || !v.is_finite())
+    {
+        return Err(IcError::InvalidParameter {
+            name: "activity",
+            constraint: "entries must be finite and non-negative",
+        });
+    }
+    Ok(mass)
 }
 
 /// Parameters of the **stable-f model** (Eq. 4): constant `f`,

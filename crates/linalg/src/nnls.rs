@@ -10,7 +10,7 @@
 //! from the support of the unconstrained optimum, so a problem where no
 //! constraint binds costs one factorization.
 
-use crate::cholesky::Cholesky;
+use crate::cholesky::{factor_regularized_in_place, solve_with_factor};
 use crate::matrix::Matrix;
 use crate::{LinalgError, Result};
 
@@ -21,6 +21,43 @@ const SOLVES_PER_COORDINATE: usize = 3;
 
 /// Dual-feasibility tolerance for termination.
 const DUAL_TOLERANCE: f64 = 1e-10;
+
+/// Reusable buffers of [`nnls_from_normal_equations_with`]. A workspace
+/// made by [`NnlsWorkspace::new`] for `n` coordinates solves any problem
+/// of up to `n` coordinates without allocating; a smaller one grows on
+/// first use. Results never depend on the workspace's history.
+#[derive(Debug, Clone)]
+pub struct NnlsWorkspace {
+    /// The factor of `G + ρI` or of a principal sub-Gram.
+    factor: Matrix,
+    /// The passive coordinates of the current sub-problem.
+    idx: Vec<usize>,
+    /// Right-hand side and solution of the current sub-problem.
+    rhs: Vec<f64>,
+    sol: Vec<f64>,
+    /// The iterate, which ends as the solution.
+    x: Vec<f64>,
+    /// The passive solution the iterate walks toward.
+    z: Vec<f64>,
+    passive: Vec<bool>,
+    rejected: Vec<bool>,
+}
+
+impl NnlsWorkspace {
+    /// A workspace sized for problems of up to `n` coordinates.
+    pub fn new(n: usize) -> Self {
+        NnlsWorkspace {
+            factor: Matrix::zeros(n, n),
+            idx: Vec::with_capacity(n),
+            rhs: Vec::with_capacity(n),
+            sol: Vec::with_capacity(n),
+            x: Vec::with_capacity(n),
+            z: Vec::with_capacity(n),
+            passive: Vec::with_capacity(n),
+            rejected: Vec::with_capacity(n),
+        }
+    }
+}
 
 /// NNLS against normal equations: `min ½xᵀGx − hᵀx` subject to `x ≥ 0`,
 /// with `G = AᵀA` (`ata`) and `h = Aᵀb` (`atb`) already accumulated.
@@ -43,13 +80,30 @@ const DUAL_TOLERANCE: f64 = 1e-10;
 /// At most `3 · max(n, 8)` passive-set solves run; a problem that needs
 /// more is [`LinalgError::NoConvergence`].
 pub fn nnls_from_normal_equations(ata: &Matrix, atb: &[f64]) -> Result<Vec<f64>> {
-    let max_solves = SOLVES_PER_COORDINATE * ata.rows().max(8);
-    nnls_within(ata, atb, max_solves, DUAL_TOLERANCE)
+    let mut ws = NnlsWorkspace::new(ata.rows());
+    nnls_from_normal_equations_with(ata, atb, &mut ws).map(<[f64]>::to_vec)
 }
 
-/// [`nnls_from_normal_equations`] with an explicit solve budget and dual
-/// tolerance.
-fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> Result<Vec<f64>> {
+/// [`nnls_from_normal_equations`] on reusable buffers, returning the
+/// solution as a slice of `ws`. Bit-identical to the allocating form.
+pub fn nnls_from_normal_equations_with<'w>(
+    ata: &Matrix,
+    atb: &[f64],
+    ws: &'w mut NnlsWorkspace,
+) -> Result<&'w [f64]> {
+    let max_solves = SOLVES_PER_COORDINATE * ata.rows().max(8);
+    nnls_within(ata, atb, max_solves, DUAL_TOLERANCE, ws)
+}
+
+/// [`nnls_from_normal_equations_with`] with an explicit solve budget and
+/// dual tolerance.
+fn nnls_within<'w>(
+    ata: &Matrix,
+    atb: &[f64],
+    max_solves: usize,
+    tolerance: f64,
+    ws: &'w mut NnlsWorkspace,
+) -> Result<&'w [f64]> {
     let n = ata.rows();
     if ata.cols() != n {
         return Err(LinalgError::InvalidArgument(
@@ -68,20 +122,37 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
             "nnls_from_normal_equations: Gram matrix and moment vector must be finite",
         ));
     }
+    let NnlsWorkspace {
+        factor,
+        idx,
+        rhs,
+        sol,
+        x,
+        z,
+        passive,
+        rejected,
+    } = ws;
+    x.clear();
+    x.resize(n, 0.0);
     if n == 0 {
-        return Ok(Vec::new());
+        return Ok(x);
     }
     let ridge = ata.max_abs().max(f64::MIN_POSITIVE) * 1e-12;
-    let unconstrained = Cholesky::factor_regularized(ata, ridge)?.solve(atb)?;
-    if unconstrained.iter().all(|&v| v > 0.0) {
-        return Ok(unconstrained);
+    // The unconstrained optimum, solved into `x`.
+    factor.ensure_shape(n, n);
+    factor.as_mut_slice().copy_from_slice(ata.as_slice());
+    factor_regularized_in_place(factor, ridge)?;
+    solve_with_factor(factor, atb, x)?;
+    if x.iter().all(|&v| v > 0.0) {
+        return Ok(x);
     }
     let mut solves = 0;
     // Solves `(G + ρI)[P,P] z = h[P]` into `out`, zero off the passive set
     // P; each non-empty solve counts against the iteration budget.
     let mut solve_passive = |passive: &[bool], out: &mut [f64]| -> Result<()> {
         out.fill(0.0);
-        let idx: Vec<usize> = (0..n).filter(|&j| passive[j]).collect();
+        idx.clear();
+        idx.extend((0..n).filter(|&j| passive[j]));
         if idx.is_empty() {
             return Ok(());
         }
@@ -93,28 +164,32 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
             });
         }
         let k = idx.len();
-        let mut sub = Matrix::zeros(k, k);
+        factor.ensure_shape(k, k);
         for (r, &i) in idx.iter().enumerate() {
             let row = ata.row(i);
-            for (slot, &j) in sub.row_mut(r).iter_mut().zip(&idx) {
+            for (slot, &j) in factor.row_mut(r).iter_mut().zip(idx.iter()) {
                 *slot = row[j];
             }
         }
-        let rhs: Vec<f64> = idx.iter().map(|&j| atb[j]).collect();
-        let z = Cholesky::factor_regularized(&sub, ridge)?.solve(&rhs)?;
-        for (&j, &zj) in idx.iter().zip(&z) {
+        rhs.clear();
+        rhs.extend(idx.iter().map(|&j| atb[j]));
+        sol.clear();
+        sol.resize(k, 0.0);
+        factor_regularized_in_place(factor, ridge)?;
+        solve_with_factor(factor, rhs, sol)?;
+        for (&j, &zj) in idx.iter().zip(sol.iter()) {
             out[j] = zj;
         }
         Ok(())
     };
 
     // Warm start: shrink the support until its solution is strictly positive.
-    let mut passive: Vec<bool> = unconstrained.iter().map(|&v| v > 0.0).collect();
-    let mut x = vec![0.0; n];
+    passive.clear();
+    passive.extend(x.iter().map(|&v| v > 0.0));
     loop {
-        solve_passive(&passive, &mut x)?;
+        solve_passive(passive, x)?;
         let mut dropped = false;
-        for (p, &xj) in passive.iter_mut().zip(&x) {
+        for (p, &xj) in passive.iter_mut().zip(x.iter()) {
             if *p && xj <= 0.0 {
                 *p = false;
                 dropped = true;
@@ -128,8 +203,10 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
     // Lawson–Hanson outer loop. `rejected` marks coordinates whose dual
     // was positive but whose passive solution was not: their dual is
     // rounding noise, so they are skipped until `x` next moves.
-    let mut z = vec![0.0; n];
-    let mut rejected = vec![false; n];
+    z.clear();
+    z.resize(n, 0.0);
+    rejected.clear();
+    rejected.resize(n, false);
     loop {
         let mut best: Option<(usize, f64)> = None;
         for j in 0..n {
@@ -137,7 +214,7 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
                 continue;
             }
             // x_j = 0 off the passive set, so the ridge term drops out.
-            let wj = atb[j] - crate::matrix::dot(ata.row(j), &x);
+            let wj = atb[j] - crate::matrix::dot(ata.row(j), x);
             if wj > tolerance && best.is_none_or(|(_, wb)| wj > wb) {
                 best = Some((j, wj));
             }
@@ -146,7 +223,7 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
             return Ok(x); // KKT satisfied.
         };
         passive[enter] = true;
-        solve_passive(&passive, &mut z)?;
+        solve_passive(passive, z)?;
         if z[enter] <= 0.0 {
             passive[enter] = false;
             rejected[enter] = true;
@@ -155,7 +232,7 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
         rejected.fill(false);
         // Inner loop: walk from x toward z, dropping the blocking
         // coordinates, until the passive solution is strictly positive.
-        while let Some((block, alpha)) = step_to_boundary(&passive, &x, &z) {
+        while let Some((block, alpha)) = step_to_boundary(passive, x, z) {
             for j in 0..n {
                 if passive[j] {
                     x[j] += alpha * (z[j] - x[j]);
@@ -165,9 +242,9 @@ fn nnls_within(ata: &Matrix, atb: &[f64], max_solves: usize, tolerance: f64) -> 
                     }
                 }
             }
-            solve_passive(&passive, &mut z)?;
+            solve_passive(passive, z)?;
         }
-        x.copy_from_slice(&z);
+        x.copy_from_slice(z);
     }
 }
 
@@ -190,6 +267,7 @@ fn step_to_boundary(passive: &[bool], x: &[f64], z: &[f64]) -> Option<(usize, f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cholesky::Cholesky;
 
     /// `min ‖A x − b‖₂, x ≥ 0` solved from its normal equations.
     fn gram_nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
@@ -318,7 +396,13 @@ mod tests {
     fn normal_equations_iteration_budget_respected() {
         // The unconstrained optimum (1, -1) binds, so one passive solve is needed.
         assert!(matches!(
-            nnls_within(&Matrix::identity(2), &[1.0, -1.0], 0, DUAL_TOLERANCE),
+            nnls_within(
+                &Matrix::identity(2),
+                &[1.0, -1.0],
+                0,
+                DUAL_TOLERANCE,
+                &mut NnlsWorkspace::new(0)
+            ),
             Err(LinalgError::NoConvergence { .. })
         ));
     }
@@ -328,14 +412,41 @@ mod tests {
         // A negative tolerance admits w₁ = -0.5, whose passive solution is
         // not positive: the coordinate is rejected instead of re-entering
         // until the budget runs out.
+        let mut ws = NnlsWorkspace::new(0);
         let x = nnls_within(
             &Matrix::identity(2),
             &[1.0, -0.5],
             SOLVES_PER_COORDINATE * 8,
             -1.0,
+            &mut ws,
         )
         .unwrap();
         assert_eq!(x[1], 0.0);
         assert!((x[0] - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn reused_workspace_is_bit_identical_to_a_fresh_one() {
+        // Problems of shrinking and growing size, with and without binding
+        // constraints, through one workspace sized for the smallest.
+        let problem = |n: usize, shift: f64| {
+            let mut g = Matrix::zeros(n, n);
+            for k in 0..n {
+                for l in 0..n {
+                    g[(k, l)] = 1.0 / (1.0 + (k as f64 - l as f64).abs());
+                }
+                g[(k, k)] += 0.5;
+            }
+            let h: Vec<f64> = (0..n).map(|k| (k * 7 % 5) as f64 - shift).collect();
+            (g, h)
+        };
+        let mut ws = NnlsWorkspace::new(2);
+        for (n, shift) in [(6, 1.5), (2, -1.0), (9, 2.0), (4, 0.0), (9, -3.0), (1, 1.0)] {
+            let (g, h) = problem(n, shift);
+            let fresh = nnls_from_normal_equations(&g, &h).unwrap();
+            let reused = nnls_from_normal_equations_with(&g, &h, &mut ws).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(reused), bits(&fresh), "n {n}, shift {shift}");
+        }
     }
 }

@@ -256,36 +256,65 @@ impl SparseMatrix {
         Ok(())
     }
 
+    /// Builds a CSR matrix from compressed sparse column (CSC) arrays:
+    /// column `j` holds the entries `row_idx[k]`, `values[k]` for `k` in
+    /// `col_ptr[j]..col_ptr[j + 1]`.
+    ///
+    /// Within a column the rows may come in any order, but none may
+    /// repeat. Every entry is stored as given, explicit zeros included.
+    /// The conversion is a counting sort by row, `O(nnz + rows + cols)`,
+    /// with no comparison sort. Returns [`LinalgError::InvalidArgument`]
+    /// when the pointers are malformed, a row index is out of bounds or a
+    /// column repeats a row.
+    pub fn from_csc(
+        rows: usize,
+        cols: usize,
+        col_ptr: &[usize],
+        row_idx: &[usize],
+        values: &[f64],
+    ) -> Result<Self> {
+        let well_formed = col_ptr.len() == cols + 1
+            && col_ptr[0] == 0
+            && col_ptr.windows(2).all(|w| w[0] <= w[1])
+            && col_ptr[cols] == row_idx.len()
+            && row_idx.len() == values.len();
+        if !well_formed {
+            return Err(LinalgError::InvalidArgument(
+                "from_csc: column pointers do not delimit the entries",
+            ));
+        }
+        if row_idx.iter().any(|&r| r >= rows) {
+            return Err(LinalgError::InvalidArgument(
+                "from_csc: row index out of bounds",
+            ));
+        }
+        let out = csc_to_csr(rows, cols, col_ptr, row_idx, values);
+        // Columns arrive in ascending order, so a repeated row inside a
+        // column shows as two equal neighbours in that row.
+        let repeated = (0..rows).any(|i| {
+            out.col_idx[out.row_ptr[i]..out.row_ptr[i + 1]]
+                .windows(2)
+                .any(|w| w[0] == w[1])
+        });
+        if repeated {
+            return Err(LinalgError::InvalidArgument(
+                "from_csc: a column repeats a row",
+            ));
+        }
+        Ok(out)
+    }
+
     /// Returns the transpose as a new CSR matrix (counting sort; `O(nnz +
     /// rows + cols)`).
     pub fn transpose(&self) -> SparseMatrix {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
-            counts[c + 1] += 1;
-        }
-        for j in 0..self.cols {
-            counts[j + 1] += counts[j];
-        }
-        let row_ptr = counts.clone();
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                let pos = next[c];
-                next[c] += 1;
-                col_idx[pos] = i;
-                values[pos] = v;
-            }
-        }
-        SparseMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        // The CSR arrays of `self` are the CSC arrays of its transpose.
+        csc_to_csr(
+            self.cols,
+            self.rows,
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+        )
     }
 
     /// Computes `self · diag(weights) · selfᵀ` as a dense `rows x rows`
@@ -402,6 +431,45 @@ impl SparseMatrix {
     }
 }
 
+/// The CSR form of a `rows x cols` matrix given by CSC arrays whose
+/// pointers and row indices are in bounds: a counting sort by row that
+/// visits columns in ascending order, so each row's columns come out
+/// ascending.
+fn csc_to_csr(
+    rows: usize,
+    cols: usize,
+    col_ptr: &[usize],
+    row_idx: &[usize],
+    values: &[f64],
+) -> SparseMatrix {
+    let mut row_ptr = vec![0usize; rows + 1];
+    for &r in row_idx {
+        row_ptr[r + 1] += 1;
+    }
+    for i in 0..rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let mut col_idx = vec![0usize; row_idx.len()];
+    let mut out_values = vec![0.0; row_idx.len()];
+    let mut next = row_ptr[..rows].to_vec();
+    for j in 0..cols {
+        let span = col_ptr[j]..col_ptr[j + 1];
+        for (&r, &v) in row_idx[span.clone()].iter().zip(&values[span]) {
+            let pos = next[r];
+            next[r] += 1;
+            col_idx[pos] = j;
+            out_values[pos] = v;
+        }
+    }
+    SparseMatrix {
+        rows,
+        cols,
+        row_ptr,
+        col_idx,
+        values: out_values,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,6 +565,38 @@ mod tests {
         let s = SparseMatrix::from_dense(&d);
         assert_eq!(s.transpose().to_dense(), d.transpose());
         assert_eq!(s.transpose().transpose().to_dense(), d);
+    }
+
+    #[test]
+    fn csc_arrays_build_the_same_csr() {
+        let d = sample_dense();
+        // Column by column, rows out of order inside column 0.
+        let col_ptr = [0, 2, 3, 4, 5];
+        let row_idx = [2, 0, 2, 0, 2];
+        let values = [3.0, 1.0, 4.0, 2.0, 5.0];
+        let s = SparseMatrix::from_csc(3, 4, &col_ptr, &row_idx, &values).unwrap();
+        assert_eq!(s, SparseMatrix::from_dense(&d));
+        // An explicit zero is stored as given.
+        let z = SparseMatrix::from_csc(2, 1, &[0, 1], &[1], &[0.0]).unwrap();
+        assert_eq!((z.nnz(), z.row(1)), (1, (&[0][..], &[0.0][..])));
+        let empty = SparseMatrix::from_csc(2, 0, &[0], &[], &[]).unwrap();
+        assert_eq!(empty, SparseMatrix::zeros(2, 0));
+        // Malformed pointers, an out-of-bounds row, a repeated row.
+        for (ptr, rows) in [
+            (&[0, 1][..], &[0][..]),
+            (&[1, 1, 1], &[0]),
+            (&[0, 2, 1], &[0, 1]),
+            (&[0, 1, 3], &[0, 1]),
+            (&[0, 1, 2], &[0, 3]),
+            (&[0, 2, 2], &[1, 1]),
+        ] {
+            let values = vec![1.0; rows.len()];
+            assert!(
+                SparseMatrix::from_csc(3, 2, ptr, rows, &values).is_err(),
+                "{ptr:?} {rows:?}"
+            );
+        }
+        assert!(SparseMatrix::from_csc(3, 1, &[0, 1], &[0], &[]).is_err());
     }
 
     #[test]

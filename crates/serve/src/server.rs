@@ -36,6 +36,8 @@ struct Shared {
     metrics: Option<Arc<MetricsRegistry>>,
     subscribers: Mutex<Vec<Sender<Vec<u8>>>>,
     shutdown: AtomicBool,
+    /// Connection threads not yet joined: each accept joins those that
+    /// have finished, and shutdown joins the rest.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -77,7 +79,22 @@ impl Server {
                     // A broken connection only ends that connection.
                     let _ = handle_connection(stream, &conn_shared);
                 });
-                accept_shared.workers.lock().unwrap().push(worker);
+                let mut workers = accept_shared
+                    .workers
+                    .lock()
+                    .expect("worker list lock poisoned");
+                // Join the connection threads that have finished (their
+                // join returns at once), so the list stays as long as the
+                // number of open connections.
+                let mut k = 0;
+                while k < workers.len() {
+                    if workers[k].is_finished() {
+                        let _ = workers.swap_remove(k).join();
+                    } else {
+                        k += 1;
+                    }
+                }
+                workers.push(worker);
             }
         });
         Ok(ServerHandle {
@@ -269,6 +286,32 @@ mod tests {
         drop(guard);
         scraper.join().expect("scrape thread panicked");
         reply.expect("a Stats scrape waited behind the service lock")
+    }
+
+    #[test]
+    fn closed_connections_do_not_accumulate_worker_handles() {
+        let handle = Server::bind("127.0.0.1:0", Service::new()).unwrap();
+        let addr = handle.addr();
+        for _ in 0..200 {
+            let mut client = Client::connect(addr).unwrap();
+            client.hello().unwrap();
+        }
+        // Every accept drops the handles of the connections closed by
+        // then, so once the 200 workers have seen their peers leave, one
+        // more connection finds the list down to the live ones.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let mut held = usize::MAX;
+        while held > 2 && std::time::Instant::now() < deadline {
+            let mut client = Client::connect(addr).unwrap();
+            client.hello().unwrap();
+            held = handle.shared.workers.lock().unwrap().len();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            held <= 2,
+            "{held} worker handles held after 200 connections"
+        );
+        handle.join();
     }
 
     #[test]

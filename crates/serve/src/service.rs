@@ -16,7 +16,9 @@
 //!   IC-prior candidate and the gravity-prior baseline — the same pair
 //!   [`ic_stream::replay_estimation`] runs), so cross-tenant throughput
 //!   rides the executor while every tenant sees exactly the serial
-//!   history it would see alone.
+//!   history it would see alone. A cold window (no rolling fit yet)
+//!   contributes only its candidate: that candidate already runs the
+//!   gravity prior, so its error is the baseline's.
 //! * **Bit-identity.** The engine assembles results by job index and its
 //!   thread count never changes results, so a tenant's report stream is
 //!   bit-identical to feeding the same bins through
@@ -521,27 +523,53 @@ impl Service {
     /// in id order — so each tenant's windows execute strictly in stream
     /// order while distinct tenants (and each window's candidate/baseline
     /// pair) batch onto the shared engine as one job list.
+    ///
+    /// A tenant with no rolling fit yet (its first window, or the first
+    /// after a restore of a cold snapshot) gets no baseline job: its
+    /// candidate runs the gravity prior through a pipeline configured
+    /// exactly as the baseline's, so the candidate's error *is* the
+    /// baseline's, bit for bit, and the report carries it as
+    /// `error_gravity` with an improvement of 0. The offline replay
+    /// drivers still run both sides.
     pub fn poll(&mut self) -> Result<Vec<TenantEvent>> {
         let span = Span::maybe(self.metrics.as_ref().map(|m| &m.poll));
         let mut events = Vec::new();
         loop {
-            let mut round: Vec<(usize, Window)> = Vec::new();
+            // Each ready window with whether it needs a baseline job.
+            let mut round: Vec<(usize, Window, bool)> = Vec::new();
             for (idx, t) in self.tenants.iter_mut().enumerate() {
                 if let Some(w) = t.ready.pop_front() {
-                    round.push((idx, w));
+                    let warm = t
+                        .candidate
+                        .get_mut()
+                        .expect("candidate lock poisoned")
+                        .last_fit()
+                        .is_some();
+                    round.push((idx, w, warm));
                 }
             }
             if round.is_empty() {
                 break;
             }
+            // Job list: every window's candidate, then its baseline when
+            // it has one.
+            let jobs: Vec<(usize, bool)> = round
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &(_, _, warm))| {
+                    std::iter::once((k, false)).chain(warm.then_some((k, true)))
+                })
+                .collect();
             let tenants = &self.tenants;
             let round_ref = &round;
+            let jobs_ref = &jobs;
             let outs: Vec<StepOut> = self
                 .engine
-                .run(round.len() * 2, &self.scratch, |j, ws| {
-                    let (idx, window) = &round_ref[j / 2];
+                .run(jobs.len(), &self.scratch, |j, ws| {
+                    let (k, baseline) = jobs_ref[j];
+                    let (idx, window, _) = &round_ref[k];
                     let tenant = &tenants[*idx];
-                    if j % 2 == 0 {
+                    if !baseline {
                         // The candidate step IS the streaming estimator's
                         // per-window body — the one the offline replay drivers
                         // run through `process` — here on this worker's
@@ -573,14 +601,21 @@ impl Service {
                 .map_err(ServeError::from)?;
             // Coordinator pass, tenants in id order: score the forecast
             // made *before* this window, extend the forecaster/detector
-            // history, and publish the report — the exact ordering the
-            // replay drivers use.
+            // history, and publish the report — the ordering the replay
+            // drivers use. They also run a cold window's baseline, which
+            // returns the candidate's error bit for bit.
             let mut outs = outs.into_iter();
-            for (idx, window) in round {
-                let (Some(StepOut::Candidate(cand)), Some(StepOut::Baseline(error_gravity))) =
-                    (outs.next(), outs.next())
-                else {
+            for (idx, window, warm) in round {
+                let Some(StepOut::Candidate(cand)) = outs.next() else {
                     unreachable!("engine returns one output per job, in job order");
+                };
+                let error_gravity = if warm {
+                    let Some(StepOut::Baseline(error)) = outs.next() else {
+                        unreachable!("engine returns one output per job, in job order");
+                    };
+                    error
+                } else {
+                    cand.error
                 };
                 let tenant = &mut self.tenants[idx];
                 let improvement = improvement_percent(error_gravity, cand.error);
@@ -731,5 +766,103 @@ impl Service {
         }
         let events = service.poll()?;
         Ok((service, events))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ic_core::{generate_synthetic, SynthConfig, TmSeries};
+    use ic_stream::{replay_estimation, ReplayStream};
+    use ic_topology::{RoutingScheme, Topology};
+
+    const WINDOW_BINS: usize = 4;
+
+    /// A ring of `n` nodes with one chord, as a tenant with short windows.
+    fn spec_for(name: &str, n: usize) -> TenantSpec {
+        let mut t = Topology::new(name);
+        for k in 0..n {
+            t.add_node(format!("n{k}")).unwrap();
+        }
+        for k in 0..n {
+            t.add_symmetric_link(k, (k + 1) % n, 1.0, 1e12).unwrap();
+        }
+        t.add_symmetric_link(0, n / 2, 1.0, 1e12).unwrap();
+        TenantSpec::new(name, &t, RoutingScheme::Ecmp).with_window_bins(WINDOW_BINS)
+    }
+
+    fn series_for(seed: u64, nodes: usize, bins: usize) -> TmSeries {
+        generate_synthetic(
+            &SynthConfig::geant_like(seed)
+                .with_nodes(nodes)
+                .with_bins(bins),
+        )
+        .unwrap()
+        .series
+    }
+
+    /// Dense solves run so far on the service's worker workspaces, the
+    /// baselines' included.
+    fn dense_solves(service: &Service) -> u64 {
+        service
+            .scratch
+            .fold_idle(0, |acc, ws| acc + ws.solve_stats().dense_solves)
+    }
+
+    #[test]
+    fn cold_windows_run_the_gravity_estimate_once() {
+        let tenants = [
+            (spec_for("a", 5), series_for(3, 5, 2 * WINDOW_BINS)),
+            (spec_for("b", 7), series_for(4, 7, 2 * WINDOW_BINS)),
+            (spec_for("c", 6), series_for(5, 6, 2 * WINDOW_BINS)),
+        ];
+        let mut service = Service::with_engine(Engine::serial());
+        for (spec, _) in &tenants {
+            service.register(spec.clone()).unwrap();
+        }
+        let feed = |service: &mut Service, window: usize| {
+            for (id, (_, series)) in tenants.iter().enumerate() {
+                for t in window * WINDOW_BINS..(window + 1) * WINDOW_BINS {
+                    service.ingest(id as TenantId, series.column(t)).unwrap();
+                }
+            }
+            service.poll().unwrap()
+        };
+        let bins = (tenants.len() * WINDOW_BINS) as u64;
+
+        // First window: one dense solve per bin per tenant, the candidate's.
+        let cold = feed(&mut service, 0);
+        assert_eq!(dense_solves(&service), bins);
+        assert_eq!(cold.len(), tenants.len());
+        for ev in &cold {
+            let r = &ev.report;
+            assert!(!r.warm, "{}", ev.name);
+            assert_eq!(r.error_gravity.to_bits(), r.error_candidate.to_bits());
+            assert_eq!(r.improvement, 0.0, "{}", ev.name);
+        }
+
+        // Second window: warm candidates, and the baseline runs again.
+        let warm = feed(&mut service, 1);
+        assert_eq!(dense_solves(&service), 3 * bins);
+        assert!(warm.iter().all(|ev| ev.report.warm));
+
+        // Every report equals the offline replay, which runs both sides of
+        // every window.
+        for (id, (spec, series)) in tenants.iter().enumerate() {
+            let topo = spec.build_topology().unwrap();
+            let model = ObservationModel::new(&topo, spec.routing).unwrap();
+            let pipeline = EstimationPipeline::new(model).config(spec.estimation_config());
+            let mut stream = ReplayStream::new(series.clone());
+            let offline = replay_estimation(&mut stream, pipeline, &spec.replay_options())
+                .unwrap()
+                .windows;
+            let served: Vec<WindowReport> = cold
+                .iter()
+                .chain(&warm)
+                .filter(|ev| ev.tenant == id as TenantId)
+                .map(|ev| ev.report.clone())
+                .collect();
+            assert_eq!(served, offline, "tenant {}", spec.name);
+        }
     }
 }

@@ -11,8 +11,29 @@
 //! * [`RoutingScheme::Ecmp`] — exact equal-cost multi-path splitting by
 //!   shortest-path counting; `R` has fractional entries, which the paper
 //!   notes arise "if traffic splitting is supported".
+//!
+//! # Cost
+//!
+//! Both schemes run Dijkstra over per-node adjacency lists kept in link-id
+//! order, so relaxations, distances and path counts follow the link order
+//! exactly. Single-path routing picks each node's next hop toward a
+//! destination once and follows the chain from every source. ECMP tests,
+//! for each OD pair `(s, t)`, only the links into the nodes reached by
+//! walking back from `t` along links that pass the shortest-path test
+//! `|d(s, u) + w(u, v) + d(v, t) − d(s, t)| < 1e-9`: the links into the
+//! pair's shortest-path DAG, not every link of the network. A link that
+//! passes the test is an entry with the fraction
+//! `count_s[u]·count_to_t[v]/count_s[t]`, and its tail is reached in
+//! turn. With exact path lengths the head of every passing link reaches
+//! `t` along passing links, so the walk finds every link the test
+//! accepts whenever rounding in the lengths stays well inside the
+//! tolerance, as it does for integer and ordinary fractional weights.
+//! Each pair's entries are collected column by column and the CSR
+//! is emitted by a counting sort, with no comparison sort. A build costs
+//! about `O(n·L·log n + nnz·degree)` for `n` nodes, `L` links and `nnz`
+//! stored entries.
 
-use crate::graph::{NodeId, Topology};
+use crate::graph::{LinkId, NodeId, Topology};
 use crate::{Result, TopologyError};
 use ic_linalg::SparseMatrix;
 use std::collections::BinaryHeap;
@@ -60,6 +81,39 @@ pub struct RoutingMatrix {
 /// practice; this absorbs floating-point noise only).
 const EPS: f64 = 1e-9;
 
+/// The columns of `R` in OD order, each OD pair's links in any order:
+/// the compressed sparse column arrays [`SparseMatrix::from_csc`] takes.
+struct Columns {
+    ptr: Vec<usize>,
+    links: Vec<LinkId>,
+    values: Vec<f64>,
+}
+
+impl Columns {
+    fn with_capacity(ods: usize) -> Self {
+        let mut ptr = Vec::with_capacity(ods + 1);
+        ptr.push(0);
+        Columns {
+            ptr,
+            links: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Adds an entry to the open column. Exact zeros are not stored.
+    fn push(&mut self, link: LinkId, value: f64) {
+        if value != 0.0 {
+            self.links.push(link);
+            self.values.push(value);
+        }
+    }
+
+    /// Closes the open column.
+    fn close(&mut self) {
+        self.ptr.push(self.links.len());
+    }
+}
+
 impl RoutingMatrix {
     /// Builds the routing matrix for `topo` under `scheme`.
     ///
@@ -67,90 +121,112 @@ impl RoutingMatrix {
     pub fn build(topo: &Topology, scheme: RoutingScheme) -> Result<Self> {
         topo.validate()?;
         let n = topo.node_count();
-        let l = topo.link_count();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+        let links = topo.links();
+        let out_adj = Adjacency::new(topo, false);
+        let in_adj = Adjacency::new(topo, true);
+        let disconnected = |s: NodeId, t: NodeId| TopologyError::Disconnected {
+            from: topo.node_name(s).to_string(),
+            to: topo.node_name(t).to_string(),
+        };
+        let mut columns = Columns::with_capacity(n * n);
         match scheme {
             RoutingScheme::SinglePath => {
-                // Destination-based: for each destination t, compute
-                // distances to t, then greedily walk from every source.
+                // Destination-based: for each destination t, the lowest-id
+                // outgoing link of every node on a shortest path toward t.
+                let mut next_hop = vec![None; n * n];
                 for t in 0..n {
-                    let (dist_to_t, _) = dijkstra_reverse(topo, t);
-                    for s in 0..n {
-                        if s == t {
-                            continue;
-                        }
-                        let od = topo.od_index(s, t);
+                    let (dist_to_t, _) = dijkstra(topo, &in_adj, t, true);
+                    let hops = &mut next_hop[t * n..(t + 1) * n];
+                    for (u, hop) in hops.iter_mut().enumerate() {
+                        *hop = out_adj.of(u).iter().copied().find(|&lid| {
+                            let link = &links[lid];
+                            (link.igp_weight + dist_to_t[link.to] - dist_to_t[u]).abs() < EPS
+                        });
+                    }
+                    // Every source must reach t within n hops; a missing
+                    // hop or a cycle means inconsistent distance labels.
+                    for s in (0..n).filter(|&s| s != t) {
                         let mut u = s;
-                        let mut hops = 0usize;
-                        while u != t {
-                            // Pick the lowest-id outgoing link on a shortest
-                            // path toward t.
-                            let mut chosen: Option<(usize, NodeId)> = None;
-                            for (lid, link) in topo.out_links(u) {
-                                if (link.igp_weight + dist_to_t[link.to] - dist_to_t[u]).abs() < EPS
-                                {
-                                    chosen = Some((lid, link.to));
-                                    break; // out_links iterates in id order
-                                }
-                            }
-                            let (lid, v) = chosen.ok_or_else(|| TopologyError::Disconnected {
-                                from: topo.node_name(s).to_string(),
-                                to: topo.node_name(t).to_string(),
-                            })?;
-                            triplets.push((lid, od, 1.0));
-                            u = v;
-                            hops += 1;
-                            if hops > n {
-                                // A cycle would indicate an internal
-                                // inconsistency in the distance labels.
-                                return Err(TopologyError::Disconnected {
-                                    from: topo.node_name(s).to_string(),
-                                    to: topo.node_name(t).to_string(),
-                                });
+                        for _ in 0..=n {
+                            match hops[u] {
+                                Some(lid) if u != t => u = links[lid].to,
+                                _ => break,
                             }
                         }
+                        if u != t {
+                            return Err(disconnected(s, t));
+                        }
+                    }
+                }
+                for s in 0..n {
+                    for t in 0..n {
+                        let mut u = s;
+                        while u != t {
+                            let lid = next_hop[t * n + u].expect("next hops checked above");
+                            columns.push(lid, 1.0);
+                            u = links[lid].to;
+                        }
+                        columns.close();
                     }
                 }
             }
             RoutingScheme::Ecmp => {
-                // Forward pass per source: distances and path counts.
-                let forward: Vec<(Vec<f64>, Vec<f64>)> =
-                    (0..n).map(|s| dijkstra_forward(topo, s)).collect();
                 // Backward pass per destination: distances-to and counts.
                 let backward: Vec<(Vec<f64>, Vec<f64>)> =
-                    (0..n).map(|t| dijkstra_reverse(topo, t)).collect();
+                    (0..n).map(|t| dijkstra(topo, &in_adj, t, true)).collect();
+                // `seen[v] == od` marks v as reached by pair `od`'s walk.
+                let mut seen = vec![usize::MAX; n];
+                let mut stack = Vec::with_capacity(n);
                 for s in 0..n {
-                    let (dist_s, count_s) = &forward[s];
+                    // Forward pass from s: distances and path counts.
+                    let (dist_s, count_s) = dijkstra(topo, &out_adj, s, false);
                     for t in 0..n {
                         if s == t {
+                            columns.close();
                             continue;
                         }
                         let (dist_to_t, count_to_t) = &backward[t];
                         let od = topo.od_index(s, t);
                         let total_paths = count_s[t];
                         if total_paths == 0.0 {
-                            return Err(TopologyError::Disconnected {
-                                from: topo.node_name(s).to_string(),
-                                to: topo.node_name(t).to_string(),
-                            });
+                            return Err(disconnected(s, t));
                         }
-                        for (lid, link) in topo.links().iter().enumerate() {
-                            let on_shortest =
-                                (dist_s[link.from] + link.igp_weight + dist_to_t[link.to]
-                                    - dist_s[t])
-                                    .abs()
-                                    < EPS;
-                            if on_shortest {
-                                let through = count_s[link.from] * count_to_t[link.to];
-                                triplets.push((lid, od, through / total_paths));
+                        // Walk back from t: a link into a reached node that
+                        // lies on a shortest s-t path is an entry of the
+                        // pair, and its tail is reached in turn.
+                        seen[t] = od;
+                        stack.push(t);
+                        while let Some(v) = stack.pop() {
+                            for &lid in in_adj.of(v) {
+                                let link = &links[lid];
+                                let on_shortest =
+                                    (dist_s[link.from] + link.igp_weight + dist_to_t[link.to]
+                                        - dist_s[t])
+                                        .abs()
+                                        < EPS;
+                                if on_shortest {
+                                    let through = count_s[link.from] * count_to_t[link.to];
+                                    columns.push(lid, through / total_paths);
+                                    if seen[link.from] != od {
+                                        seen[link.from] = od;
+                                        stack.push(link.from);
+                                    }
+                                }
                             }
                         }
+                        columns.close();
                     }
                 }
             }
         }
-        let sparse = SparseMatrix::from_triplets(l, n * n, triplets)
-            .expect("routing triplets are in bounds by construction");
+        let sparse = SparseMatrix::from_csc(
+            links.len(),
+            n * n,
+            &columns.ptr,
+            &columns.links,
+            &columns.values,
+        )
+        .expect("routing columns are well formed by construction");
         Ok(RoutingMatrix {
             sparse,
             node_count: n,
@@ -258,18 +334,50 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Dijkstra from `source` over forward links, also counting shortest paths.
-fn dijkstra_forward(topo: &Topology, source: NodeId) -> (Vec<f64>, Vec<f64>) {
-    dijkstra_impl(topo, source, false)
+/// Per-node link lists in ascending link id: the links leaving each node,
+/// or with `reverse` the links entering it.
+struct Adjacency {
+    start: Vec<usize>,
+    links: Vec<LinkId>,
 }
 
-/// Dijkstra *to* `target` (over reversed links), counting shortest paths
-/// from every node to the target.
-fn dijkstra_reverse(topo: &Topology, target: NodeId) -> (Vec<f64>, Vec<f64>) {
-    dijkstra_impl(topo, target, true)
+impl Adjacency {
+    fn new(topo: &Topology, reverse: bool) -> Self {
+        let key = |lid: LinkId| {
+            let link = topo.link(lid);
+            if reverse {
+                link.to
+            } else {
+                link.from
+            }
+        };
+        let n = topo.node_count();
+        let mut start = vec![0usize; n + 1];
+        for lid in 0..topo.link_count() {
+            start[key(lid) + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start[..n].to_vec();
+        let mut links = vec![0; topo.link_count()];
+        for lid in 0..topo.link_count() {
+            let v = key(lid);
+            links[next[v]] = lid;
+            next[v] += 1;
+        }
+        Adjacency { start, links }
+    }
+
+    fn of(&self, v: NodeId) -> &[LinkId] {
+        &self.links[self.start[v]..self.start[v + 1]]
+    }
 }
 
-fn dijkstra_impl(topo: &Topology, root: NodeId, reverse: bool) -> (Vec<f64>, Vec<f64>) {
+/// Dijkstra from `root` over `adj`, also counting shortest paths: with
+/// `reverse` the links are walked backwards (distances and counts *to*
+/// `root`), and `adj` must hold each node's incoming links.
+fn dijkstra(topo: &Topology, adj: &Adjacency, root: NodeId, reverse: bool) -> (Vec<f64>, Vec<f64>) {
     let n = topo.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut count = vec![0.0; n];
@@ -286,15 +394,9 @@ fn dijkstra_impl(topo: &Topology, root: NodeId, reverse: bool) -> (Vec<f64>, Vec
             continue;
         }
         done[u] = true;
-        for link in topo.links() {
-            let (from, to) = if reverse {
-                (link.to, link.from)
-            } else {
-                (link.from, link.to)
-            };
-            if from != u {
-                continue;
-            }
+        for &lid in adj.of(u) {
+            let link = topo.link(lid);
+            let to = if reverse { link.from } else { link.to };
             let nd = d + link.igp_weight;
             if nd + EPS < dist[to] {
                 dist[to] = nd;
