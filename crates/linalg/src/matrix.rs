@@ -94,24 +94,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a column vector (shape `n x 1`) from a slice.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
-    }
-
-    /// Builds a row vector (shape `1 x n`) from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Builds a square diagonal matrix from the given diagonal entries.
     pub fn diag(values: &[f64]) -> Self {
         let n = values.len();

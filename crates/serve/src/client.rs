@@ -6,7 +6,6 @@
 //! server completes windows.
 
 use crate::service::{TenantEvent, TenantId};
-use crate::snapshot::TenantSnapshot;
 use crate::spec::TenantSpec;
 use crate::wire::{read_frame, write_frame, EstimateFrame, Request, Response, StatsFormat};
 use crate::{Result, ServeError};
@@ -125,11 +124,6 @@ impl Client {
             Response::Snapshot(bytes) => Ok(bytes),
             resp => Err(Self::unexpected(resp)),
         }
-    }
-
-    /// Decoded convenience form of [`Client::snapshot`].
-    pub fn snapshot_decoded(&mut self, tenant: TenantId) -> Result<TenantSnapshot> {
-        TenantSnapshot::from_bytes(&self.snapshot(tenant)?)
     }
 
     /// Restores a tenant from snapshot bytes; returns its (new) id.

@@ -2,12 +2,12 @@
 //!
 //! The crate turns the offline streaming stack ([`ic_stream`]) into a
 //! long-running service: many independent tenants (each a registered
-//! topology + routing scheme + rolling tomogravity estimator + drift
-//! detector + parameter forecaster) ingest link-load columns, and a
-//! batching core executes every ready window across tenants as one shard
-//! list on a single shared [`ic_engine::Engine`]. Per-tenant results are
-//! bit-identical to running that tenant alone through
-//! [`ic_stream::replay_estimation`], for any engine worker count.
+//! spec, a rolling tomogravity estimator, and the
+//! [`ic_stream::WindowTracker`] the offline replay runs) ingest link-load
+//! columns, and a batching core executes every ready window across
+//! tenants as one shard list on a single shared [`ic_engine::Engine`].
+//! Per-tenant results are bit-identical to running that tenant alone
+//! through [`ic_stream::replay_estimation`], for any engine worker count.
 //!
 //! The crate splits into two halves:
 //!

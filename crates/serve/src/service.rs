@@ -1,24 +1,26 @@
 //! The transport-free service core.
 //!
-//! A [`Service`] owns many independent tenants — each a registered
-//! topology + routing + [`StreamingTomogravity`] + [`ParamForecaster`] +
-//! [`DriftDetector`] — and batches their ready windows onto one shared
-//! [`ic_engine::Engine`]. Solver memory is a per-worker cost: every job
-//! of a poll, candidate or baseline, runs on the engine worker's
-//! [`PipelineWorkspace`], so the service holds one `rows × rows` Gram per
-//! worker (sized for the largest tenant it has run), not one per tenant.
-//! Determinism is the design invariant:
+//! A [`Service`] owns many independent tenants and batches their ready
+//! windows onto one shared [`ic_engine::Engine`]. A tenant is its
+//! [`TenantSpec`], one observation model shared by its gravity-baseline
+//! pipeline and its [`StreamingTomogravity`] candidate, and a
+//! [`WindowTracker`] built from [`TenantSpec::replay_options`]: the same
+//! windowing, forecasting, drift and report step that
+//! [`ic_stream::replay_estimation`] runs offline. Solver memory is a
+//! per-worker cost: every job of a poll, candidate or baseline, runs on
+//! the engine worker's [`PipelineWorkspace`], so the service holds one
+//! `rows × rows` Gram per worker (sized for the largest tenant it has
+//! run), not one per tenant. Determinism is the design invariant:
 //!
 //! * **Per-tenant ordering.** Window `k + 1`'s prior depends on window
 //!   `k`'s fit, so a [`Service::poll`] round takes at most *one* ready
 //!   window per tenant and loops rounds until drained. Within a round,
-//!   each tenant-window contributes two independent engine jobs (the
-//!   IC-prior candidate and the gravity-prior baseline — the same pair
-//!   [`ic_stream::replay_estimation`] runs), so cross-tenant throughput
-//!   rides the executor while every tenant sees exactly the serial
-//!   history it would see alone. A cold window (no rolling fit yet)
-//!   contributes only its candidate: that candidate already runs the
-//!   gravity prior, so its error is the baseline's.
+//!   each warm tenant-window contributes two independent engine jobs (the
+//!   IC-prior candidate and the [`gravity_baseline`]), so cross-tenant
+//!   throughput rides the executor while every tenant sees exactly the
+//!   serial history it would see alone. A cold window (no rolling fit
+//!   yet) contributes only its candidate, under the offline replay's
+//!   cold-window rule.
 //! * **Bit-identity.** The engine assembles results by job index and its
 //!   thread count never changes results, so a tenant's report stream is
 //!   bit-identical to feeding the same bins through
@@ -35,15 +37,12 @@ use crate::snapshot::TenantSnapshot;
 use crate::spec::TenantSpec;
 use crate::wire::StatsFormat;
 use crate::{Result, ServeError};
-use ic_core::{improvement_percent, mean_rel_l2};
 use ic_engine::{Engine, WorkspacePool};
-use ic_estimation::{
-    EstimationPipeline, GravityPrior, MultilevelMetrics, ObservationModel, PipelineWorkspace,
-};
+use ic_estimation::{EstimationPipeline, ObservationModel, PipelineWorkspace};
 use ic_obs::{Counter, Histogram, MetricsRegistry, Span};
 use ic_stream::{
-    DriftDetector, ParamForecast, ParamForecaster, StreamError, StreamMetrics,
-    StreamingTomogravity, Window, WindowEstimate, WindowReport, Windower,
+    gravity_baseline, ParamForecast, StreamMetrics, StreamingTomogravity, Window, WindowEstimate,
+    WindowReport, WindowTracker,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -133,9 +132,7 @@ struct Tenant {
     /// The IC-prior candidate; behind a mutex so an engine job can
     /// advance it while the service only holds `&self.tenants`.
     candidate: Mutex<StreamingTomogravity>,
-    windower: Windower,
-    forecaster: ParamForecaster,
-    detector: DriftDetector,
+    tracker: WindowTracker,
     /// Completed windows awaiting a poll round, in arrival order.
     ready: VecDeque<Window>,
     last_estimate: Option<WindowEstimate>,
@@ -154,20 +151,13 @@ impl Tenant {
         if let Some(m) = metrics {
             candidate.set_metrics(Arc::clone(&m.stream));
         }
-        let windower = match spec.stride {
-            None => Windower::tumbling(spec.window_bins),
-            Some(stride) => Windower::sliding(spec.window_bins, stride),
-        }?;
-        let forecaster = ParamForecaster::new(spec.forecast.clone())?;
-        let detector = DriftDetector::new(spec.drift.clone())?;
+        let tracker = WindowTracker::new(&spec.replay_options())?;
         let tenant_metrics = metrics.map(|m| m.for_tenant(&spec.name));
         Ok(Tenant {
             spec,
             pipeline,
             candidate: Mutex::new(candidate),
-            windower,
-            forecaster,
-            detector,
+            tracker,
             ready: VecDeque::new(),
             last_estimate: None,
             last_report: None,
@@ -211,14 +201,6 @@ struct ServiceMetrics {
     pcg_stalls: Arc<Counter>,
     /// `solver.fallbacks_total`.
     fallbacks: Arc<Counter>,
-    /// `multilevel.*` — cluster count, boundary-link fraction, and the
-    /// per-level solve-time histograms of the multilevel decomposition.
-    /// Pre-registered so `Request::Stats` always surfaces the family;
-    /// embedders running a [`MultilevelPipeline`] attach these handles
-    /// via [`Service::multilevel_metrics`].
-    ///
-    /// [`MultilevelPipeline`]: ic_estimation::MultilevelPipeline
-    multilevel: Arc<MultilevelMetrics>,
 }
 
 impl ServiceMetrics {
@@ -232,7 +214,6 @@ impl ServiceMetrics {
             pcg_iterations: registry.counter("solver.pcg_iterations_total"),
             pcg_stalls: registry.counter("solver.pcg_stalls_total"),
             fallbacks: registry.counter("solver.fallbacks_total"),
-            multilevel: MultilevelMetrics::register(&registry),
             registry,
         }
     }
@@ -388,15 +369,6 @@ impl Service {
         self.metrics.as_ref().map(|m| &m.registry)
     }
 
-    /// The pre-registered `multilevel.*` handles, when metrics are
-    /// enabled. Embedders running a multilevel decomposition attach them
-    /// (`MultilevelPipeline::with_metrics`) so cluster counts,
-    /// boundary-link fractions, and per-level solve times flow through
-    /// this service's registry — and out over `Request::Stats`.
-    pub fn multilevel_metrics(&self) -> Option<Arc<MultilevelMetrics>> {
-        self.metrics.as_ref().map(|m| Arc::clone(&m.multilevel))
-    }
-
     /// Renders the metrics registry as Prometheus exposition text or
     /// JSON. Fails with [`ServeError::BadRequest`] when metrics are not
     /// enabled.
@@ -438,14 +410,14 @@ impl Service {
             e.put_bytes(snapshot);
             journal.extend_from_slice(&e.into_bytes());
         }
-        tenant.windower.restore(snap.windower);
+        tenant
+            .tracker
+            .restore(snap.windower, snap.forecaster, snap.detector);
         tenant
             .candidate
             .get_mut()
             .expect("candidate lock poisoned")
             .restore(snap.estimator);
-        tenant.forecaster.restore(snap.forecaster);
-        tenant.detector.restore(snap.detector);
         if let Some(m) = &self.metrics {
             m.registry
                 .event("restore", format!("tenant={}", tenant.spec.name));
@@ -467,12 +439,13 @@ impl Service {
                 t.ready.len()
             )));
         }
+        let (windower, forecaster, detector) = t.tracker.state();
         let bytes = TenantSnapshot {
             spec: t.spec.clone(),
-            windower: t.windower.state(),
+            windower,
             estimator: t.candidate.lock().expect("candidate lock poisoned").state(),
-            forecaster: t.forecaster.state(),
-            detector: t.detector.state(),
+            forecaster,
+            detector,
         }
         .to_bytes();
         if let Some(m) = &self.metrics {
@@ -510,7 +483,7 @@ impl Service {
         if let Some(m) = &t.metrics {
             m.ingested_bins.inc();
         }
-        if let Some(window) = t.windower.push(nodes, bin_seconds, column)? {
+        if let Some(window) = t.tracker.push(nodes, bin_seconds, column)? {
             t.ready.push_back(window);
         }
         Ok(t.ready.len())
@@ -522,15 +495,15 @@ impl Service {
     /// Windows run in rounds — at most one per tenant per round, tenants
     /// in id order — so each tenant's windows execute strictly in stream
     /// order while distinct tenants (and each window's candidate/baseline
-    /// pair) batch onto the shared engine as one job list.
+    /// pair) batch onto the shared engine as one job list. Each tenant's
+    /// [`WindowTracker`] then reports its window, in tenant order; the
+    /// poll itself adds only the metrics and events.
     ///
     /// A tenant with no rolling fit yet (its first window, or the first
-    /// after a restore of a cold snapshot) gets no baseline job: its
-    /// candidate runs the gravity prior through a pipeline configured
-    /// exactly as the baseline's, so the candidate's error *is* the
-    /// baseline's, bit for bit, and the report carries it as
-    /// `error_gravity` with an improvement of 0. The offline replay
-    /// drivers still run both sides.
+    /// after a restore of a cold snapshot) gets no baseline job, as in
+    /// [`ic_stream::replay_estimation`]: its candidate runs the gravity
+    /// prior through a pipeline configured exactly as the baseline's, so
+    /// its error is reported as `error_gravity`, with an improvement of 0.
     pub fn poll(&mut self) -> Result<Vec<TenantEvent>> {
         let span = Span::maybe(self.metrics.as_ref().map(|m| &m.poll));
         let mut events = Vec::new();
@@ -580,30 +553,18 @@ impl Service {
                             .process_with(window, ws)
                             .map(|e| StepOut::Candidate(Box::new(e)))
                     } else {
-                        // The gravity-prior baseline, identical to the replay
-                        // drivers' (serial here: the engine already
-                        // parallelizes across tenants and sides; workspace
-                        // reuse and thread counts are result-neutral).
-                        let obs = tenant
-                            .pipeline
-                            .model()
-                            .observe(&window.series)
-                            .map_err(StreamError::from)?;
-                        let estimate = tenant
-                            .pipeline
-                            .estimate_with(&GravityPrior, &obs, ws)
-                            .map_err(StreamError::from)?;
-                        let error =
-                            mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
-                        Ok(StepOut::Baseline(error))
+                        // Serial here: the engine already parallelizes across
+                        // tenants and sides; workspace reuse and thread counts
+                        // are result-neutral.
+                        gravity_baseline(&tenant.pipeline, window, |prior, obs| {
+                            tenant.pipeline.estimate_with(prior, obs, ws)
+                        })
+                        .map(StepOut::Baseline)
                     }
                 })
                 .map_err(ServeError::from)?;
-            // Coordinator pass, tenants in id order: score the forecast
-            // made *before* this window, extend the forecaster/detector
-            // history, and publish the report — the ordering the replay
-            // drivers use. They also run a cold window's baseline, which
-            // returns the candidate's error bit for bit.
+            // Coordinator pass, tenants in id order: each tenant's tracker
+            // reports its window, then the report is published.
             let mut outs = outs.into_iter();
             for (idx, window, warm) in round {
                 let Some(StepOut::Candidate(cand)) = outs.next() else {
@@ -618,32 +579,7 @@ impl Service {
                     cand.error
                 };
                 let tenant = &mut self.tenants[idx];
-                let improvement = improvement_percent(error_gravity, cand.error);
-                let (forecast_f_error, drift_events) =
-                    match (cand.fitted_f, &cand.fitted_preference) {
-                        (Some(f), Some(p)) => {
-                            let fe = tenant.forecaster.forecast().map(|fc| fc.f_error(f));
-                            tenant.forecaster.observe(f, p)?;
-                            let fired = tenant.detector.observe(window.index, f, p)?;
-                            (fe, fired)
-                        }
-                        _ => (None, Vec::new()),
-                    };
-                let report = WindowReport {
-                    window: window.index,
-                    start_bin: window.start_bin,
-                    bins: window.bins(),
-                    fitted_f: cand.fitted_f.unwrap_or(f64::NAN),
-                    fit_objective: cand.fit_objective.unwrap_or(f64::NAN),
-                    sweeps: cand.sweeps.unwrap_or(0),
-                    warm: cand.warm,
-                    error_candidate: cand.error,
-                    error_gravity,
-                    improvement,
-                    forecast_f_error,
-                    drift_events,
-                    solve_stats: cand.solve_stats,
-                };
+                let report = tenant.tracker.report(&window, &cand, error_gravity)?;
                 if let Some(m) = &self.metrics {
                     if let Some(tm) = &tenant.metrics {
                         tm.polled_windows.inc();
@@ -719,7 +655,7 @@ impl Service {
     /// The tenant's forecast of the next window's `(f, {P_i})`, once at
     /// least one window has completed.
     pub fn forecast(&self, id: TenantId) -> Result<Option<ParamForecast>> {
-        Ok(self.tenants[self.check(id)?].forecaster.forecast())
+        Ok(self.tenants[self.check(id)?].tracker.forecast())
     }
 
     /// Replays a journal through a fresh service core: re-registers,
@@ -846,8 +782,8 @@ mod tests {
         assert_eq!(dense_solves(&service), 3 * bins);
         assert!(warm.iter().all(|ev| ev.report.warm));
 
-        // Every report equals the offline replay, which runs both sides of
-        // every window.
+        // Every report equals the offline replay, which follows the same
+        // cold-window rule.
         for (id, (spec, series)) in tenants.iter().enumerate() {
             let topo = spec.build_topology().unwrap();
             let model = ObservationModel::new(&topo, spec.routing).unwrap();

@@ -3,16 +3,18 @@
 //! The load-bearing invariant: a tenant's report stream through the
 //! multi-tenant batching service is bit-identical to feeding the same
 //! bins through [`ic_stream::replay_estimation`] alone — for any engine
-//! worker count, any poll cadence, any co-tenant interleaving, and across
-//! a snapshot/restore restart or a journal replay.
+//! worker count, any poll cadence, any co-tenant interleaving, any window
+//! stride and forecast or drift options, and across a snapshot/restore
+//! restart or a journal replay.
 
 use ic_core::{generate_synthetic, SynthConfig, TmSeries};
 use ic_engine::Engine;
-use ic_estimation::{EstimationPipeline, ObservationModel};
-use ic_serve::{Service, StatsFormat, TenantSpec};
-use ic_stream::{replay_estimation, ReplayStream, WindowReport};
+use ic_estimation::{EstimationPipeline, MultilevelMetrics, ObservationModel};
+use ic_serve::{Service, StatsFormat, TenantSnapshot, TenantSpec};
+use ic_stream::{replay_estimation, DriftOptions, ForecastOptions, ReplayStream, WindowReport};
 use ic_topology::{RoutingScheme, Topology};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const WINDOW_BINS: usize = 4;
 
@@ -42,6 +44,60 @@ fn series_for(seed: u64, nodes: usize, bins: usize) -> TmSeries {
     )
     .unwrap()
     .series
+}
+
+/// `before` bins of one IC process, then `after` bins of another with a
+/// different forward ratio and preference vector: a regime switch.
+fn regime_series(nodes: usize, before: usize, after: usize) -> TmSeries {
+    let a = generate_synthetic(
+        &SynthConfig::geant_like(61)
+            .with_nodes(nodes)
+            .with_bins(before)
+            .with_f(0.2),
+    )
+    .unwrap()
+    .series;
+    let b = generate_synthetic(
+        &SynthConfig::geant_like(62)
+            .with_nodes(nodes)
+            .with_bins(after)
+            .with_f(0.6),
+    )
+    .unwrap()
+    .series;
+    let mut out = TmSeries::zeros(nodes, before + after, a.bin_seconds()).unwrap();
+    for t in 0..before + after {
+        for i in 0..nodes {
+            for j in 0..nodes {
+                let v = if t < before {
+                    a.get(i, j, t)
+                } else {
+                    b.get(i, j, t - before)
+                };
+                out.set(i, j, t, v.unwrap()).unwrap();
+            }
+        }
+    }
+    out
+}
+
+/// Forecasting options other than the defaults: a faster EWMA blended with
+/// a two-window season.
+fn forecast_options() -> ForecastOptions {
+    ForecastOptions::default()
+        .with_ewma_alpha(0.6)
+        .with_season_length(2)
+        .with_seasonal_weight(0.25)
+}
+
+/// Change-detection options other than the defaults, all four tighter or
+/// looser than the stock envelope.
+fn drift_options() -> DriftOptions {
+    DriftOptions::default()
+        .with_cusum_slack(0.002)
+        .with_cusum_threshold(0.02)
+        .with_max_f_jump(0.1)
+        .with_min_preference_corr(0.9)
 }
 
 /// The solo offline reference for a tenant: `replay_estimation` over the
@@ -320,19 +376,26 @@ fn service_rejects_bad_requests() {
     assert!(service.restore_tenant(b"not a snapshot").is_err());
 }
 
+/// The service runs no multilevel pipeline and registers no
+/// `multilevel.*` family. An embedder that runs one registers the family
+/// on the service's registry, and its numbers show up in both stats
+/// renderings.
 #[test]
-fn multilevel_metrics_are_pre_registered_and_surfaced_in_stats() {
+fn multilevel_metrics_registered_on_the_service_registry_surface_in_stats() {
     let mut service = Service::with_engine(Engine::serial());
-    assert!(service.multilevel_metrics().is_none());
+    assert!(service.metrics_registry().is_none());
 
     service.enable_metrics();
-    let handles = service
-        .multilevel_metrics()
-        .expect("enable_metrics pre-registers the multilevel family");
+    let prom = service.render_stats(StatsFormat::Prometheus).unwrap();
+    assert!(!prom.contains("multilevel"), "{prom}");
+    let registry = service.metrics_registry().expect("metrics enabled");
+    let handles = MultilevelMetrics::register(registry);
+    // Registration is idempotent per key: registering again hands back
+    // the same instruments.
+    let again = MultilevelMetrics::register(registry);
+    assert!(Arc::ptr_eq(&handles.coarse, &again.coarse));
+    assert!(Arc::ptr_eq(&handles.clusters, &again.clusters));
 
-    // An embedder running a MultilevelPipeline records through the shared
-    // handles; the numbers show up in both stats renderings without any
-    // extra wiring.
     handles.clusters.set(6.0);
     handles.boundary_link_fraction.set(0.125);
     handles.coarse.record(0.5);
@@ -358,6 +421,122 @@ fn multilevel_metrics_are_pre_registered_and_surfaced_in_stats() {
 
     let json = service.render_stats(StatsFormat::Json).unwrap();
     assert!(json.contains("multilevel.clusters"), "{json}");
+}
+
+/// Tenants with sliding windows (a stride below the window length, and
+/// one above it so bins are skipped), non-default forecasting and drift
+/// options, and a regime switch that fires drift: every served report
+/// equals the tenant's offline replay, on one worker and on two.
+#[test]
+fn sliding_windows_forecast_and_drift_options_match_offline_replay() {
+    const SWITCH: usize = 12;
+    let tenants = [
+        (
+            spec_for("overlap", 5)
+                .with_stride(2)
+                .with_forecast(forecast_options()),
+            series_for(71, 5, 14),
+        ),
+        (
+            spec_for("gapped", 4)
+                .with_stride(7)
+                .with_drift(drift_options()),
+            series_for(72, 4, 25),
+        ),
+        (
+            spec_for("regime", 5)
+                .with_stride(3)
+                .with_forecast(forecast_options())
+                .with_drift(drift_options()),
+            regime_series(5, SWITCH, 12),
+        ),
+    ];
+    let offline: Vec<Vec<WindowReport>> = tenants
+        .iter()
+        .map(|(spec, series)| offline_windows(spec, series))
+        .collect();
+    let starts =
+        |reports: &[WindowReport]| -> Vec<usize> { reports.iter().map(|r| r.start_bin).collect() };
+    assert_eq!(starts(&offline[0]), [0, 2, 4, 6, 8, 10]);
+    assert_eq!(starts(&offline[1]), [0, 7, 14, 21]);
+    assert_eq!(starts(&offline[2]), [0, 3, 6, 9, 12, 15, 18]);
+    assert!(
+        offline[2]
+            .iter()
+            .any(|r| r.start_bin + r.bins > SWITCH && !r.drift_events.is_empty()),
+        "the regime switch fires drift"
+    );
+    assert!(offline[0].iter().any(|r| r.forecast_f_error.is_some()));
+
+    for threads in [1, 2] {
+        let mut service = Service::with_engine(Engine::new().with_threads(threads));
+        let ids: Vec<_> = tenants
+            .iter()
+            .map(|(spec, _)| service.register(spec.clone()).unwrap())
+            .collect();
+        let mut events = Vec::new();
+        for t in 0..25 {
+            for (id, (_, series)) in ids.iter().zip(&tenants) {
+                if t < series.bins() {
+                    service.ingest(*id, series.column(t)).unwrap();
+                }
+            }
+            if t % 5 == 4 {
+                events.extend(service.poll().unwrap());
+            }
+        }
+        events.extend(service.poll().unwrap());
+        for ((id, (spec, _)), offline) in ids.iter().zip(&tenants).zip(&offline) {
+            let got: Vec<WindowReport> = events
+                .iter()
+                .filter(|ev| ev.tenant == *id)
+                .map(|ev| ev.report.clone())
+                .collect();
+            assert_eq!(&got, offline, "{threads} threads, tenant {}", spec.name);
+        }
+    }
+}
+
+/// A snapshot taken while a gapped windower is discarding bins carries
+/// the skip: restored into a fresh service, the tenant reports the same
+/// windows as the uninterrupted stream and the offline replay.
+#[test]
+fn snapshot_while_the_windower_skips_bins_is_bit_identical() {
+    let spec = spec_for("skipping", 5)
+        .with_stride(7)
+        .with_forecast(forecast_options())
+        .with_drift(drift_options());
+    let series = series_for(81, 5, 25);
+
+    // First life: window 0 (bins 0–3) completes and is polled, and bin 4
+    // is the first of three skipped bins.
+    let mut first = Service::with_engine(Engine::serial());
+    let id = first.register(spec.clone()).unwrap();
+    for t in 0..5 {
+        first.ingest(id, series.column(t)).unwrap();
+    }
+    let mut reports: Vec<WindowReport> = first
+        .poll()
+        .unwrap()
+        .into_iter()
+        .map(|ev| ev.report)
+        .collect();
+    let snapshot = first.snapshot_tenant(id).unwrap();
+    let carried = TenantSnapshot::from_bytes(&snapshot).unwrap();
+    assert_eq!(carried.windower.pending_skip, 2);
+    assert!(carried.windower.buffer.is_empty());
+    drop(first);
+
+    let mut second = Service::with_engine(Engine::new().with_threads(2));
+    let id2 = second.restore_tenant(&snapshot).unwrap();
+    for t in 5..25 {
+        second.ingest(id2, series.column(t)).unwrap();
+    }
+    reports.extend(second.poll().unwrap().into_iter().map(|ev| ev.report));
+
+    let starts: Vec<usize> = reports.iter().map(|r| r.start_bin).collect();
+    assert_eq!(starts, [0, 7, 14, 21]);
+    assert_eq!(reports, offline_windows(&spec, &series));
 }
 
 proptest! {

@@ -15,6 +15,13 @@
 //!   `k − 1`, after which window `k`'s directly-measured TM refreshes the
 //!   fit (the streaming form of the paper's "previous week calibrates the
 //!   next" scenario, Section 6.2).
+//!
+//! An estimator only estimates: [`WindowTracker`] reports its windows, and
+//! [`gravity_baseline`] is the pipeline estimators' baseline. There is no
+//! reset; a cold start is a freshly built estimator.
+//!
+//! [`WindowTracker`]: crate::WindowTracker
+//! [`gravity_baseline`]: crate::gravity_baseline
 
 use crate::metrics::StreamMetrics;
 use crate::window::Window;
@@ -72,10 +79,6 @@ pub trait OnlineEstimator {
     /// Consumes the next window and produces its estimate, updating any
     /// carried state (the previous window's fit, ...).
     fn process(&mut self, window: &Window) -> Result<WindowEstimate>;
-
-    /// Clears carried state, returning the estimator to its cold-start
-    /// condition.
-    fn reset(&mut self);
 }
 
 /// The gravity baseline as an online estimator: each bin is estimated
@@ -113,8 +116,6 @@ impl OnlineEstimator for OnlineGravity {
             solve_stats: SolveStats::default(),
         })
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Warm-started incremental stable-fP fit.
@@ -195,10 +196,6 @@ impl OnlineEstimator for WarmStartIcFit {
         };
         self.previous = Some(fit);
         Ok(out)
-    }
-
-    fn reset(&mut self) {
-        self.previous = None;
     }
 }
 
@@ -283,13 +280,6 @@ impl StreamingTomogravity {
     /// Attaches pre-registered streaming metrics: per-window latency into
     /// `stream.window.seconds`, window count into `stream.windows_total`.
     /// Estimates are bit-identical with or without metrics attached.
-    pub fn with_metrics(mut self, metrics: Arc<StreamMetrics>) -> Self {
-        self.set_metrics(metrics);
-        self
-    }
-
-    /// In-place form of [`StreamingTomogravity::with_metrics`], for
-    /// estimators already embedded in a larger structure.
     pub fn set_metrics(&mut self, metrics: Arc<StreamMetrics>) {
         self.metrics = Some(metrics);
     }
@@ -423,10 +413,6 @@ impl OnlineEstimator for StreamingTomogravity {
             Ok((estimate, me.pool_solve_stats().since(&before)))
         })
     }
-
-    fn reset(&mut self) {
-        self.previous = None;
-    }
 }
 
 #[cfg(test)]
@@ -519,8 +505,9 @@ mod tests {
             "warm {warm_sweeps} sweeps vs cold {cold_sweeps}"
         );
         assert!(warm.last_fit().is_some());
-        warm.reset();
-        assert!(warm.last_fit().is_none());
+        assert!(WarmStartIcFit::new(FitOptions::default())
+            .last_fit()
+            .is_none());
     }
 
     #[test]
@@ -546,11 +533,11 @@ mod tests {
         // Window 0 used the gravity prior; later windows use the rolling
         // IC prior, which on IC-structured traffic must do better on
         // average.
-        let mut gravity_only = StreamingTomogravity::new(EstimationPipeline::new(om));
         let mut rolling = 0.0;
         let mut gravity = 0.0;
         for (k, w) in ws.iter().enumerate().skip(1) {
-            gravity_only.reset(); // forces the gravity-prior path every window
+            // A fresh estimator takes the gravity-prior path.
+            let mut gravity_only = StreamingTomogravity::new(EstimationPipeline::new(om.clone()));
             let g = gravity_only.process(w).unwrap();
             rolling += errors[k];
             gravity += g.error;
@@ -708,8 +695,8 @@ mod tests {
         let registry = ic_obs::MetricsRegistry::new();
         let metrics = StreamMetrics::register(&registry);
         let mut bare = StreamingTomogravity::new(EstimationPipeline::new(om.clone()));
-        let mut instrumented = StreamingTomogravity::new(EstimationPipeline::new(om))
-            .with_metrics(Arc::clone(&metrics));
+        let mut instrumented = StreamingTomogravity::new(EstimationPipeline::new(om));
+        instrumented.set_metrics(Arc::clone(&metrics));
         for w in &ws {
             let a = bare.process(w).unwrap();
             let b = instrumented.process(w).unwrap();

@@ -22,8 +22,12 @@
 //!   prediction of the next window's `(f, {P_i})`;
 //! * [`drift`] — [`DriftDetector`], CUSUM/jump/decorrelation change
 //!   detection against the paper's stability envelope;
-//! * [`replay`] — [`replay_fit`] / [`replay_estimation`] drivers wiring
-//!   the pieces into one pass with a gravity baseline alongside.
+//! * [`replay`] — the one window step: [`WindowTracker`] owns the
+//!   windower, forecaster and drift detector and assembles every
+//!   [`WindowReport`], and [`gravity_baseline`] scores the gravity-prior
+//!   estimate of a window on the caller's runner. [`replay_fit`] /
+//!   [`replay_estimation`] drive them over a stream, and `ic-serve` drives
+//!   them per tenant, so served and offline reports come from one step.
 //!
 //! ```
 //! use ic_stream::{replay_fit, ReplayOptions, SyntheticStream};
@@ -62,8 +66,8 @@ pub use estimator::{
 pub use forecast::{ForecastOptions, ParamForecast, ParamForecaster, ParamForecasterState};
 pub use metrics::StreamMetrics;
 pub use replay::{
-    replay_estimation, replay_estimation_with, replay_fit, replay_fit_with, ReplayOptions,
-    ReplayReport, WindowReport,
+    gravity_baseline, replay_estimation, replay_estimation_with, replay_fit, replay_fit_with,
+    ReplayOptions, ReplayReport, WindowReport, WindowTracker,
 };
 pub use source::{LinkLoadStream, ReplayStream, SyntheticStream};
 pub use window::{Window, Windower, WindowerState};

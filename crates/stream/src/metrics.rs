@@ -4,7 +4,7 @@
 //! touch, resolved once against a [`MetricsRegistry`] (registration takes
 //! the registry lock; recording is lock-free atomics). Attach to a
 //! [`StreamingTomogravity`](crate::StreamingTomogravity) via
-//! `with_metrics`; absent metrics cost one branch per window.
+//! `set_metrics`; absent metrics cost one branch per window.
 
 use ic_obs::{Counter, Histogram, MetricsRegistry};
 use std::sync::Arc;

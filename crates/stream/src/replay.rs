@@ -1,6 +1,11 @@
 //! End-to-end streaming replay: stream → windows → estimator →
 //! forecaster → drift detector, with a gravity baseline alongside.
 //!
+//! One window step serves the replay drivers and `ic-serve` alike:
+//! [`WindowTracker`] owns the windower, forecaster and drift detector and
+//! assembles every [`WindowReport`], and [`gravity_baseline`] estimates a
+//! window from [`GravityPrior`] on the caller's runner and scores it.
+//!
 //! [`replay_fit`] drives the warm-started incremental IC fit against the
 //! online gravity baseline on a raw stream (the Section 5 comparison,
 //! continuously); [`replay_estimation`] drives the full streaming
@@ -8,7 +13,11 @@
 //! same observations (the Section 6 comparison, continuously). Both
 //! produce a [`ReplayReport`] with one [`WindowReport`] per window —
 //! the structure the experiment runner's `Task::Streaming` and the
-//! serving layer consume.
+//! serving layer consume. A cold window of [`replay_estimation`] (no
+//! rolling fit yet) runs no baseline: its candidate already estimates it
+//! from the gravity prior, so its error is the `error_gravity`
+//! (improvement 0). [`replay_fit`]'s cold candidate is a fit, so its
+//! baseline runs on every window.
 //!
 //! Window estimation runs through the shared [`ic_engine::Engine`]
 //! (`*_with` variants take it explicitly) while preserving the online
@@ -19,15 +28,17 @@
 //! ([`Engine::join`]) and, for the pipeline estimators, the bins inside
 //! a window. Replays are therefore bit-identical for every thread count.
 
-use crate::drift::{DriftDetector, DriftEvent, DriftOptions};
-use crate::estimator::{OnlineEstimator, OnlineGravity, StreamingTomogravity, WarmStartIcFit};
-use crate::forecast::{ForecastOptions, ParamForecaster};
+use crate::drift::{DriftDetector, DriftDetectorState, DriftEvent, DriftOptions};
+use crate::estimator::{
+    OnlineEstimator, OnlineGravity, StreamingTomogravity, WarmStartIcFit, WindowEstimate,
+};
+use crate::forecast::{ForecastOptions, ParamForecast, ParamForecaster, ParamForecasterState};
 use crate::source::LinkLoadStream;
-use crate::window::Windower;
+use crate::window::{Window, Windower, WindowerState};
 use crate::{Result, StreamError};
 use ic_core::{improvement_percent, mean_rel_l2, FitOptions, TmSeries};
 use ic_engine::{Engine, WorkspacePool};
-use ic_estimation::{EstimationPipeline, GravityPrior, PipelineWorkspace};
+use ic_estimation::{EstimationPipeline, GravityPrior, Observations, TmPrior};
 use ic_linalg::SolveStats;
 
 /// Options for a streaming replay run.
@@ -109,13 +120,6 @@ impl ReplayOptions {
     pub fn with_max_windows(mut self, max: usize) -> Self {
         self.max_windows = Some(max);
         self
-    }
-
-    fn windower(&self) -> Result<Windower> {
-        match self.stride {
-            None => Windower::tumbling(self.window_bins),
-            Some(stride) => Windower::sliding(self.window_bins, stride),
-        }
     }
 }
 
@@ -242,6 +246,122 @@ fn mean(xs: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// The per-window step shared by the replay drivers and `ic-serve`: it
+/// windows the stream, and turns each window's candidate estimate and
+/// gravity-baseline error into the window's [`WindowReport`].
+#[derive(Debug, Clone)]
+pub struct WindowTracker {
+    windower: Windower,
+    forecaster: ParamForecaster,
+    detector: DriftDetector,
+}
+
+impl WindowTracker {
+    /// A tracker with `options`' window length, stride, forecasting and
+    /// drift options.
+    pub fn new(options: &ReplayOptions) -> Result<Self> {
+        let stride = options.stride.unwrap_or(options.window_bins);
+        Ok(WindowTracker {
+            windower: Windower::sliding(options.window_bins, stride)?,
+            forecaster: ParamForecaster::new(options.forecast.clone())?,
+            detector: DriftDetector::new(options.drift.clone())?,
+        })
+    }
+
+    /// Buffers one bin (`nodes²` entries); returns the window it
+    /// completes, if any.
+    pub fn push(
+        &mut self,
+        nodes: usize,
+        bin_seconds: f64,
+        column: Vec<f64>,
+    ) -> Result<Option<Window>> {
+        self.windower.push(nodes, bin_seconds, column)
+    }
+
+    /// Reports `window` from its candidate estimate and the gravity
+    /// baseline's error. A candidate that fitted the window first has its
+    /// fitted `f` score the forecast made before the window, then extends
+    /// the forecaster's and the drift detector's history; one that fits
+    /// nothing reports NaN fit fields, no forecast error and no drift.
+    pub fn report(
+        &mut self,
+        window: &Window,
+        candidate: &WindowEstimate,
+        error_gravity: f64,
+    ) -> Result<WindowReport> {
+        let (forecast_f_error, drift_events) =
+            match (candidate.fitted_f, &candidate.fitted_preference) {
+                (Some(f), Some(p)) => {
+                    let fe = self.forecaster.forecast().map(|fc| fc.f_error(f));
+                    self.forecaster.observe(f, p)?;
+                    (fe, self.detector.observe(window.index, f, p)?)
+                }
+                _ => (None, Vec::new()),
+            };
+        Ok(WindowReport {
+            window: window.index,
+            start_bin: window.start_bin,
+            bins: window.bins(),
+            fitted_f: candidate.fitted_f.unwrap_or(f64::NAN),
+            fit_objective: candidate.fit_objective.unwrap_or(f64::NAN),
+            sweeps: candidate.sweeps.unwrap_or(0),
+            warm: candidate.warm,
+            error_candidate: candidate.error,
+            error_gravity,
+            improvement: improvement_percent(error_gravity, candidate.error),
+            forecast_f_error,
+            drift_events,
+            solve_stats: candidate.solve_stats,
+        })
+    }
+
+    /// The forecast of the next window's `(f, {P_i})`, once a fitted
+    /// window has been reported.
+    pub fn forecast(&self) -> Option<ParamForecast> {
+        self.forecaster.forecast()
+    }
+
+    /// The carried window position (buffered bins included), forecaster
+    /// history and drift statistics.
+    pub fn state(&self) -> (WindowerState, ParamForecasterState, DriftDetectorState) {
+        (
+            self.windower.state(),
+            self.forecaster.state(),
+            self.detector.state(),
+        )
+    }
+
+    /// Reinstalls [`WindowTracker::state`] taken from a tracker built from
+    /// the same options: the windows and reports that follow are
+    /// bit-identical to the uninterrupted tracker's.
+    pub fn restore(
+        &mut self,
+        windower: WindowerState,
+        forecaster: ParamForecasterState,
+        detector: DriftDetectorState,
+    ) {
+        self.windower.restore(windower);
+        self.forecaster.restore(forecaster);
+        self.detector.restore(detector);
+    }
+}
+
+/// The gravity baseline's error on one window: the window observed
+/// through `pipeline`'s model, estimated from [`GravityPrior`] by
+/// `estimate` on the caller's runner (`estimate_with` on a workspace, or
+/// `estimate_parallel_pooled` on an engine and pool), and scored with
+/// [`mean_rel_l2`] against the window's series.
+pub fn gravity_baseline(
+    pipeline: &EstimationPipeline,
+    window: &Window,
+    estimate: impl FnOnce(&dyn TmPrior, &Observations) -> ic_estimation::Result<TmSeries>,
+) -> Result<f64> {
+    let obs = pipeline.model().observe(&window.series)?;
+    let estimate = estimate(&GravityPrior, &obs)?;
+    Ok(mean_rel_l2(&window.series, &estimate)?)
+}
+
 /// Replays a stream through the warm-started incremental IC fit with the
 /// online gravity baseline (direct-fit comparison, no topology), on the
 /// default engine.
@@ -265,8 +385,17 @@ pub fn replay_fit_with(
         WarmStartIcFit::cold(options.fit.clone())
     };
     let name = candidate.name().to_string();
-    let mut baseline = OnlineGravity::new();
-    run_replay(stream, options, engine, name, &mut candidate, &mut baseline)
+    run_replay(stream, options, name, |window| {
+        // The candidate/baseline pair shares no state, so the engine may
+        // run the two sides concurrently; the candidate's error is
+        // inspected first either way, preserving the serial failure
+        // order.
+        let (cand, base) = engine.join(
+            || candidate.process(window),
+            || OnlineGravity.process(window),
+        );
+        Ok((cand?, base?.error))
+    })
 }
 
 /// Replays a stream through the streaming tomogravity/IPF pipeline with a
@@ -280,9 +409,10 @@ pub fn replay_estimation(
     replay_estimation_with(stream, pipeline, options, &Engine::new())
 }
 
-/// [`replay_estimation`] on an explicit engine: each window's candidate
-/// and baseline pipelines run concurrently ([`Engine::join`]) and each
-/// pipeline's bins are sharded across the worker pool. Bit-identical to
+/// [`replay_estimation`] on an explicit engine: each warm window's
+/// candidate and baseline pipelines run concurrently ([`Engine::join`])
+/// and each pipeline's bins are sharded across the worker pool. A cold
+/// window runs only its candidate (see the module docs). Bit-identical to
 /// the serial replay for every thread count.
 pub fn replay_estimation_with(
     stream: &mut dyn LinkLoadStream,
@@ -315,130 +445,54 @@ pub fn replay_estimation_with(
         .config(candidate_config)
         .with_engine(candidate_inner);
     let name = candidate.name().to_string();
-    let mut baseline = PipelineGravity {
-        pipeline,
-        engine: baseline_inner,
-        pool: WorkspacePool::new(),
-    };
-    run_replay(stream, options, engine, name, &mut candidate, &mut baseline)
+    let pool = WorkspacePool::new();
+    run_replay(stream, options, name, |window| {
+        if candidate.last_fit().is_none() {
+            // Cold: the candidate is the gravity estimate (module docs).
+            let cand = candidate.process(window)?;
+            let error_gravity = cand.error;
+            return Ok((cand, error_gravity));
+        }
+        let (cand, base) = engine.join(
+            || candidate.process(window),
+            || {
+                gravity_baseline(&pipeline, window, |prior, obs| {
+                    pipeline.estimate_parallel_pooled(prior, obs, &baseline_inner, &pool)
+                })
+            },
+        );
+        Ok((cand?, base?))
+    })
 }
 
-/// The gravity-prior pipeline as a (stateless) baseline estimator.
-struct PipelineGravity {
-    pipeline: EstimationPipeline,
-    engine: Engine,
-    pool: WorkspacePool<PipelineWorkspace>,
-}
-
-impl OnlineEstimator for PipelineGravity {
-    fn name(&self) -> &str {
-        "pipeline-gravity"
-    }
-
-    fn process(&mut self, window: &crate::Window) -> Result<crate::WindowEstimate> {
-        let pool_stats = |this: &Self| {
-            this.pool.fold_idle(SolveStats::default(), |mut acc, ws| {
-                acc.merge(&ws.solve_stats());
-                acc
-            })
-        };
-        let stats_before = pool_stats(self);
-        let obs = self
-            .pipeline
-            .model()
-            .observe(&window.series)
-            .map_err(StreamError::from)?;
-        let estimate: TmSeries = self
-            .pipeline
-            .estimate_parallel_pooled(&GravityPrior, &obs, &self.engine, &self.pool)
-            .map_err(StreamError::from)?;
-        let error = mean_rel_l2(&window.series, &estimate).map_err(StreamError::from)?;
-        Ok(crate::WindowEstimate {
-            window: window.index,
-            start_bin: window.start_bin,
-            estimate,
-            error,
-            fitted_f: None,
-            fitted_preference: None,
-            fit_objective: None,
-            sweeps: None,
-            warm: false,
-            solve_stats: pool_stats(self).since(&stats_before),
-        })
-    }
-
-    fn reset(&mut self) {}
-}
-
+/// Windows `stream` through a [`WindowTracker`] built from `options` and
+/// reports each window from `step`, which returns the candidate's
+/// estimate and the gravity baseline's error.
 fn run_replay(
     stream: &mut dyn LinkLoadStream,
     options: &ReplayOptions,
-    engine: &Engine,
-    estimator_name: String,
-    candidate: &mut (dyn OnlineEstimator + Send),
-    baseline: &mut (dyn OnlineEstimator + Send),
+    estimator: String,
+    mut step: impl FnMut(&Window) -> Result<(WindowEstimate, f64)>,
 ) -> Result<ReplayReport> {
     let nodes = stream.nodes();
     let bin_seconds = stream.bin_seconds();
-    let mut windower = options.windower()?;
-    let mut forecaster = ParamForecaster::new(options.forecast.clone())?;
-    let mut detector = DriftDetector::new(options.drift.clone())?;
+    let mut tracker = WindowTracker::new(options)?;
     let mut windows = Vec::new();
-    'ingest: while options
-        .max_windows
-        .map(|m| windows.len() < m)
-        .unwrap_or(true)
-    {
+    while options.max_windows.is_none_or(|m| windows.len() < m) {
         let Some(column) = stream.next_column() else {
-            break 'ingest;
+            break;
         };
-        let Some(window) = windower.push(nodes, bin_seconds, column)? else {
-            continue 'ingest;
-        };
-        // The candidate/baseline pair shares no state, so the engine may
-        // run the two sides concurrently; the candidate's error is
-        // inspected first either way, preserving the serial failure
-        // order.
-        let (cand, base) = engine.join(|| candidate.process(&window), || baseline.process(&window));
-        let (cand, base) = (cand?, base?);
-        let improvement = improvement_percent(base.error, cand.error);
-        let (forecast_f_error, drift_events) = match (cand.fitted_f, &cand.fitted_preference) {
-            (Some(f), Some(p)) => {
-                // The forecast is judged against the parameters it could
-                // not yet have seen, then the realized values extend the
-                // history.
-                let fe = forecaster.forecast().map(|fc| fc.f_error(f));
-                forecaster.observe(f, p)?;
-                let events = detector.observe(window.index, f, p)?;
-                (fe, events)
-            }
-            _ => (None, Vec::new()),
-        };
-        windows.push(WindowReport {
-            window: window.index,
-            start_bin: window.start_bin,
-            bins: window.bins(),
-            fitted_f: cand.fitted_f.unwrap_or(f64::NAN),
-            fit_objective: cand.fit_objective.unwrap_or(f64::NAN),
-            sweeps: cand.sweeps.unwrap_or(0),
-            warm: cand.warm,
-            error_candidate: cand.error,
-            error_gravity: base.error,
-            improvement,
-            forecast_f_error,
-            drift_events,
-            solve_stats: cand.solve_stats,
-        });
+        if let Some(window) = tracker.push(nodes, bin_seconds, column)? {
+            let (candidate, error_gravity) = step(&window)?;
+            windows.push(tracker.report(&window, &candidate, error_gravity)?);
+        }
     }
     if windows.is_empty() {
         return Err(StreamError::BadConfig(
             "stream ended before a single window filled",
         ));
     }
-    Ok(ReplayReport {
-        estimator: estimator_name,
-        windows,
-    })
+    Ok(ReplayReport { estimator, windows })
 }
 
 #[cfg(test)]
@@ -446,11 +500,94 @@ mod tests {
     use super::*;
     use crate::source::{ReplayStream, SyntheticStream};
     use ic_core::{fit_stable_fp, SynthConfig};
-    use ic_estimation::ObservationModel;
+    use ic_estimation::{EstimationConfig, ObservationModel, PipelineMetrics, PipelineWorkspace};
+    use ic_obs::MetricsRegistry;
     use ic_topology::{RoutingScheme, Topology};
+    use std::sync::Arc;
 
     fn cfg(seed: u64) -> SynthConfig {
         SynthConfig::geant_like(seed).with_nodes(5).with_bins(30)
+    }
+
+    fn ring5() -> ObservationModel {
+        let mut topo = Topology::new("ring5");
+        for k in 0..5 {
+            topo.add_node(format!("n{k}")).unwrap();
+        }
+        for k in 0..5 {
+            topo.add_symmetric_link(k, (k + 1) % 5, 1.0, 1e12).unwrap();
+        }
+        ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap()
+    }
+
+    /// A cold `StreamingTomogravity` estimates its window from the gravity
+    /// prior through the pipeline `gravity_baseline` runs, so the two give
+    /// the same estimate and error bits, on every runner. Both drivers skip
+    /// a cold window's baseline because of this.
+    #[test]
+    fn cold_candidate_equals_the_gravity_baseline_bit_for_bit() {
+        let pipeline = EstimationPipeline::new(ring5());
+        let window = Windower::tumbling(4)
+            .unwrap()
+            .take_windows(&mut SyntheticStream::new(cfg(27)).unwrap(), Some(1))
+            .unwrap()
+            .remove(0);
+        for engine in [Engine::serial(), Engine::new().with_threads(2)] {
+            let cold = StreamingTomogravity::new(pipeline.clone())
+                .with_engine(engine)
+                .process(&window)
+                .unwrap();
+            assert!(!cold.warm);
+            let pool = WorkspacePool::new();
+            let mut pooled = None;
+            let error = gravity_baseline(&pipeline, &window, |prior, obs| {
+                let estimate = pipeline.estimate_parallel_pooled(prior, obs, &engine, &pool)?;
+                pooled = Some(estimate.clone());
+                Ok(estimate)
+            })
+            .unwrap();
+            assert_eq!(error.to_bits(), cold.error.to_bits(), "{engine:?}");
+            assert_eq!(pooled.as_ref(), Some(&cold.estimate), "{engine:?}");
+            let mut ws = PipelineWorkspace::new();
+            let mut borrowed = None;
+            let error = gravity_baseline(&pipeline, &window, |prior, obs| {
+                let estimate = pipeline.estimate_with(prior, obs, &mut ws)?;
+                borrowed = Some(estimate.clone());
+                Ok(estimate)
+            })
+            .unwrap();
+            assert_eq!(error.to_bits(), cold.error.to_bits(), "{engine:?}");
+            assert_eq!(borrowed.as_ref(), Some(&cold.estimate), "{engine:?}");
+        }
+    }
+
+    /// Two 4-bin windows: the cold one runs only its candidate (4 bins),
+    /// the warm one its candidate and baseline (8 bins).
+    #[test]
+    fn replay_estimation_runs_no_baseline_on_a_cold_window() {
+        for threads in [1, 2] {
+            let registry = MetricsRegistry::new();
+            let metrics = PipelineMetrics::register(&registry);
+            let pipeline = EstimationPipeline::new(ring5())
+                .config(EstimationConfig::new().with_metrics(Arc::clone(&metrics)));
+            let mut stream = SyntheticStream::new(cfg(28).with_bins(8)).unwrap();
+            let report = replay_estimation_with(
+                &mut stream,
+                pipeline,
+                &ReplayOptions::default().with_window_bins(4),
+                &Engine::new().with_threads(threads),
+            )
+            .unwrap();
+            assert_eq!(report.len(), 2);
+            assert_eq!(metrics.bins.get(), 12, "{threads} threads");
+            let [cold, warm] = &report.windows[..] else {
+                unreachable!()
+            };
+            assert!(!cold.warm && warm.warm);
+            assert_eq!(cold.error_gravity.to_bits(), cold.error_candidate.to_bits());
+            assert_eq!(cold.improvement, 0.0);
+            assert_ne!(warm.error_gravity.to_bits(), warm.error_candidate.to_bits());
+        }
     }
 
     fn opts() -> ReplayOptions {
@@ -499,15 +636,7 @@ mod tests {
 
     #[test]
     fn replay_estimation_runs_the_pipeline_per_window() {
-        let mut topo = Topology::new("ring5");
-        let ids: Vec<usize> = (0..5)
-            .map(|k| topo.add_node(format!("n{k}")).unwrap())
-            .collect();
-        for k in 0..5 {
-            topo.add_symmetric_link(ids[k], ids[(k + 1) % 5], 1.0, 1e12)
-                .unwrap();
-        }
-        let om = ObservationModel::new(&topo, RoutingScheme::Ecmp).unwrap();
+        let om = ring5();
         let mut stream = SyntheticStream::new(cfg(23)).unwrap();
         let report =
             replay_estimation(&mut stream, EstimationPipeline::new(om.clone()), &opts()).unwrap();

@@ -415,23 +415,25 @@ fn dijkstra(topo: &Topology, adj: &Adjacency, root: NodeId, reverse: bool) -> (V
 /// 6.2). `n` rows of `n` unit entries each (density `1/n`), stacked into
 /// the estimation path's observation operator.
 pub fn ingress_incidence_sparse(n: usize) -> SparseMatrix {
-    SparseMatrix::from_triplets(
-        n,
-        n * n,
-        (0..n).flat_map(|i| (0..n).map(move |j| (i, i * n + j, 1.0))),
-    )
-    .expect("incidence triplets are in bounds by construction")
+    incidence_sparse(n, |od| od / n)
 }
 
 /// The egress incidence operator `G` (`n x n²`): `G[j][(i,j)] = 1` for all
 /// `i`, so `G x` is the vector of egress counts `X_{*j}`.
 pub fn egress_incidence_sparse(n: usize) -> SparseMatrix {
-    SparseMatrix::from_triplets(
-        n,
-        n * n,
-        (0..n).flat_map(|i| (0..n).map(move |j| (j, i * n + j, 1.0))),
-    )
-    .expect("incidence triplets are in bounds by construction")
+    incidence_sparse(n, |od| od % n)
+}
+
+/// An `n x n²` operator with one unit entry per OD column `od = i·n + j`,
+/// in row `row(od)`, built column by column through
+/// [`SparseMatrix::from_csc`]: a counting sort, where `from_triplets`
+/// would sort the `n²` entries by comparison.
+fn incidence_sparse(n: usize, row: impl Fn(usize) -> usize) -> SparseMatrix {
+    let pairs = n * n;
+    let col_ptr: Vec<usize> = (0..=pairs).collect();
+    let row_idx: Vec<usize> = (0..pairs).map(row).collect();
+    SparseMatrix::from_csc(n, pairs, &col_ptr, &row_idx, &vec![1.0; pairs])
+        .expect("one in-bounds entry per column by construction")
 }
 
 #[cfg(test)]
@@ -606,6 +608,35 @@ mod tests {
             let mut buf = vec![0.0; r.link_count()];
             r.link_counts_into(&x, &mut buf).unwrap();
             assert_eq!(buf, sparse);
+        }
+    }
+
+    /// The column-by-column build of `H` and `G` equals a `from_triplets`
+    /// build of the same entries: shape, row pointers, column order and
+    /// value bits.
+    #[test]
+    fn incidence_by_columns_equals_the_triplet_build() {
+        for n in [1, 2, 3, 7, 22, 50] {
+            let triplets = |row: fn(usize, usize) -> usize| {
+                SparseMatrix::from_triplets(
+                    n,
+                    n * n,
+                    (0..n).flat_map(|i| (0..n).map(move |j| (row(i, j), i * n + j, 1.0))),
+                )
+                .unwrap()
+            };
+            let pairs = [
+                (ingress_incidence_sparse(n), triplets(|i, _| i)),
+                (egress_incidence_sparse(n), triplets(|_, j| j)),
+            ];
+            for (built, oracle) in pairs {
+                assert_eq!(built, oracle, "n = {n}");
+                for r in 0..n {
+                    let ((bc, bv), (oc, ov)) = (built.row(r), oracle.row(r));
+                    assert_eq!(bc, oc, "n = {n}, row {r}");
+                    assert!(bv.iter().zip(ov).all(|(a, b)| a.to_bits() == b.to_bits()));
+                }
+            }
         }
     }
 
